@@ -25,7 +25,6 @@ def main() -> None:
     parser.add_argument("--gammas", type=float, nargs="+", default=list(REFERENCE_STRENGTHS))
     parser.add_argument("--steps", type=int, default=1 << 16)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=2)
     args = parser.parse_args()
 
     report = reproduce_report(
@@ -35,7 +34,6 @@ def main() -> None:
         alpha=args.alpha,
         n_steps=args.steps,
         seed=args.seed,
-        workers=args.workers,
     )
     counter = report["counterfactual"]
     print(f"report written to {args.out_dir}/")

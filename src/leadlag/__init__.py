@@ -16,9 +16,8 @@ from .moments import (ScaleMatrix, aggregate_returns, attenuation,
                       factor_variance_sum, sample_correlation,
                       sample_covariance, theoretical_correlation,
                       theoretical_covariance)
-from .panel_io import (PanelFileHeader, load_curves, load_fits, load_panel,
-                       load_spectra, save_curves, save_fits, save_panel,
-                       save_results, save_spectra)
+from .panel_io import (load_curves, load_fits, load_panel, load_spectra,
+                       save_curves, save_fits, save_panel, save_spectra)
 from .pipeline import (DYADIC_TAUS, eigencurves_from_panel, fit_curves,
                        reproduce_report)
 from .spectral import (FactorStrengthMatrix, LoadingMatrix, LoadingVector,
@@ -47,9 +46,8 @@ __all__ = [
     "gram_eigenvalues", "factor_strength_matrix", "factor_strengths",
     "factor_eigencurve", "dense_eigenvalues",
     "EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time",
-    "PanelFileHeader", "load_panel", "save_panel", "save_results",
-    "save_curves", "load_curves", "save_fits", "load_fits", "save_spectra",
-    "load_spectra",
+    "load_panel", "save_panel", "save_curves", "load_curves", "save_fits",
+    "load_fits", "save_spectra", "load_spectra",
     "DYADIC_TAUS", "eigencurves_from_panel", "fit_curves", "reproduce_report",
     "render_eigencurve",
     "__version__",

@@ -123,8 +123,7 @@ def _cmd_spectrum(args) -> int:
     panel = load_panel(getattr(args, "in"), compounding=args.compounding)
     taus = _parse_ints(args.taus, "taus")
     kind = "correlation" if args.kind == "corr" else "covariance"
-    curves = pipeline.eigencurves_from_panel(panel, taus, top_k=args.top_k,
-                                             kind=kind, workers=args.workers)
+    curves = pipeline.eigencurves_from_panel(panel, taus, top_k=args.top_k, kind=kind)
     save_curves(curves, args.out, n_assets=panel.n_assets,
                 base_scale_minutes=float(panel.base_scale))
     print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {taus} "
@@ -147,7 +146,7 @@ def _cmd_fit(args) -> int:
                             + ", ".join(str(r) for r in sorted(missing)))
         curves = [c for c in curves if c.rank in wanted]
 
-    results = pipeline.fit_curves(curves, n_assets, base_scale, workers=args.workers)
+    results = pipeline.fit_curves(curves, n_assets, base_scale)
     succeeded = [(rank, fit) for rank, fit, err in results if fit is not None]
     for rank, _, err in results:
         if err is not None:
@@ -196,7 +195,6 @@ def _cmd_reproduce(args) -> int:
         n_steps=args.steps,
         seed=args.seed,
         taus=_parse_ints(args.taus, "taus"),
-        workers=args.workers,
         log_x=not args.linear_x,
     )
     counter = report["counterfactual"]
@@ -243,7 +241,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="correlation or covariance spectra")
     spec.add_argument("--compounding", choices=("arithmetic", "geometric"),
                       default="arithmetic", help="return compounding on load")
-    spec.add_argument("--workers", type=int, default=1, help="parallel workers across taus")
     spec.add_argument("--out", required=True, help="output curves JSON")
     spec.set_defaults(func=_cmd_spectrum)
 
@@ -254,7 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--base-scale-minutes", type=float, default=None,
                      help="bar length in minutes for the relaxation time")
     fit.add_argument("--ranks", default=None, help="comma-separated subset of ranks")
-    fit.add_argument("--workers", type=int, default=1, help="parallel workers across ranks")
     fit.add_argument("--out", required=True, help="output fits JSON")
     fit.set_defaults(func=_cmd_fit)
 
@@ -275,7 +271,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--steps", type=int, default=1 << 16)
     rep.add_argument("--seed", type=int, default=0)
     rep.add_argument("--taus", default=_DEFAULT_TAUS)
-    rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--linear-x", action="store_true", help="linear tau axis in plots")
     rep.set_defaults(func=_cmd_reproduce)
 

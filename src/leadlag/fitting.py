@@ -5,13 +5,14 @@ Each eigenvalue rank is fitted separately by
     lam(tau) ~= amplitude / attenuation(alpha, tau)
 
 with amplitude = n_assets * gamma_f > 0 and memory decay alpha in
-[0, 1 - 1e-6].  The solver is a damped Gauss-Newton iteration: the Jacobian
-column in amplitude is analytic (the model is linear in it), the column in
-alpha uses a central finite difference, and steps are halved until the
-residual decreases.  Because short curves can leave the objective nearly flat
-in alpha, every fit multi-starts from alpha in {0.0, 0.1, ..., 0.9} (with the
-amplitude profiled analytically at each start) and keeps the lowest-residual
-candidate.  Weights are uniform.
+[0, 1 - 1e-6].  The model is linear in the amplitude, so for any alpha its
+least-squares value is closed-form and the fit reduces to a 1-D search in
+alpha (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
+The profiled residual sum of squares is evaluated on a fixed 41-node grid over
+the box; the slope d rss / d alpha, taken exactly by a complex step, then
+either shows the best node to be a first-order point or brackets the minimum in
+a neighbouring cell, where Brent's method solves for the zero of the slope.
+Weights are uniform.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .moments import _attenuation_array
@@ -27,10 +29,11 @@ from .moments import _attenuation_array
 __all__ = ["EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time"]
 
 _ALPHA_MAX = 1.0 - 1e-6
-_AMP_MIN = 1e-12
-_FD_STEP = 5e-7
-_STARTS = tuple(x / 10.0 for x in range(10))
-_MAX_ITER = 200
+# coarse grid whose best node locates the global minimum in alpha to one cell
+_ALPHA_GRID = np.linspace(0.0, _ALPHA_MAX, 41)
+_COMPLEX_STEP = 1e-30
+# the smallest relative tolerance brentq accepts
+_RTOL = 4.0 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -94,74 +97,31 @@ def relaxation_time(alpha: float, base_scale_minutes: float = 1.0) -> float:
     return float(base_scale_minutes) / math.log(1.0 / alpha)
 
 
-def _clamp_alpha(alpha: float) -> float:
-    return min(max(alpha, 0.0), _ALPHA_MAX)
+def _profiled_rss(values: np.ndarray, taus: np.ndarray, alpha):
+    # RSS at alpha with the amplitude at its closed-form least-squares value
+    # (values . g) / (g . g); no conjugation, so it extends analytically to
+    # complex alpha for the complex-step slope
+    g = 1.0 / _attenuation_array(alpha, taus)
+    amplitude = (values @ g) / (g @ g)
+    residual = values - amplitude * g
+    return residual @ residual, amplitude
 
 
-def _growth(alpha: float, taus: np.ndarray) -> np.ndarray:
-    # model shape 1 / attenuation; amplitude multiplies this
-    return 1.0 / _attenuation_array(alpha, taus)
-
-
-def _growth_derivative(alpha: float, taus: np.ndarray) -> np.ndarray:
-    # central finite difference, clamped into the admissible alpha range
-    hi = min(alpha + _FD_STEP, _ALPHA_MAX)
-    lo = max(alpha - _FD_STEP, 0.0)
-    return (_growth(hi, taus) - _growth(lo, taus)) / (hi - lo)
-
-
-def _rss(values: np.ndarray, amplitude: float, alpha: float, taus: np.ndarray) -> float:
-    r = values - amplitude * _growth(alpha, taus)
-    return float(r @ r)
-
-
-def _profile_amplitude(values: np.ndarray, alpha: float, taus: np.ndarray) -> float:
-    g = _growth(alpha, taus)
-    return max(float(values @ g) / float(g @ g), _AMP_MIN)
-
-
-def _gauss_newton(values: np.ndarray, taus: np.ndarray, amplitude: float,
-                  alpha: float):
-    rss = _rss(values, amplitude, alpha, taus)
-    scale = float(values @ values)
-    converged = False
-    iterations = 0
-    for iterations in range(1, _MAX_ITER + 1):
-        g = _growth(alpha, taus)
-        residual = values - amplitude * g
-        jac = np.column_stack((g, amplitude * _growth_derivative(alpha, taus)))
-        step, *_ = np.linalg.lstsq(jac, residual, rcond=None)
-
-        improved = False
-        damping = 1.0
-        for _ in range(30):
-            cand_amp = max(amplitude + damping * step[0], _AMP_MIN)
-            cand_alpha = _clamp_alpha(alpha + damping * step[1])
-            cand_rss = _rss(values, cand_amp, cand_alpha, taus)
-            if cand_rss < rss:
-                moved = math.hypot(cand_amp - amplitude, cand_alpha - alpha)
-                amplitude, alpha, rss = cand_amp, cand_alpha, cand_rss
-                improved = True
-                if moved <= 1e-12 * (1.0 + abs(amplitude)):
-                    converged = True
-                break
-            damping *= 0.5
-        if not improved:
-            # no decrease along the Gauss-Newton direction: stationary point
-            converged = True
-            break
-        if converged or rss <= 1e-28 * max(scale, 1.0):
-            converged = True
-            break
-    return amplitude, alpha, rss, iterations, converged
+def _slope(alpha: float, values: np.ndarray, taus: np.ndarray) -> float:
+    # exact d rss / d alpha: the complex step has no truncation or cancellation
+    # error, so any step whose square is far below one ulp works
+    rss, _ = _profiled_rss(values, taus, complex(alpha, _COMPLEX_STEP))
+    return float(rss.imag) / _COMPLEX_STEP
 
 
 def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float = 1.0) -> FitResult:
     """Fit (alpha, amplitude) to one eigenvalue curve.
 
-    Requires at least 3 points (two parameters plus one).  Returns the best
-    multi-start candidate; if no start converges the best-effort parameters
-    are returned with converged=False.
+    Requires at least 3 points (two parameters plus one).  iterations counts
+    evaluations of the profiled objective.  converged is True when the
+    first-order conditions hold on the box: the slope in alpha is zero inside
+    it, or points out of it at a bound.  Otherwise the best grid node is
+    returned with converged=False.
     """
     if len(curve) < 3:
         raise ValidationError("curve must contain at least 3 points to fit 2 parameters")
@@ -174,15 +134,31 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
     unit = float(np.max(curve.values))
     values = curve.values / unit
 
-    best = None
-    for start in _STARTS:
-        amp0 = _profile_amplitude(values, start, taus)
-        candidate = _gauss_newton(values, taus, amp0, start)
-        if best is None or candidate[2] < best[2]:
-            best = candidate
-    amplitude, alpha, rss, iterations, converged = best
-    amplitude *= unit
-    rss *= unit * unit
+    grid_rss = [_profiled_rss(values, taus, a)[0] for a in _ALPHA_GRID]
+    best = int(np.argmin(grid_rss))
+    alpha = float(_ALPHA_GRID[best])
+    slope = _slope(alpha, values, taus)
+    evaluations = _ALPHA_GRID.size + 1
+    at_lower, at_upper = best == 0, best == _ALPHA_GRID.size - 1
+    if slope == 0.0 or (at_lower and slope > 0.0) or (at_upper and slope < 0.0):
+        # stationary at a node, or the slope points out of the box at a bound
+        converged = True
+    else:
+        # the minimum lies in the cell on the downhill side of the best node
+        neighbour = float(_ALPHA_GRID[best + 1 if slope < 0.0 else best - 1])
+        evaluations += 1
+        if slope * _slope(neighbour, values, taus) <= 0.0:
+            lo, hi = sorted((alpha, neighbour))
+            alpha, root = brentq(_slope, lo, hi, args=(values, taus), xtol=1e-300,
+                                 rtol=_RTOL, full_output=True, disp=False)
+            evaluations += root.function_calls
+            converged = root.converged
+        else:
+            converged = False
+    rss, amplitude = _profiled_rss(values, taus, alpha)
+    evaluations += 1
+    amplitude = float(amplitude) * unit
+    rss = float(rss) * unit * unit
 
     t_alpha = relaxation_time(alpha, base_scale_minutes) if alpha > 0.0 else 0.0
     return FitResult(
@@ -191,6 +167,6 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
         gamma_f=amplitude / n_assets,
         t_alpha=t_alpha,
         rss=rss,
-        iterations=iterations,
+        iterations=evaluations,
         converged=converged,
     )

@@ -122,7 +122,7 @@ def attenuation(alpha: float, tau) -> float:
 
 def _attenuation_array(alpha: float, taus) -> np.ndarray:
     # Unguarded vector version used by fitting and plotting.  Tolerates float
-    # tau and (for finite-difference probes) alpha marginally outside [0, 1).
+    # tau, and complex alpha for the fitter's complex-step slope.
     taus = np.asarray(taus, dtype=np.float64)
     if alpha == 0.0:
         return np.ones_like(taus)

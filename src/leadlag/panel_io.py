@@ -25,7 +25,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -37,10 +36,8 @@ from .model import ReturnPanel
 from .spectral import Spectrum
 
 __all__ = [
-    "PanelFileHeader",
     "load_panel",
     "save_panel",
-    "save_results",
     "save_curves",
     "load_curves",
     "save_fits",
@@ -50,28 +47,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-
-@dataclass(frozen=True)
-class PanelFileHeader:
-    """Header metadata of a panel file."""
-
-    asset_labels: tuple[str, ...]
-    base_scale_minutes: float
-    row_count: int
-
-    def __post_init__(self):
-        labels = tuple(self.asset_labels)
-        if any(not lbl for lbl in labels):
-            raise DataError("asset labels must be non-empty")
-        if len(set(labels)) != len(labels):
-            dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
-            raise DataError(f"duplicate asset label {dup!r} in header")
-        if self.base_scale_minutes <= 0:
-            raise ValidationError("base_scale_minutes must be positive")
-        if self.row_count < 0:
-            raise ValidationError("row_count must be nonnegative")
-        object.__setattr__(self, "asset_labels", labels)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -144,7 +119,11 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     if not data:
         raise DataError(f"{path}: no data rows")
 
-    header_meta = PanelFileHeader(labels, 1.0, len(data))  # validates labels
+    if any(not lbl for lbl in labels):
+        raise DataError("asset labels must be non-empty")
+    if len(set(labels)) != len(labels):
+        dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
+        raise DataError(f"duplicate asset label {dup!r} in header")
     arr = np.asarray(data, dtype=np.float64).T
     if compounding == "geometric":
         arr = np.log1p(arr)
@@ -153,7 +132,7 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
         scale = int(strides[0])
     else:
         scale = 1
-    return ReturnPanel(arr, base_scale=scale, asset_labels=header_meta.asset_labels)
+    return ReturnPanel(arr, base_scale=scale, asset_labels=labels)
 
 
 def _dump(document: dict) -> str:
@@ -283,26 +262,3 @@ def load_spectra(path) -> list[tuple[int, Spectrum]]:
         )
         for entry in document["spectra"]
     ]
-
-
-def save_results(objects, path, *, n_assets: int | None = None,
-                 base_scale_minutes: float = 1.0) -> None:
-    """Dispatch on payload type: curves, (rank, fit) pairs, or (scale,
-    spectrum) pairs."""
-    items = list(objects)
-    # an empty sequence is written as an (empty) curves file
-    if all(isinstance(x, EigenCurve) for x in items):
-        if n_assets is None:
-            raise ValidationError("saving curves requires n_assets")
-        save_curves(items, path, n_assets=n_assets, base_scale_minutes=base_scale_minutes)
-        return
-    if all(isinstance(x, tuple) and len(x) == 2 for x in items):
-        if isinstance(items[0][1], FitResult):
-            if n_assets is None:
-                raise ValidationError("saving fits requires n_assets")
-            save_fits(items, path, n_assets=n_assets, base_scale_minutes=base_scale_minutes)
-            return
-        if isinstance(items[0][1], Spectrum):
-            save_spectra(items, path)
-            return
-    raise ValidationError(f"unsupported result payload {type(items[0]).__name__!r}")

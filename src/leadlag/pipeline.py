@@ -7,7 +7,6 @@ going through files.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +55,7 @@ def _top_eigenvalues(panel, tau: int, top_k: int, kind: str) -> np.ndarray:
 
 
 def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
-                           kind: str = "correlation", workers: int = 1) -> list[EigenCurve]:
+                           kind: str = "correlation") -> list[EigenCurve]:
     """Top-k eigenvalue curves of the sample correlation (or covariance)
     matrix across the aggregation-scale grid.
 
@@ -76,21 +75,16 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
             + ", ".join(str(t) for t in too_long)
         )
 
-    if int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            tops = list(pool.map(lambda t: _top_eigenvalues(panel, t, top_k, kind), taus))
-    else:
-        tops = [_top_eigenvalues(panel, t, top_k, kind) for t in taus]
-
-    stacked = np.vstack(tops)  # (n_taus, top_k)
+    # (n_taus, top_k)
+    stacked = np.vstack([_top_eigenvalues(panel, t, top_k, kind) for t in taus])
     return [
         EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
         for r in range(top_k)
     ]
 
 
-def fit_curves(curves, n_assets: int, base_scale_minutes: float = 1.0,
-               workers: int = 1) -> list[tuple[int, FitResult | None, str | None]]:
+def fit_curves(curves, n_assets: int,
+               base_scale_minutes: float = 1.0) -> list[tuple[int, FitResult | None, str | None]]:
     """Fit every curve; per-curve failures do not abort the batch.
 
     Returns (rank, fit, error_message) triples where exactly one of fit and
@@ -102,16 +96,13 @@ def fit_curves(curves, n_assets: int, base_scale_minutes: float = 1.0,
         except ValidationError as exc:
             return curve.rank, None, str(exc)
 
-    if int(workers) > 1:
-        with ThreadPoolExecutor(max_workers=int(workers)) as pool:
-            return list(pool.map(one, curves))
     return [one(c) for c in curves]
 
 
 def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
                      strengths=REFERENCE_STRENGTHS, alpha: float = REFERENCE_ALPHA,
                      n_steps: int = 1 << 16, seed: int = 0, taus=DYADIC_TAUS,
-                     workers: int = 1, log_x: bool = True) -> dict:
+                     log_x: bool = True) -> dict:
     """Run the canonical synthetic scenario end to end and write a report.
 
     Simulates a multi-factor panel with orthogonal factors of the given
@@ -136,8 +127,7 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
 
     spec = ModelSpec.orthogonal_factors(n_assets, strengths, alpha, seed=seed)
     panel = simulate_panel(spec, n_steps)
-    curves = eigencurves_from_panel(panel, taus, top_k=len(strengths),
-                                    kind="correlation", workers=workers)
+    curves = eigencurves_from_panel(panel, taus, top_k=len(strengths), kind="correlation")
     save_curves(curves, out_dir / "curves.json", n_assets=n_assets)
 
     fitted = fit_curves(curves, n_assets)

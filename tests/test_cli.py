@@ -142,7 +142,7 @@ class TestSpectrum:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for out in (a, b):
             assert run("spectrum", "--in", str(panel_path), "--taus", "1,2,4",
-                       "--out", str(out), "--workers", "2") == 0
+                       "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_one_factor_curve_tracks_closed_form(self, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leadlag import (EigenCurve, ValidationError, attenuation, factor_eigencurve,
                      fit_eigencurve, relaxation_time)
-from leadlag.fitting import _STARTS, _gauss_newton, _profile_amplitude
+from leadlag.fitting import _ALPHA_MAX, _profiled_rss, _slope
 from leadlag.moments import _attenuation_array
 
 DYADIC = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -63,6 +63,7 @@ class TestFitEigencurve:
         assert fit.alpha == pytest.approx(0.0, abs=1e-9)
         assert fit.amplitude == pytest.approx(12.5, rel=1e-9)
         assert fit.t_alpha == 0.0
+        assert fit.converged
 
     def test_requires_three_points(self):
         curve = EigenCurve(np.array([1, 2]), np.array([3.0, 4.0]))
@@ -89,18 +90,42 @@ class TestFitEigencurve:
         assert abs(other.alpha - base.alpha) < 1e-9
         assert abs(other.amplitude - factor * base.amplitude) < 1e-9 * factor * base.amplitude
 
-    def test_reported_rss_is_multistart_minimum(self):
+    def test_reported_rss_is_global_minimum(self):
         rng = np.random.default_rng(5)
         clean = factor_eigencurve(150, 0.12, 0.3, DYADIC)
         noisy = EigenCurve(clean.taus, clean.values * (1 + rng.normal(0, 0.03, len(clean))))
         fit = fit_eigencurve(noisy, 150)
+        assert fit.converged
         taus = noisy.taus.astype(float)
         unit = float(np.max(noisy.values))
         values = noisy.values / unit
-        for start in _STARTS:
-            amp0 = _profile_amplitude(values, start, taus)
-            _, _, rss, _, _ = _gauss_newton(values, taus, amp0, start)
-            assert fit.rss <= rss * unit**2 + 1e-12
+        for alpha in np.linspace(0.0, _ALPHA_MAX, 2001):
+            rss, _ = _profiled_rss(values, taus, alpha)
+            assert fit.rss <= rss * unit**2 * (1 + 1e-12)
+
+    def test_complex_step_slope_matches_central_difference(self):
+        rng = np.random.default_rng(7)
+        clean = factor_eigencurve(150, 0.12, 0.3, DYADIC)
+        values = clean.values * (1 + rng.normal(0, 0.03, len(clean)))
+        values /= values.max()
+        taus = clean.taus.astype(float)
+        h = 1e-6
+        for alpha in (0.05, 0.3, 0.6, 0.9):
+            upper, _ = _profiled_rss(values, taus, alpha + h)
+            lower, _ = _profiled_rss(values, taus, alpha - h)
+            assert _slope(alpha, values, taus) == pytest.approx((upper - lower) / (2 * h),
+                                                                rel=1e-6)
+
+    @pytest.mark.parametrize("values, bound", [
+        # bulk-like: shrinks with scale, which no alpha in the box can follow
+        (1.5 - 0.05 * np.log2(np.array(DYADIC, dtype=float)), 0.0),
+        # grows linearly in tau, faster than any alpha inside the box allows
+        (np.array(DYADIC, dtype=float), _ALPHA_MAX),
+    ])
+    def test_curve_beyond_the_box_converges_at_a_bound(self, values, bound):
+        fit = fit_eigencurve(EigenCurve(np.array(DYADIC), values), 50)
+        assert fit.alpha == bound
+        assert fit.converged
 
     def test_gamma_f_is_amplitude_over_n(self):
         curve = factor_eigencurve(80, 0.05, 0.1, DYADIC)
@@ -117,7 +142,7 @@ class TestFitEigencurve:
         assert abs(fit.amplitude - 250 * gamma_f) < 1e-6 * max(1.0, 250 * gamma_f)
 
     def test_attenuation_array_is_sane_at_fit_boundary(self):
-        # multi-start iterations may probe alpha right at the box bound
+        # the fitter's grid and slope evaluate alpha right at the box bound
         taus = np.arange(1, 129, dtype=float)
         values = _attenuation_array(1.0 - 1e-6, taus)
         assert np.all(values > 0.0)

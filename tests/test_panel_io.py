@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (DataError, EigenCurve, FitResult, PanelFileHeader,
-                     ReturnPanel, Spectrum, ValidationError, aggregate_returns,
-                     load_curves, load_fits, load_panel, load_spectra,
-                     sample_correlation, save_curves, save_fits, save_panel,
-                     save_results, save_spectra)
+from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, Spectrum,
+                     ValidationError, aggregate_returns, load_curves, load_fits,
+                     load_panel, load_spectra, sample_correlation, save_curves,
+                     save_fits, save_panel, save_spectra)
 
 
 def write(tmp_path, name, text):
@@ -78,6 +77,11 @@ class TestPanelCsv:
         with pytest.raises(DataError, match="duplicate asset label"):
             load_panel(path)
 
+    def test_empty_label_rejected(self, tmp_path):
+        path = write(tmp_path, "p.csv", "time,A, \n0,0.1,0.2\n")
+        with pytest.raises(DataError, match="non-empty"):
+            load_panel(path)
+
     def test_bad_time_index(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A\nx,0.1\n")
         with pytest.raises(DataError, match="time index"):
@@ -127,20 +131,6 @@ class TestPanelCsv:
         assert np.array_equal(load_panel(path).returns, panel.returns)
 
 
-class TestPanelFileHeader:
-    def test_duplicate_labels(self):
-        with pytest.raises(DataError, match="duplicate"):
-            PanelFileHeader(("A", "A"), 1.0, 2)
-
-    def test_empty_label(self):
-        with pytest.raises(DataError, match="non-empty"):
-            PanelFileHeader(("A", ""), 1.0, 2)
-
-    def test_bad_scale(self):
-        with pytest.raises(ValidationError):
-            PanelFileHeader(("A",), 0.0, 2)
-
-
 class TestResultsJson:
     def curves(self):
         taus = np.array([1, 2, 4, 8, 16, 32, 64, 128])
@@ -168,7 +158,7 @@ class TestResultsJson:
 
     def test_empty_curve_list_is_valid(self, tmp_path):
         path = tmp_path / "empty.json"
-        save_results([], path, n_assets=5)
+        save_curves([], path, n_assets=5)
         back, meta = load_curves(path)
         assert back == [] and meta["n_assets"] == 5
 
@@ -191,14 +181,6 @@ class TestResultsJson:
         assert scale == 4
         assert np.array_equal(back.eigenvalues, spec.eigenvalues)
         assert np.array_equal(back.multiplicities, spec.multiplicities)
-
-    def test_save_results_dispatch(self, tmp_path):
-        fits = [(1, FitResult(0.1, 2.0, 0.02, 4.34, 0.0, 3, True))]
-        save_results(fits, tmp_path / "f.json", n_assets=100)
-        assert load_fits(tmp_path / "f.json")[0] == fits
-        spectra = [(1, Spectrum(np.array([1.0]), np.array([1])))]
-        save_results(spectra, tmp_path / "s.json")
-        assert load_spectra(tmp_path / "s.json")[0][0] == 1
 
     def test_schema_is_versioned_and_checked(self, tmp_path):
         path = tmp_path / "curves.json"
