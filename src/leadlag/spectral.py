@@ -1,27 +1,27 @@
 """Eigenvalue machinery for lead-lag factor correlation matrices.
 
-A one-factor correlation matrix here has unit diagonal and off-diagonal
-entries rho_i * rho_j, i.e. it is an identity-plus-rank-one perturbation
-diag(1 - rho_i^2) + rho rho^T.  Its spectrum decomposes exactly:
+With F factors the correlation matrix at one aggregation scale is
+C = diag(d) + rho rho^T for an N x F loading matrix rho, where
+d_i = 1 - |rho_i|^2 (one factor: an identity-plus-rank-one perturbation).
+Its eigenvalues all come from one inertia count.  For lam not equal to any
+d_i, Haynsworth inertia additivity gives
 
-* assets with rho_i = 0 contribute eigenvalue 1, once each;
-* a group of m assets sharing the same z_i = 1 - rho_i^2 contributes the
-  eigenvalue z_i with multiplicity m - 1;
-* the remaining eigenvalues are the roots of the secular equation
+    #eig(C) > lam  =  #{d_i > lam}  +  #eig(phi(lam)) > 1,
+    phi(lam) = sum_i rho_i rho_i^T / (lam - d_i)   (F x F).
 
-      f(z) = sum_i rho_i^2 / (z - z_i) = 1,
+The count is monotone in lam, so bisecting on it finds every eigenvalue with
+its multiplicity (the LAPACK dstebz scheme): all wanted indices are bisected
+together on (floor, max d + sum |rho_i|^2], a step counts every midpoint with
+one gemm and one batched F x F eigvalsh, and the bisection stops at a width
+of 2 eps max(1, top), about 52 steps for any N, F or root size.  Assets with
+zero loadings enter only the pole count #{d_i > lam}.  Tied loadings follow
+identical bisection paths, so tied eigenvalues come out bit-identical.
 
-  one root strictly inside each interval between consecutive distinct z
-  values and one above the largest, bounded by z_max + sum_i rho_i^2.
-  f is strictly decreasing between poles, so bisection is unconditionally
-  convergent; Newton is avoided because of the poles at the bracket ends.
-
-With F factors the correlation matrix is diag(1 - rho_i^2) + rho rho^T for an
-N x F loading matrix.  Eigenvalues above 1 are the zeros of the reduced F x F
-determinant det(I_F - phi(lam)) with
-phi[f, g](lam) = sum_i rho[i, f] * rho[i, g] / (lam - 1 + rho_i^2); for large
-eigenvalues they are close to the eigenvalues of the Gram matrix rho^T rho,
-and across scales they all follow n_assets * strength_f / attenuation(tau).
+For one factor phi is the secular function f(z) = sum_i rho_i^2 / (z - d_i),
+strictly decreasing between poles; its eigenvalues above 1 are the zeros of
+the reduced F x F determinant det(I_F - phi(lam)).  For large eigenvalues
+they are close to the eigenvalues of the Gram matrix rho^T rho, and across
+scales they all follow n_assets * strength_f / attenuation(tau).
 """
 
 from __future__ import annotations
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12       # slack on rho_i^2 <= 1
-_GROUP_TOL = 1e-12      # absolute tolerance for grouping identical z values
-_WIDTH_TOL = 1e-14      # bracket-width convergence target
+_GROUP_TOL = 1e-12      # poles this close share one eigenvector block
 _SINGULAR_TOL = 1e-12   # proximity of lambda to a pole of the resolvent
 
 
@@ -236,6 +235,53 @@ def secular_function(loadings: LoadingVector, z: float) -> float:
         return float(np.sum(r2[nonzero] / (z - poles)))
 
 
+def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
+    """Every eigenvalue of diag(1 - |rho_i|^2) + rho rho^T above `floor`, descending.
+
+    The inertia count and the bisection are described in the module
+    docstring.  A lam that lands exactly on some d_i moves up one ulp.
+    """
+    n_factors = rho.shape[1]
+    row_sq = np.minimum((rho**2).sum(axis=1), 1.0)  # clip the types' <=1e-12 overshoot
+    d = 1.0 - row_sq
+    poles = np.sort(d)
+    live = row_sq > 0.0
+    d_live, r = d[live], rho[live]
+    outer = (r[:, :, None] * r[:, None, :]).reshape(r.shape[0], n_factors**2)
+
+    def count(lam):
+        below = np.searchsorted(poles, lam, side="right")
+        lam = np.where(poles[below - 1] == lam, np.nextafter(lam, np.inf), lam)
+        shifted = np.subtract.outer(lam, d_live)
+        phi = np.reciprocal(shifted, out=shifted) @ outer
+        if n_factors > 1:  # a 1 x 1 phi is its own eigenvalue
+            phi = np.linalg.eigvalsh(phi.reshape(-1, n_factors, n_factors))
+        return lam, poles.size - below + np.count_nonzero(phi > 1.0, axis=1)
+
+    top = poles[-1] + row_sq.sum()  # bounds every eigenvalue from above
+    wanted = int(count(np.array([floor]))[1][0]) if top > floor else 0
+    if wanted == 0:
+        return np.empty(0)
+    rank = np.arange(1, wanted + 1)
+    lo, hi = np.full(wanted, float(floor)), np.full(wanted, top)
+    width = 2.0 * np.finfo(float).eps * max(1.0, top)
+    # a midpoint at 0 on a pole at 0 (rho_i^2 = 1) moves to the smallest
+    # subnormal, where phi = +inf is the right limit
+    with np.errstate(over="ignore"):
+        for _ in range(math.ceil(math.log2((top - floor) / width))):
+            mid, counts = count(0.5 * (lo + hi))
+            up = counts >= rank
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+    return np.sort(0.5 * (lo + hi))[::-1]
+
+
+def _null_basis(rows: np.ndarray) -> np.ndarray:
+    # orthonormal basis of {x : rows^T x = 0} for an (m, F) block of loadings
+    _, s, vh = np.linalg.svd(rows.T)
+    return vh[np.count_nonzero(s > 0.0):].T
+
+
 def _group_poles(z_sorted: np.ndarray):
     # indices where a new group of (near-)identical z values starts
     starts = np.flatnonzero(np.concatenate(([True], np.diff(z_sorted) > _GROUP_TOL)))
@@ -243,99 +289,40 @@ def _group_poles(z_sorted: np.ndarray):
     return starts, ends
 
 
-def _bisect_secular(z_groups: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One root of sum_g w_g / (z - z_g) = 1 per bracket.
-
-    Brackets are (z_g, z_{g+1}) plus (z_max, z_max + sum(w)]; the function
-    decreases from +inf to -inf (or to below 1) on each, so the endpoint signs
-    are known without evaluation.
-    """
-    m = z_groups.size
-    lo = z_groups.copy()
-    hi = np.empty(m)
-    hi[:-1] = z_groups[1:]
-    hi[-1] = z_groups[-1] + weights.sum()
-    # pure width-driven bisection: |f - 1| alone is a poor proxy for the root
-    # error where f is flat (tiny weights), and width < 1e-14 implies both
-    for _ in range(240):
-        mid = 0.5 * (lo + hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fmid = (weights[:, None] / (mid[None, :] - z_groups[:, None])).sum(axis=0)
-        above = fmid > 1.0
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-        if np.all(hi - lo < _WIDTH_TOL):
-            break
-    return 0.5 * (lo + hi)
-
-
-def _null_basis(row: np.ndarray) -> np.ndarray:
-    # orthonormal basis of the hyperplane orthogonal to `row` (size m -> m-1 vectors)
-    _, _, vh = np.linalg.svd(row[None, :])
-    return vh[1:].T
+def _secular_vectors(rho: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # A group of (near-)tied poles d_i = 1 - rho_i^2 deflates: the null space of
+    # its loadings is an eigenspace at the pole, paired with the values nearest
+    # to it.  Every other value lam gets the secular vector (lam - d)^-1 rho.
+    n = rho.size
+    d = 1.0 - np.minimum(rho**2, 1.0)
+    order = np.argsort(d, kind="stable")
+    vectors = np.zeros((n, n))
+    free = np.ones(n, dtype=bool)
+    for a, b in zip(*_group_poles(d[order])):
+        members = order[a:b]
+        basis = _null_basis(rho[members, None])
+        cols = np.flatnonzero(free)
+        nearest = np.argsort(np.abs(values[cols] - d[members].mean()), kind="stable")
+        cols = cols[nearest[:basis.shape[1]]]
+        vectors[members[:, None], cols] = basis
+        free[cols] = False
+    for j in np.flatnonzero(free):
+        v = np.divide(rho, values[j] - d, out=np.zeros(n), where=d != values[j])
+        vectors[:, j] = v / np.linalg.norm(v)
+    return vectors
 
 
 def secular_eigenvalues(loadings: LoadingVector, with_vectors: bool = False) -> Spectrum:
-    """Exact spectrum of the one-factor correlation matrix via its secular
-    equation.
+    """Exact spectrum of the one-factor correlation matrix diag(1 - rho_i^2) + rho rho^T.
 
-    Handles zero loadings (eigenvalue 1), grouped identical loadings
-    (eigenvalue 1 - rho^2 with multiplicity m - 1), and bracketed bisection
-    for the remaining roots, converged to bracket width < 1e-14 (which also
-    puts |f(z) - 1| below 1e-12 except on the poles' immediate flanks).
-    Eigenvectors are computed only on demand; degenerate subspaces get an
-    orthonormal basis.
+    All N eigenvalues come from the inertia-counting slicer with a floor below
+    every 1 - rho_i^2, to an absolute width of 2 eps max(1, top).  Tied
+    loadings give bit-identical eigenvalues, so `multiplicities` is exact;
+    zero loadings give eigenvalue 1.  Eigenvectors are computed only on
+    demand; degenerate subspaces get an orthonormal basis.
     """
-    r2, nonzero = _nonzero_poles(loadings)
-    n = r2.size
-    values = []
-    builders = []  # callables filling the eigenvector columns lazily
-
-    zero_idx = np.setdiff1d(np.arange(n), nonzero)
-    for idx in zero_idx:
-        values.append(1.0)
-        if with_vectors:
-            def unit(i=idx):
-                v = np.zeros(n)
-                v[i] = 1.0
-                return v[:, None]
-            builders.append(unit)
-
-    if nonzero.size:
-        z_all = 1.0 - r2[nonzero]
-        order = np.argsort(z_all, kind="stable")
-        z_sorted = z_all[order]
-        idx_sorted = nonzero[order]
-        starts, ends = _group_poles(z_sorted)
-        reps = np.array([z_sorted[a:b].mean() for a, b in zip(starts, ends)])
-        weights = np.array([(1.0 - z_sorted[a:b]).sum() for a, b in zip(starts, ends)])
-
-        for a, b, rep in zip(starts, ends, reps):
-            count = b - a
-            if count > 1:
-                values.extend([rep] * (count - 1))
-                if with_vectors:
-                    members = idx_sorted[a:b]
-
-                    def tied(members=members):
-                        basis = _null_basis(loadings.rho[members])
-                        block = np.zeros((n, basis.shape[1]))
-                        block[members, :] = basis
-                        return block
-                    builders.append(tied)
-
-        roots = _bisect_secular(reps, weights)
-        values.extend(roots.tolist())
-        if with_vectors:
-            for root in roots:
-                def simple(lam=root):
-                    v = np.zeros(n)
-                    v[nonzero] = loadings.rho[nonzero] / (lam - (1.0 - r2[nonzero]))
-                    return (v / np.linalg.norm(v))[:, None]
-                builders.append(simple)
-
-    values = np.asarray(values)
-    vectors = np.hstack([b() for b in builders]) if with_vectors else None
+    values = _slice_spectrum(loadings.rho[:, None], floor=-1.0)
+    vectors = _secular_vectors(loadings.rho, values) if with_vectors else None
     return _spectrum_from_values(values, vectors)
 
 
@@ -348,24 +335,23 @@ def top_eigenvalue_approx(loadings: LoadingVector) -> float:
     return float(np.sum(loadings.rho**2))
 
 
-def _reduced_determinant_raw(rho: np.ndarray, row_sq: np.ndarray, lam: float) -> float:
-    denom = lam - (1.0 - row_sq)
-    phi = rho.T @ (rho / denom[:, None])
-    return float(np.linalg.det(np.eye(rho.shape[1]) - phi))
-
-
 def reduced_determinant(loadings: LoadingMatrix, lam: float) -> float:
     """det(I_F - phi(lam)) whose zeros above 1 are correlation eigenvalues.
 
-    phi[f, g](lam) = sum_i rho[i, f] rho[i, g] / (lam - 1 + rho_i^2).  The
-    resolvent is singular at lam = 1 - rho_i^2; values of lam within 1e-12 of
-    a singularity are rejected.
+    phi[f, g](lam) = sum_i rho[i, f] rho[i, g] / (lam - 1 + rho_i^2) over the
+    assets with nonzero loadings (a zero row adds no term).  The resolvent is
+    singular at lam = 1 - rho_i^2; values of lam within 1e-12 of a
+    singularity of a nonzero row are rejected.
     """
     lam = float(lam)
     row_sq = loadings.row_norms_sq()
-    if np.min(np.abs(lam - (1.0 - row_sq))) < _SINGULAR_TOL:
+    live = row_sq > 0.0
+    denom = lam - (1.0 - row_sq[live])
+    if np.any(np.abs(denom) < _SINGULAR_TOL):
         raise DataError(f"lambda={lam!r} coincides with a resolvent singularity 1 - rho_i^2")
-    return _reduced_determinant_raw(loadings.rho, row_sq, lam)
+    rho = loadings.rho[live]
+    phi = rho.T @ (rho / denom[:, None])
+    return float(np.linalg.det(np.eye(loadings.n_factors) - phi))
 
 
 def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
@@ -378,64 +364,14 @@ def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     return np.clip(vals[::-1], 0.0, None)
 
 
-def factor_eigenvalues(loadings: LoadingMatrix, grid_points: int = 512) -> np.ndarray:
-    """Correlation eigenvalues strictly above 1, via the reduced determinant.
+def factor_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
+    """Correlation eigenvalues strictly above 1, descending, with multiplicity.
 
-    Candidate brackets come from the Gram eigenvalues expanded by +/-50% (and
-    widened to cover the guaranteed root interval [mu, mu + 1]); each bracket
-    is scanned on a uniform grid for sign changes of the determinant, which
-    are then bisected.  Assumes simple roots, which holds for factors with
-    separated strengths.
+    These are the zeros of the reduced determinant above 1, found by the
+    inertia-counting slicer with floor 1: tied and near-tied factor roots are
+    returned once per multiplicity, to an absolute width of 2 eps max(1, top).
     """
-    rho = loadings.rho
-    row_sq = loadings.row_norms_sq()
-    mu = gram_eigenvalues(loadings)
-
-    intervals = []
-    for m in mu:
-        lo = max(1.0 + 1e-9, 0.5 * m)
-        hi = max(1.5 * m, m + 1.0) + 1e-9
-        if hi > lo:
-            intervals.append([lo, hi])
-    if not intervals:
-        return np.empty(0)
-    intervals.sort()
-    merged = [intervals[0]]
-    for lo, hi in intervals[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-
-    roots = []
-    for lo, hi in merged:
-        xs = np.linspace(lo, hi, grid_points + 1)
-        ds = np.array([_reduced_determinant_raw(rho, row_sq, x) for x in xs])
-        for i in range(grid_points):
-            a, b, da, db = xs[i], xs[i + 1], ds[i], ds[i + 1]
-            if da == 0.0:
-                roots.append(a)
-                continue
-            if da * db >= 0.0:
-                continue
-            for _ in range(100):
-                mid = 0.5 * (a + b)
-                dm = _reduced_determinant_raw(rho, row_sq, mid)
-                if dm == 0.0 or (b - a) < 1e-12:
-                    a = b = mid
-                    break
-                if da * dm < 0.0:
-                    b, db = mid, dm
-                else:
-                    a, da = mid, dm
-            roots.append(0.5 * (a + b))
-
-    roots.sort(reverse=True)
-    out = []
-    for root in roots:
-        if not out or out[-1] - root > 1e-9:
-            out.append(root)
-    return np.asarray(out)
+    return _slice_spectrum(loadings.rho, floor=1.0)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the closed forms implemented in the
 package: truncated lag sums are evaluated term by term (with prefix sums for
-speed), and covariances are assembled from the raw double sum over block
-offsets.  These stay the reference side of every dual-route check.
+speed), covariances are assembled from the raw double sum over block
+offsets, and loading spectra come from the explicitly built matrix.  These
+stay the reference side of every dual-route check.
 """
 
 import numpy as np
@@ -57,3 +58,14 @@ def smallest_power_below(alpha: float, tolerance: float) -> int:
     while alpha**k >= tolerance:
         k += 1
     return k
+
+
+def dense_loading_spectrum(rho) -> np.ndarray:
+    """Descending eigenvalues of diag(1 - |rho_i|^2) + rho rho^T, built explicitly.
+
+    rho is a vector (one factor) or an (n_assets, n_factors) matrix.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    rho = rho.reshape(rho.shape[0], -1)
+    matrix = np.diag(1.0 - (rho**2).sum(axis=1)) + rho @ rho.T
+    return np.linalg.eigvalsh(matrix)[::-1]

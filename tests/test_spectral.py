@@ -15,6 +15,8 @@ from leadlag import (DataError, LoadingMatrix, LoadingVector, ModelSpec,
                      secular_function, theoretical_correlation,
                      top_eigenvalue_approx)
 
+from oracles import dense_loading_spectrum
+
 
 def assemble_one_factor(rho):
     matrix = np.outer(rho, rho)
@@ -235,6 +237,11 @@ class TestReducedDeterminant:
         with pytest.raises(DataError, match="singular"):
             reduced_determinant(lm, 1.0 - 0.36 + 1e-13)
 
+    def test_zero_rows_add_no_term(self):
+        # the zero row's pole 1 - 0 = 1 is not a singularity: it has no term
+        lm = LoadingMatrix(np.array([[0.6], [0.0]]))
+        assert reduced_determinant(lm, 1.0) == 0.0
+
     def test_two_factor_roots_match_dense(self):
         spec = ModelSpec.orthogonal_factors(20, [0.6, 0.25], 0.2, seed=2)
         lm = loading_matrix(spec, 8)
@@ -243,6 +250,56 @@ class TestReducedDeterminant:
         above = dense[dense > 1.0]
         assert roots.size == above.size
         assert np.max(np.abs(roots - above)) < 1e-8
+
+
+@st.composite
+def loading_rows(draw):
+    """(n, F) loadings mixing fresh, tied, near-tied, zero and unit-norm rows."""
+    n_factors = draw(st.integers(1, 4))
+    entry = st.integers(-1000, 1000).map(lambda k: k / 1000)  # no subnormal norms
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["fresh", "tied", "near", "zero", "unit"]),
+                              min_size=1, max_size=12)):
+        row = np.array(draw(st.lists(entry, min_size=n_factors, max_size=n_factors)))
+        norm = np.linalg.norm(row)
+        if kind in ("tied", "near") and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))] * draw(st.sampled_from([1.0, -1.0]))
+            row = row * (1.0 - 1e-9) if kind == "near" else row
+        elif kind == "zero" or norm == 0.0:
+            row = np.zeros(n_factors)
+        else:
+            row = row / norm if kind == "unit" else row / max(1.0, norm)
+        rows.append(row)
+    return np.array(rows)
+
+
+class TestSpectrumSlicer:
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-7])
+    def test_tied_factor_blocks_give_both_roots(self, perturbation):
+        # two disjoint blocks of 50 assets with rho^2 = 0.5: 1 + 49/2 twice
+        lm = blockwise_loadings(100, (50, 50), (0.5, 0.5 + perturbation))
+        roots = factor_eigenvalues(lm)
+        assert roots.size == 2
+        assert np.max(np.abs(roots - 25.5)) < 1e-5
+        dense = dense_loading_spectrum(lm.rho)
+        assert np.max(np.abs(roots - dense[:2])) < 1e-9
+
+    def test_all_zero_loadings(self):
+        values = secular_eigenvalues(LoadingVector(np.zeros(6))).eigenvalues
+        assert values.size == 6
+        assert np.max(np.abs(values - 1.0)) < 1e-15
+        assert factor_eigenvalues(LoadingMatrix(np.zeros((6, 3)))).size == 0
+
+    @given(loading_rows())
+    def test_property_matches_dense_oracle(self, rho):
+        dense = dense_loading_spectrum(rho)
+        if rho.shape[1] == 1:
+            spectrum = secular_eigenvalues(LoadingVector(rho[:, 0])).eigenvalues
+            assert np.max(np.abs(spectrum - dense)) < 1e-9
+        roots = factor_eigenvalues(LoadingMatrix(rho))
+        assert np.all(roots > 1.0)
+        assert np.all(np.abs(roots - dense[:roots.size]) < 1e-9)
+        assert np.all(dense[roots.size:] <= 1.0 + 1e-9)
 
 
 class TestGramEigenvalues:
