@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +26,8 @@ from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
 from .panel_io import (load_curves, load_fits, load_panel, save_curves,
-                       save_fits, save_panel, _atomic_write_text)
+                       save_fits, save_panel, _atomic_write_text, _read_json_object,
+                       _read_text)
 from .svgplot import render_eigencurve
 
 __all__ = ["main", "entrypoint"]
@@ -55,11 +55,7 @@ def _scalar_or_vector(text: str, name: str):
 
 
 def _read_beta_file(path) -> np.ndarray:
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = [row for row in csv.reader(handle) if row]
-    except OSError as exc:
-        raise DataError(f"cannot read beta file {path}: {exc}") from exc
+    rows = [row for row in csv.reader(_read_text(path, "beta file ").splitlines()) if row]
     try:
         return np.asarray([[float(v) for v in row] for row in rows])
     except ValueError as exc:
@@ -68,12 +64,7 @@ def _read_beta_file(path) -> np.ndarray:
 
 def _spec_from_args(args) -> ModelSpec:
     if args.spec_file:
-        try:
-            raw = json.loads(Path(args.spec_file).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read spec file {args.spec_file}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid spec JSON in {args.spec_file}: {exc}") from exc
+        raw = _read_json_object(args.spec_file, "spec file ")
         try:
             return ModelSpec(
                 n_assets=raw["n_assets"],

@@ -19,8 +19,9 @@ With those, the covariance of tau-aggregated returns is
               + factor_variance_sum / (1 - alpha)^2
                 * sum_f factor_sigma_f^2 * beta[i, f] * beta[j, f],
 
-and the correlation matrix has unit diagonal and off-diagonal entries
-sum_f rho[i, f] * rho[j, f] built from the loadings of `spectral`.
+and the correlation matrix is that covariance normalized to unit diagonal;
+its off-diagonal entries equal sum_f rho[i, f] * rho[j, f] for the loadings
+of `spectral.loading_matrix`.
 """
 
 from __future__ import annotations
@@ -96,10 +97,7 @@ def factor_variance_sum(alpha: float, tau: int) -> float:
     tau = int(tau)
     if tau < 1:
         raise ValidationError("tau must be a positive integer")
-    if alpha == 0.0:
-        return float(tau)
-    one_minus_a2 = 1.0 - alpha * alpha
-    return (tau * one_minus_a2 - 2.0 * alpha * (1.0 - alpha**tau)) / one_minus_a2
+    return _accumulation(alpha, tau)
 
 
 def attenuation(alpha: float, tau) -> float:
@@ -120,15 +118,18 @@ def attenuation(alpha: float, tau) -> float:
     return tau * (1.0 - alpha) ** 2 / factor_variance_sum(alpha, tau)
 
 
+def _accumulation(alpha, tau):
+    # factor_variance_sum without checks; exactly tau at alpha = 0.  Keep it
+    # analytic in alpha: the fitter's complex-step slope passes complex alpha.
+    one_minus_a2 = 1.0 - alpha * alpha
+    return (tau * one_minus_a2 - 2.0 * alpha * (1.0 - alpha**tau)) / one_minus_a2
+
+
 def _attenuation_array(alpha: float, taus) -> np.ndarray:
     # Unguarded vector version used by fitting and plotting.  Tolerates float
     # tau, and complex alpha for the fitter's complex-step slope.
     taus = np.asarray(taus, dtype=np.float64)
-    if alpha == 0.0:
-        return np.ones_like(taus)
-    one_minus_a2 = 1.0 - alpha * alpha
-    acc = (taus * one_minus_a2 - 2.0 * alpha * (1.0 - alpha**taus)) / one_minus_a2
-    return taus * (1.0 - alpha) ** 2 / acc
+    return taus * (1.0 - alpha) ** 2 / _accumulation(alpha, taus)
 
 
 def _factor_gram(spec: ModelSpec) -> np.ndarray:
@@ -151,15 +152,20 @@ def theoretical_covariance(spec: ModelSpec, tau: int) -> ScaleMatrix:
     return ScaleMatrix(cov, scale=tau, kind="covariance")
 
 
-def theoretical_correlation(spec: ModelSpec, tau: int) -> ScaleMatrix:
-    """Model correlation of tau-aggregated returns: exact unit diagonal,
-    off-diagonal entries sum_f rho[i, f] * rho[j, f]."""
-    from .spectral import loading_matrix  # local import to avoid a cycle
-
-    rho = loading_matrix(spec, tau).rho
-    corr = rho @ rho.T
+def _normalize(cov: np.ndarray) -> np.ndarray:
+    # cov[i, j] / (sd_i sd_j), clipped to [-1, 1], with an exact unit diagonal
+    inv_sd = 1.0 / np.sqrt(np.diag(cov))
+    corr = cov * inv_sd[:, None] * inv_sd[None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
     np.fill_diagonal(corr, 1.0)
-    return ScaleMatrix(corr, scale=int(tau), kind="correlation")
+    return corr
+
+
+def theoretical_correlation(spec: ModelSpec, tau: int) -> ScaleMatrix:
+    """Model correlation of tau-aggregated returns: the normalized
+    theoretical covariance, with exact unit diagonal."""
+    cov = theoretical_covariance(spec, tau)
+    return ScaleMatrix(_normalize(cov.values), scale=cov.scale, kind="correlation")
 
 
 def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
@@ -200,13 +206,8 @@ def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
     Raises DataError naming the first asset whose sample variance is zero.
     """
     cov = sample_covariance(panel).values
-    var = np.diag(cov)
-    dead = np.flatnonzero(var <= 0.0)
+    dead = np.flatnonzero(np.diag(cov) <= 0.0)
     if dead.size:
         label = panel.asset_labels[dead[0]]
         raise DataError(f"asset {label!r} has zero sample variance")
-    inv_sd = 1.0 / np.sqrt(var)
-    corr = cov * inv_sd[:, None] * inv_sd[None, :]
-    np.clip(corr, -1.0, 1.0, out=corr)
-    np.fill_diagonal(corr, 1.0)
-    return ScaleMatrix(corr, scale=panel.base_scale, kind="correlation")
+    return ScaleMatrix(_normalize(cov), scale=panel.base_scale, kind="correlation")

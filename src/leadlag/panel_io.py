@@ -21,6 +21,7 @@ destination directory followed by an atomic rename.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -49,20 +50,53 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
+def _read_text(path, what: str = "") -> str:
+    # the whole file as UTF-8 text; `what` names the file in error messages
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {what}{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what}{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_json_object(path, what: str = "") -> dict:
+    try:
+        document = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what}{path}: invalid JSON: {exc}") from exc
+    if not isinstance(document, dict):
+        raise DataError(f"{what}{path}: top level must be a JSON object")
+    return document
+
+
 def _atomic_write_text(path, text: str) -> None:
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
 def save_panel(panel: ReturnPanel, path) -> None:
-    """Write a panel as CSV; the time stride encodes the base scale."""
-    lines = ["time," + ",".join(panel.asset_labels)]
+    """Write a panel as CSV; the time stride encodes the base scale.
+
+    Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
+    a line break is rejected.
+    """
+    broken = [lbl for lbl in panel.asset_labels if "".join(lbl.splitlines()) != lbl]
+    if broken:
+        raise DataError(f"asset label {broken[0]!r} contains a line break")
+    header = io.StringIO()
+    csv.writer(header, lineterminator="").writerow(("time", *panel.asset_labels))
+    lines = [header.getvalue()]
     stride = panel.base_scale
     for i, row in enumerate(panel.returns.T):
         lines.append(str(i * stride) + "," + ",".join(repr(float(v)) for v in row))
@@ -79,13 +113,7 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     if compounding not in ("arithmetic", "geometric"):
         raise ValidationError("compounding must be 'arithmetic' or 'geometric'")
     path = Path(path)
-    try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-    reader = csv.reader(raw.splitlines())
-    rows = list(reader)
+    rows = list(csv.reader(_read_text(path).splitlines()))
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]
@@ -139,19 +167,21 @@ def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _load_document(path, expected_kind: str) -> dict:
-    path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid JSON: {exc}") from exc
+def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
+    # the parsed entries of a results document of this kind, and its metadata
+    document = _read_json_object(path)
     if document.get("schema") != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema {document.get('schema')!r}")
-    if document.get("kind") != expected_kind:
-        raise DataError(f"{path}: expected kind {expected_kind!r}, got {document.get('kind')!r}")
-    return document
+    if document.get("kind") != kind:
+        raise DataError(f"{path}: expected kind {kind!r}, got {document.get('kind')!r}")
+    try:
+        entries = [parse(entry) for entry in document[kind]]
+        n_assets = document.get("n_assets")
+        meta = {"n_assets": None if n_assets is None else int(n_assets),
+                "base_scale_minutes": float(document.get("base_scale_minutes", 1.0))}
+    except (LookupError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {kind} ({type(exc).__name__}: {exc})") from exc
+    return entries, meta
 
 
 def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,
@@ -174,18 +204,10 @@ def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,
 
 
 def load_curves(path) -> tuple[list[EigenCurve], dict]:
-    document = _load_document(path, "curves")
-    curves = [
-        EigenCurve(np.asarray(entry["taus"], dtype=np.int64),
-                   np.asarray(entry["values"], dtype=np.float64),
-                   rank=int(entry["rank"]))
-        for entry in document["curves"]
-    ]
-    meta = {
-        "n_assets": document.get("n_assets"),
-        "base_scale_minutes": document.get("base_scale_minutes", 1.0),
-    }
-    return curves, meta
+    return _load_entries(path, "curves", lambda entry: EigenCurve(
+        np.asarray(entry["taus"], dtype=np.int64),
+        np.asarray(entry["values"], dtype=np.float64),
+        rank=int(entry["rank"])))
 
 
 def save_fits(fits: Sequence[tuple[int, FitResult]], path, *, n_assets: int,
@@ -213,27 +235,18 @@ def save_fits(fits: Sequence[tuple[int, FitResult]], path, *, n_assets: int,
 
 
 def load_fits(path) -> tuple[list[tuple[int, FitResult]], dict]:
-    document = _load_document(path, "fits")
-    fits = [
-        (
-            int(entry["rank"]),
-            FitResult(
-                alpha=float(entry["alpha"]),
-                amplitude=float(entry["amplitude"]),
-                gamma_f=float(entry["gamma_f"]),
-                t_alpha=float(entry["t_alpha_minutes"]),
-                rss=float(entry["rss"]),
-                iterations=int(entry["iterations"]),
-                converged=bool(entry["converged"]),
-            ),
-        )
-        for entry in document["fits"]
-    ]
-    meta = {
-        "n_assets": document.get("n_assets"),
-        "base_scale_minutes": document.get("base_scale_minutes", 1.0),
-    }
-    return fits, meta
+    return _load_entries(path, "fits", lambda entry: (
+        int(entry["rank"]),
+        FitResult(
+            alpha=float(entry["alpha"]),
+            amplitude=float(entry["amplitude"]),
+            gamma_f=float(entry["gamma_f"]),
+            t_alpha=float(entry["t_alpha_minutes"]),
+            rss=float(entry["rss"]),
+            iterations=int(entry["iterations"]),
+            converged=bool(entry["converged"]),
+        ),
+    ))
 
 
 def save_spectra(spectra: Sequence[tuple[int, Spectrum]], path) -> None:
@@ -253,12 +266,9 @@ def save_spectra(spectra: Sequence[tuple[int, Spectrum]], path) -> None:
 
 
 def load_spectra(path) -> list[tuple[int, Spectrum]]:
-    document = _load_document(path, "spectra")
-    return [
-        (
-            int(entry["scale"]),
-            Spectrum(np.asarray(entry["eigenvalues"], dtype=np.float64),
-                     np.asarray(entry["multiplicities"], dtype=np.int64)),
-        )
-        for entry in document["spectra"]
-    ]
+    spectra, _ = _load_entries(path, "spectra", lambda entry: (
+        int(entry["scale"]),
+        Spectrum(np.asarray(entry["eigenvalues"], dtype=np.float64),
+                 np.asarray(entry["multiplicities"], dtype=np.int64)),
+    ))
+    return spectra

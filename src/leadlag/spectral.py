@@ -16,6 +16,8 @@ one gemm and one batched F x F eigvalsh, and the bisection stops at a width
 of 2 eps max(1, top), about 52 steps for any N, F or root size.  Assets with
 zero loadings enter only the pole count #{d_i > lam}.  Tied loadings follow
 identical bisection paths, so tied eigenvalues come out bit-identical.
+Eigenvectors, when asked for, come from LAPACK (eigh) on the explicit
+matrix, which keeps them orthonormal however close the d_i are.
 
 For one factor phi is the secular function f(z) = sum_i rho_i^2 / (z - d_i),
 strictly decreasing between poles; its eigenvalues above 1 are the zeros of
@@ -58,7 +60,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-12       # slack on rho_i^2 <= 1
-_GROUP_TOL = 1e-12      # poles this close share one eigenvector block
 _SINGULAR_TOL = 1e-12   # proximity of lambda to a pole of the resolvent
 
 
@@ -276,42 +277,6 @@ def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     return np.sort(0.5 * (lo + hi))[::-1]
 
 
-def _null_basis(rows: np.ndarray) -> np.ndarray:
-    # orthonormal basis of {x : rows^T x = 0} for an (m, F) block of loadings
-    _, s, vh = np.linalg.svd(rows.T)
-    return vh[np.count_nonzero(s > 0.0):].T
-
-
-def _group_poles(z_sorted: np.ndarray):
-    # indices where a new group of (near-)identical z values starts
-    starts = np.flatnonzero(np.concatenate(([True], np.diff(z_sorted) > _GROUP_TOL)))
-    ends = np.append(starts[1:], z_sorted.size)
-    return starts, ends
-
-
-def _secular_vectors(rho: np.ndarray, values: np.ndarray) -> np.ndarray:
-    # A group of (near-)tied poles d_i = 1 - rho_i^2 deflates: the null space of
-    # its loadings is an eigenspace at the pole, paired with the values nearest
-    # to it.  Every other value lam gets the secular vector (lam - d)^-1 rho.
-    n = rho.size
-    d = 1.0 - np.minimum(rho**2, 1.0)
-    order = np.argsort(d, kind="stable")
-    vectors = np.zeros((n, n))
-    free = np.ones(n, dtype=bool)
-    for a, b in zip(*_group_poles(d[order])):
-        members = order[a:b]
-        basis = _null_basis(rho[members, None])
-        cols = np.flatnonzero(free)
-        nearest = np.argsort(np.abs(values[cols] - d[members].mean()), kind="stable")
-        cols = cols[nearest[:basis.shape[1]]]
-        vectors[members[:, None], cols] = basis
-        free[cols] = False
-    for j in np.flatnonzero(free):
-        v = np.divide(rho, values[j] - d, out=np.zeros(n), where=d != values[j])
-        vectors[:, j] = v / np.linalg.norm(v)
-    return vectors
-
-
 def secular_eigenvalues(loadings: LoadingVector, with_vectors: bool = False) -> Spectrum:
     """Exact spectrum of the one-factor correlation matrix diag(1 - rho_i^2) + rho rho^T.
 
@@ -319,10 +284,15 @@ def secular_eigenvalues(loadings: LoadingVector, with_vectors: bool = False) -> 
     every 1 - rho_i^2, to an absolute width of 2 eps max(1, top).  Tied
     loadings give bit-identical eigenvalues, so `multiplicities` is exact;
     zero loadings give eigenvalue 1.  Eigenvectors are computed only on
-    demand; degenerate subspaces get an orthonormal basis.
+    demand, by LAPACK (eigh) on the explicit matrix, and paired with the
+    values by position; degenerate subspaces get an orthonormal basis.
     """
     values = _slice_spectrum(loadings.rho[:, None], floor=-1.0)
-    vectors = _secular_vectors(loadings.rho, values) if with_vectors else None
+    vectors = None
+    if with_vectors:
+        matrix = np.outer(loadings.rho, loadings.rho)
+        np.fill_diagonal(matrix, 1.0)
+        vectors = np.linalg.eigh(matrix)[1][:, ::-1]
     return _spectrum_from_values(values, vectors)
 
 

@@ -37,7 +37,7 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
 
 
 def render_eigencurve(curve: EigenCurve, fit: FitResult | None = None, *,
-                      log_x: bool = False, title: str | None = None) -> str:
+                      log_x: bool = False) -> str:
     """Render one eigenvalue curve (and optional fit overlay) as an SVG string."""
     taus = curve.taus.astype(np.float64)
     xs_data = np.log2(taus) if log_x else taus
@@ -112,7 +112,7 @@ def render_eigencurve(curve: EigenCurve, fit: FitResult | None = None, *,
     parts.append(f'<text x="16" y="{_MARGIN_T + plot_h / 2:.2f}" font-size="13" '
                  f'text-anchor="middle" font-family="monospace" '
                  f'transform="rotate(-90 16 {_MARGIN_T + plot_h / 2:.2f})">eigenvalue</text>')
-    caption = title if title is not None else f"eigenvalue rank {curve.rank}"
+    caption = f"eigenvalue rank {curve.rank}"
     if fit is not None:
         caption += (f" | fit: alpha={fit.alpha:.4f}, amplitude={fit.amplitude:.4f}"
                     + ("" if fit.converged else " (not converged)"))

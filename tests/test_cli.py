@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from leadlag import (ModelSpec, dense_eigenvalues, eigencurves_from_panel,
                      factor_eigencurve, load_curves, load_fits, load_panel,
@@ -275,6 +276,73 @@ class TestReproduce:
                                       taus=(1, 2, 4, 8, 16, 32, 64, 128))
             alphas.append(report["recovery"][0]["fitted"]["alpha"])
         assert max(alphas) - min(alphas) < 0.1
+
+
+class TestMalformedInput:
+    """Every file the program reads from outside fails with a data error."""
+
+    def assert_data_error(self, capsys, *argv):
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+
+    def curves_argv(self, command, path, tmp_path):
+        if command == "fit":
+            return ("fit", "--in", str(path), "--out", str(tmp_path / "fits.json"))
+        return ("plot", "--curves", str(path), "--out-dir", str(tmp_path / "plots"))
+
+    def test_panel_csv_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_bytes(b"time,a,b\n0,0.1,\xff\n")
+        self.assert_data_error(capsys, "spectrum", "--in", str(path),
+                               "--out", str(tmp_path / "curves.json"))
+
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_results_json_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "curves.json"
+        path.write_bytes(b'{"schema": 1, "kind": "curves\xff"}')
+        self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_curves_top_level_list(self, tmp_path, capsys, command):
+        path = tmp_path / "curves.json"
+        path.write_text("[1, 2]")
+        self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_curves_entry_without_taus(self, tmp_path, capsys, command):
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "curves", "n_assets": 3,
+                                    "curves": [{"rank": 1, "values": [1.0, 2.0]}]}))
+        self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+
+    @pytest.mark.parametrize("field", ["n_assets", "base_scale_minutes"])
+    def test_curves_metadata_not_a_number(self, tmp_path, capsys, field):
+        path = tmp_path / "curves.json"
+        save_curves([factor_eigencurve(5, 0.2, 0.2, (1, 2, 4, 8))], path, n_assets=5)
+        document = json.loads(path.read_text())
+        document[field] = "abc"
+        path.write_text(json.dumps(document))
+        self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
+
+    def test_beta_file_not_utf8(self, tmp_path, capsys):
+        beta = tmp_path / "beta.csv"
+        beta.write_bytes(b"0.5\n0.\xff\n")
+        self.assert_data_error(capsys, "simulate", "--assets", "2", "--alpha", "0.2",
+                               "--beta-file", str(beta), "--steps", "8",
+                               "--out", str(tmp_path / "p.csv"))
+
+    def test_spec_file_is_a_list(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[3, 1, 0.25]")
+        self.assert_data_error(capsys, "simulate", "--spec-file", str(spec),
+                               "--steps", "8", "--out", str(tmp_path / "p.csv"))
+
+    def test_spec_file_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"n_assets": 3, "alpha": 0.25, "beta": 0.4, "x": "\xff"}')
+        self.assert_data_error(capsys, "simulate", "--spec-file", str(spec),
+                               "--steps", "8", "--out", str(tmp_path / "p.csv"))
 
 
 def test_module_invocation_smoke(tmp_path):

@@ -1,0 +1,40 @@
+"""The package's import graph, read from its source, has no cycle."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import pytest
+
+import leadlag
+
+PACKAGE = Path(leadlag.__file__).parent
+
+
+def relative_imports(path):
+    # sibling modules a module imports, at any depth (function-level imports too)
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def import_graph():
+    return {path.stem: relative_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_import_graph_is_acyclic():
+    graph = import_graph()
+    assert {"moments", "fitting"} <= graph["spectral"]  # the reader sees the imports
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError as exc:
+        pytest.fail("import cycle: " + " -> ".join(exc.args[1]))
+
+
+def test_moments_does_not_import_spectral():
+    assert "spectral" not in import_graph()["moments"]

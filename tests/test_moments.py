@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from leadlag import (DataError, ModelSpec, ReturnPanel, ScaleMatrix,
                      ValidationError, aggregate_returns, attenuation,
-                     factor_variance_sum, sample_correlation,
+                     factor_variance_sum, loading_matrix, sample_correlation,
                      sample_covariance, simulate_panel,
                      theoretical_correlation, theoretical_covariance)
 from oracles import covariance_oracle, smoothing_accumulation
@@ -138,12 +138,14 @@ class TestTheoreticalMoments:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_correlation_is_normalized_covariance(self, seed):
+        # the normalized covariance against the loading route rho rho^T
         spec = random_spec(6, 2, seed)
         for tau in (1, 4, 32):
-            cov = theoretical_covariance(spec, tau).values
+            rho = loading_matrix(spec, tau).rho
+            loadings = rho @ rho.T
+            np.fill_diagonal(loadings, 1.0)
             corr = theoretical_correlation(spec, tau).values
-            d = 1.0 / np.sqrt(np.diag(cov))
-            assert np.max(np.abs(corr - cov * np.outer(d, d))) < 1e-12
+            assert np.max(np.abs(corr - loadings)) < 1e-12
 
     def test_correlation_unit_diagonal_exact(self):
         spec = random_spec(7, 3, seed=9)

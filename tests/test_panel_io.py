@@ -131,6 +131,29 @@ class TestPanelCsv:
         assert np.array_equal(load_panel(path).returns, panel.returns)
 
 
+class TestPanelLabels:
+    def panel(self, labels):
+        return ReturnPanel(np.arange(4.0).reshape(2, 2), asset_labels=labels)
+
+    @pytest.mark.parametrize("label", ["a,b", 'say "hi"'])
+    def test_csv_special_labels_round_trip(self, tmp_path, label):
+        path = tmp_path / "p.csv"
+        save_panel(self.panel((label, "plain")), path)
+        assert load_panel(path).asset_labels == (label, "plain")
+
+    def test_plain_labels_keep_their_bytes(self, tmp_path):
+        path = tmp_path / "p.csv"
+        save_panel(self.panel(("A", "B")), path)
+        assert path.read_bytes().startswith(b"time,A,B\n0,0.0,2.0\n")
+
+    @pytest.mark.parametrize("label", ["a\nb", "a\r", "a\u2028b"])
+    def test_label_with_line_break_rejected(self, tmp_path, label):
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match="line break"):
+            save_panel(self.panel((label, "plain")), path)
+        assert not list(tmp_path.iterdir())
+
+
 class TestResultsJson:
     def curves(self):
         taus = np.array([1, 2, 4, 8, 16, 32, 64, 128])
@@ -205,3 +228,10 @@ class TestResultsJson:
         back, _ = load_curves(path)
         assert len(back) == 1
         assert not list(tmp_path.glob("*.json.*"))  # no temp litter
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.mkdir()  # the final rename onto a directory fails
+        with pytest.raises(DataError, match="cannot write"):
+            save_curves(self.curves(), target, n_assets=9)
+        assert not list(tmp_path.glob("*.json.*"))

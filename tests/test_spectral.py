@@ -132,8 +132,14 @@ class TestSecularEigenvalues:
             n = lv.n_assets
             assert abs(sec.trace - n) < 1e-9 * n
 
-    def test_eigenvectors_are_orthonormal_and_consistent(self):
-        rho = np.array([0.0, 0.6, 0.6, -0.6, 0.3, 0.0, 0.85])
+    @pytest.mark.parametrize("rho", [
+        [0.0, 0.6, 0.6, -0.6, 0.3, 0.0, 0.85],
+        # poles 1e-10 apart, where a vector built from the secular equation
+        # amplifies the root error by 1/gap
+        [0.0, 0.6, 0.6 + 1e-10, -0.6 + 2e-10, 0.3, 0.0, 0.85],
+    ], ids=["tied", "near-tied"])
+    def test_eigenvectors_are_orthonormal_and_consistent(self, rho):
+        rho = np.array(rho)
         sec = secular_eigenvalues(LoadingVector(rho), with_vectors=True)
         matrix = assemble_one_factor(rho)
         resid = matrix @ sec.eigenvectors - sec.eigenvectors * sec.eigenvalues[None, :]
