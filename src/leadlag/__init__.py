@@ -16,18 +16,16 @@ from .moments import (ScaleMatrix, aggregate_returns, attenuation,
                       factor_variance_sum, sample_correlation,
                       sample_covariance, theoretical_correlation,
                       theoretical_covariance)
-from .panel_io import (load_curves, load_fits, load_panel, load_spectra,
-                       save_curves, save_fits, save_panel, save_spectra)
+from .panel_io import (load_curves, load_fits, load_panel, save_curves,
+                       save_fits, save_panel)
 from .pipeline import (DYADIC_TAUS, eigencurves_from_panel, fit_curves,
                        reproduce_report)
-from .spectral import (FactorStrengthMatrix, LoadingMatrix, LoadingVector,
-                       Spectrum, correlation_loading, dense_eigenvalues,
-                       equicorrelation_eigenvalues, factor_eigencurve,
-                       factor_eigenvalues, factor_strength_matrix,
-                       factor_strengths, gram_eigenvalues, loading_matrix,
-                       loading_vector, reduced_determinant,
-                       secular_eigenvalues, secular_function,
-                       top_eigenvalue_approx)
+from .spectral import (LoadingMatrix, LoadingVector, Spectrum,
+                       correlation_loading, dense_eigenvalues,
+                       factor_eigencurve, factor_eigenvalues,
+                       factor_strength_matrix, factor_strengths,
+                       gram_eigenvalues, loading_matrix, loading_vector,
+                       secular_eigenvalues, secular_function)
 from .svgplot import render_eigencurve
 
 __version__ = "0.1.0"
@@ -39,15 +37,14 @@ __all__ = [
     "ScaleMatrix", "factor_variance_sum", "attenuation",
     "theoretical_covariance", "theoretical_correlation", "aggregate_returns",
     "sample_covariance", "sample_correlation",
-    "LoadingVector", "LoadingMatrix", "Spectrum", "FactorStrengthMatrix",
+    "LoadingVector", "LoadingMatrix", "Spectrum",
     "correlation_loading", "loading_vector", "loading_matrix",
-    "equicorrelation_eigenvalues", "secular_function", "secular_eigenvalues",
-    "top_eigenvalue_approx", "reduced_determinant", "factor_eigenvalues",
+    "secular_function", "secular_eigenvalues", "factor_eigenvalues",
     "gram_eigenvalues", "factor_strength_matrix", "factor_strengths",
     "factor_eigencurve", "dense_eigenvalues",
     "EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time",
     "load_panel", "save_panel", "save_curves", "load_curves", "save_fits",
-    "load_fits", "save_spectra", "load_spectra",
+    "load_fits",
     "DYADIC_TAUS", "eigencurves_from_panel", "fit_curves", "reproduce_report",
     "render_eigencurve",
     "__version__",

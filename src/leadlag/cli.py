@@ -128,7 +128,7 @@ def _cmd_fit(args) -> int:
     if n_assets is None:
         raise ValidationError("curves file carries no n_assets; pass --assets")
     base_scale = (args.base_scale_minutes if args.base_scale_minutes is not None
-                  else float(meta.get("base_scale_minutes") or 1.0))
+                  else meta["base_scale_minutes"])
     if args.ranks is not None:
         wanted = set(_parse_ints(args.ranks, "ranks"))
         missing = wanted - {c.rank for c in curves}

@@ -92,9 +92,18 @@ def relaxation_time(alpha: float, base_scale_minutes: float = 1.0) -> float:
         raise ValidationError("no memory: relaxation time undefined (zero)")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie strictly inside (0, 1)")
-    if base_scale_minutes <= 0.0:
-        raise ValidationError("base_scale_minutes must be positive")
-    return float(base_scale_minutes) / math.log(1.0 / alpha)
+    base_scale_minutes = float(base_scale_minutes)
+    if not 0.0 < base_scale_minutes < math.inf:
+        raise ValidationError("base_scale_minutes must be finite and positive")
+    return base_scale_minutes / math.log(1.0 / alpha)
+
+
+def _check_run(n_assets: int, base_scale_minutes: float) -> None:
+    # the inputs shared by every curve of a run
+    if int(n_assets) < 1:
+        raise ValidationError("n_assets must be a positive integer")
+    if not 0.0 < float(base_scale_minutes) < math.inf:
+        raise ValidationError("base_scale_minutes must be finite and positive")
 
 
 def _profiled_rss(values: np.ndarray, taus: np.ndarray, alpha):
@@ -125,9 +134,8 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
     """
     if len(curve) < 3:
         raise ValidationError("curve must contain at least 3 points to fit 2 parameters")
+    _check_run(n_assets, base_scale_minutes)
     n_assets = int(n_assets)
-    if n_assets < 1:
-        raise ValidationError("n_assets must be a positive integer")
     taus = curve.taus.astype(np.float64)
     # optimize on unit-normalized values so tolerances are scale-free and the
     # fit is equivariant under rescaling of the curve

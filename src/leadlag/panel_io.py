@@ -1,4 +1,4 @@
-"""Ingestion and persistence for panels, curves, fits, and spectra.
+"""Ingestion and persistence for panels, curves and fits.
 
 Panel CSV format (UTF-8, LF or CRLF):
 
@@ -34,7 +34,6 @@ import numpy as np
 from .errors import DataError, ValidationError
 from .fitting import EigenCurve, FitResult
 from .model import ReturnPanel
-from .spectral import Spectrum
 
 __all__ = [
     "load_panel",
@@ -43,8 +42,6 @@ __all__ = [
     "load_curves",
     "save_fits",
     "load_fits",
-    "save_spectra",
-    "load_spectra",
 ]
 
 SCHEMA_VERSION = 1
@@ -89,11 +86,14 @@ def save_panel(panel: ReturnPanel, path) -> None:
     """Write a panel as CSV; the time stride encodes the base scale.
 
     Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
-    a line break is rejected.
+    a line break, or with leading or trailing whitespace (which load_panel
+    strips), is rejected.
     """
-    broken = [lbl for lbl in panel.asset_labels if "".join(lbl.splitlines()) != lbl]
-    if broken:
-        raise DataError(f"asset label {broken[0]!r} contains a line break")
+    for lbl in panel.asset_labels:
+        if "".join(lbl.splitlines()) != lbl:
+            raise DataError(f"asset label {lbl!r} contains a line break")
+        if lbl.strip() != lbl:
+            raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
     header = io.StringIO()
     csv.writer(header, lineterminator="").writerow(("time", *panel.asset_labels))
     lines = [header.getvalue()]
@@ -181,6 +181,11 @@ def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
                 "base_scale_minutes": float(document.get("base_scale_minutes", 1.0))}
     except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {kind} ({type(exc).__name__}: {exc})") from exc
+    if meta["n_assets"] is not None and meta["n_assets"] < 1:
+        raise DataError(f"{path}: n_assets must be positive, got {meta['n_assets']}")
+    if not 0.0 < meta["base_scale_minutes"] < math.inf:
+        raise DataError(f"{path}: base_scale_minutes must be finite and positive, "
+                        f"got {meta['base_scale_minutes']!r}")
     return entries, meta
 
 
@@ -247,28 +252,3 @@ def load_fits(path) -> tuple[list[tuple[int, FitResult]], dict]:
             converged=bool(entry["converged"]),
         ),
     ))
-
-
-def save_spectra(spectra: Sequence[tuple[int, Spectrum]], path) -> None:
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": "spectra",
-        "spectra": [
-            {
-                "scale": int(scale),
-                "eigenvalues": [float(v) for v in spectrum.eigenvalues],
-                "multiplicities": [int(m) for m in spectrum.multiplicities],
-            }
-            for scale, spectrum in spectra
-        ],
-    }
-    _atomic_write_text(path, _dump(document))
-
-
-def load_spectra(path) -> list[tuple[int, Spectrum]]:
-    spectra, _ = _load_entries(path, "spectra", lambda entry: (
-        int(entry["scale"]),
-        Spectrum(np.asarray(entry["eigenvalues"], dtype=np.float64),
-                 np.asarray(entry["multiplicities"], dtype=np.int64)),
-    ))
-    return spectra

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .fitting import EigenCurve, FitResult, fit_eigencurve
+from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
 from .model import ModelSpec, simulate_panel
 from .moments import aggregate_returns, sample_correlation, sample_covariance
 from .panel_io import save_curves, save_fits, _atomic_write_text, _dump
@@ -88,8 +88,11 @@ def fit_curves(curves, n_assets: int,
     """Fit every curve; per-curve failures do not abort the batch.
 
     Returns (rank, fit, error_message) triples where exactly one of fit and
-    error_message is set.
+    error_message is set.  A bad n_assets or base_scale_minutes concerns every
+    curve, so it raises ValidationError before any fit.
     """
+    _check_run(n_assets, base_scale_minutes)
+
     def one(curve):
         try:
             return curve.rank, fit_eigencurve(curve, n_assets, base_scale_minutes), None

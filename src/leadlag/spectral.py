@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import ValidationError
 from .fitting import EigenCurve
 from .model import ModelSpec
 from .moments import ScaleMatrix, _attenuation_array, attenuation
@@ -42,15 +42,11 @@ __all__ = [
     "LoadingVector",
     "LoadingMatrix",
     "Spectrum",
-    "FactorStrengthMatrix",
     "correlation_loading",
     "loading_vector",
     "loading_matrix",
-    "equicorrelation_eigenvalues",
     "secular_function",
     "secular_eigenvalues",
-    "top_eigenvalue_approx",
-    "reduced_determinant",
     "factor_eigenvalues",
     "gram_eigenvalues",
     "factor_strength_matrix",
@@ -59,8 +55,7 @@ __all__ = [
     "dense_eigenvalues",
 ]
 
-_UNIT_TOL = 1e-12       # slack on rho_i^2 <= 1
-_SINGULAR_TOL = 1e-12   # proximity of lambda to a pole of the resolvent
+_UNIT_TOL = 1e-12  # slack on rho_i^2 <= 1
 
 
 @dataclass(frozen=True)
@@ -208,20 +203,6 @@ def loading_vector(spec: ModelSpec, tau: int) -> LoadingVector:
     return LoadingVector(loading_matrix(spec, tau).rho[:, 0], scale=int(tau))
 
 
-def equicorrelation_eigenvalues(n_assets: int, rho_sq: float) -> Spectrum:
-    """Closed-form spectrum of the equal-loading (equicorrelated) matrix:
-    1 + (N-1)*rho_sq once and 1 - rho_sq with multiplicity N-1."""
-    n = int(n_assets)
-    if n < 1:
-        raise ValidationError("n_assets must be a positive integer")
-    rho_sq = float(rho_sq)
-    if not 0.0 <= rho_sq <= 1.0:
-        raise ValidationError("rho_sq must lie in [0, 1]")
-    values = np.full(n, 1.0 - rho_sq)
-    values[0] = 1.0 + (n - 1) * rho_sq
-    return _spectrum_from_values(values)
-
-
 def _nonzero_poles(loadings: LoadingVector):
     r2 = np.minimum(loadings.rho**2, 1.0)  # clip the <=1e-12 overshoot allowed by the type
     nonzero = np.flatnonzero(r2 > 0.0)
@@ -296,34 +277,6 @@ def secular_eigenvalues(loadings: LoadingVector, with_vectors: bool = False) -> 
     return _spectrum_from_values(values, vectors)
 
 
-def top_eigenvalue_approx(loadings: LoadingVector) -> float:
-    """Large-N approximation of the largest eigenvalue: sum_i rho_i^2.
-
-    Always a lower bound on the exact value; the gap is at most
-    1 - min_i rho_i^2, so the approximation degrades at small N.
-    """
-    return float(np.sum(loadings.rho**2))
-
-
-def reduced_determinant(loadings: LoadingMatrix, lam: float) -> float:
-    """det(I_F - phi(lam)) whose zeros above 1 are correlation eigenvalues.
-
-    phi[f, g](lam) = sum_i rho[i, f] rho[i, g] / (lam - 1 + rho_i^2) over the
-    assets with nonzero loadings (a zero row adds no term).  The resolvent is
-    singular at lam = 1 - rho_i^2; values of lam within 1e-12 of a
-    singularity of a nonzero row are rejected.
-    """
-    lam = float(lam)
-    row_sq = loadings.row_norms_sq()
-    live = row_sq > 0.0
-    denom = lam - (1.0 - row_sq[live])
-    if np.any(np.abs(denom) < _SINGULAR_TOL):
-        raise DataError(f"lambda={lam!r} coincides with a resolvent singularity 1 - rho_i^2")
-    rho = loadings.rho[live]
-    phi = rho.T @ (rho / denom[:, None])
-    return float(np.linalg.det(np.eye(loadings.n_factors) - phi))
-
-
 def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     """Descending eigenvalues of the F x F Gram matrix rho^T rho.
 
@@ -344,45 +297,23 @@ def factor_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     return _slice_spectrum(loadings.rho, floor=1.0)
 
 
-@dataclass(frozen=True)
-class FactorStrengthMatrix:
-    """Scale-independent factor strengths.
+def factor_strength_matrix(spec: ModelSpec) -> np.ndarray:
+    """Scale-independent factor strengths, an F x F symmetric PSD matrix:
 
     values[f, g] = factor_sigma_f * factor_sigma_g / N
                    * sum_i beta[i, f] * beta[i, g] / sigma_i^2
-
-    Symmetric positive semi-definite; its descending eigenvalues are the
-    per-factor strengths entering n_assets * strength / attenuation(tau).
     """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError("factor-strength matrix must be square")
-        if float(np.max(np.abs(arr - arr.T))) > 1e-12 * max(1.0, float(np.max(np.abs(arr)))):
-            raise ValidationError("factor-strength matrix must be symmetric")
-        if float(np.min(np.linalg.eigvalsh(arr))) < -1e-12:
-            raise ValidationError("factor-strength matrix must be positive semi-definite")
-        object.__setattr__(self, "values", arr)
-
-    def strengths(self) -> np.ndarray:
-        """Descending eigenvalues, clipped at zero."""
-        return np.clip(np.linalg.eigvalsh(self.values)[::-1], 0.0, None)
-
-
-def factor_strength_matrix(spec: ModelSpec) -> FactorStrengthMatrix:
-    """Cross-sectional mean of volatility-normalized squared sensitivities."""
     weighted = spec.beta / spec.sigma[:, None]
     core = (weighted.T @ weighted) / spec.n_assets
     values = core * np.outer(spec.factor_sigma, spec.factor_sigma)
-    return FactorStrengthMatrix(0.5 * (values + values.T))
+    return 0.5 * (values + values.T)
 
 
 def factor_strengths(spec: ModelSpec) -> np.ndarray:
-    """Descending factor strengths gamma_f of a model spec."""
-    return factor_strength_matrix(spec).strengths()
+    """Descending factor strengths gamma_f of a model spec: the eigenvalues of
+    factor_strength_matrix, clipped at zero; they enter
+    n_assets * strength / attenuation(tau)."""
+    return np.clip(np.linalg.eigvalsh(factor_strength_matrix(spec))[::-1], 0.0, None)
 
 
 def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the closed forms implemented in the
 package: truncated lag sums are evaluated term by term (with prefix sums for
 speed), covariances are assembled from the raw double sum over block
-offsets, and loading spectra come from the explicitly built matrix.  These
-stay the reference side of every dual-route check.
+offsets, and loading spectra come from the explicitly built matrix, the
+equal-loading closed form or an LU determinant.  These stay the reference side
+of every dual-route check.
 """
 
 import numpy as np
@@ -69,3 +70,26 @@ def dense_loading_spectrum(rho) -> np.ndarray:
     rho = rho.reshape(rho.shape[0], -1)
     matrix = np.diag(1.0 - (rho**2).sum(axis=1)) + rho @ rho.T
     return np.linalg.eigvalsh(matrix)[::-1]
+
+
+def equicorrelation_eigenvalues(n_assets: int, rho_sq: float) -> np.ndarray:
+    """Closed-form descending spectrum of the equal-loading (equicorrelated)
+    matrix: 1 + (N-1)*rho_sq once and 1 - rho_sq with multiplicity N-1."""
+    values = np.full(n_assets, 1.0 - rho_sq)
+    values[0] = 1.0 + (n_assets - 1) * rho_sq
+    return values
+
+
+def reduced_determinant(rho, lam: float) -> float:
+    """det(I_F - phi(lam)) by LU, whose zeros above 1 are correlation eigenvalues.
+
+    phi[f, g](lam) = sum_i rho[i, f] rho[i, g] / (lam - 1 + |rho_i|^2) over the
+    rows with nonzero loadings (a zero row adds no term); lam must not sit on a
+    pole 1 - |rho_i|^2 of a nonzero row.
+    """
+    rho = np.asarray(rho, dtype=np.float64)
+    row_sq = (rho**2).sum(axis=1)
+    live = row_sq > 0.0
+    rho = rho[live]
+    phi = rho.T @ (rho / (lam - 1.0 + row_sq[live])[:, None])
+    return float(np.linalg.det(np.eye(rho.shape[1]) - phi))

@@ -325,6 +325,26 @@ class TestMalformedInput:
         path.write_text(json.dumps(document))
         self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
 
+    @pytest.mark.parametrize("field, value", [("n_assets", 0), ("base_scale_minutes", -2.0)])
+    def test_curves_metadata_out_of_range(self, tmp_path, capsys, field, value):
+        path = tmp_path / "curves.json"
+        save_curves([factor_eigencurve(5, 0.2, 0.2, (1, 2, 4, 8))], path, n_assets=5)
+        document = json.loads(path.read_text())
+        document[field] = value
+        path.write_text(json.dumps(document))
+        self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--assets", "0"), ("--base-scale-minutes", "0"), ("--base-scale-minutes", "-1"),
+        ("--base-scale-minutes", "nan"), ("--base-scale-minutes", "inf")])
+    def test_fit_bad_run_flag_is_exit_2(self, tmp_path, capsys, flag, value):
+        # one check for the whole run, not one skipped fit per curve (exit 4)
+        path = tmp_path / "curves.json"
+        save_curves([factor_eigencurve(5, 0.2, 0.2, (1, 2, 4, 8))], path, n_assets=5)
+        assert run(*self.curves_argv("fit", path, tmp_path), flag, value) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "fits.json").exists()
+
     def test_beta_file_not_utf8(self, tmp_path, capsys):
         beta = tmp_path / "beta.csv"
         beta.write_bytes(b"0.5\n0.\xff\n")

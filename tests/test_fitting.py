@@ -39,6 +39,11 @@ class TestRelaxationTime:
     def test_base_scale_units(self):
         assert relaxation_time(0.16, 5.0) == pytest.approx(5 * relaxation_time(0.16, 1.0))
 
+    @pytest.mark.parametrize("base", [0.0, -1.0, math.nan, math.inf])
+    def test_base_scale_must_be_finite_and_positive(self, base):
+        with pytest.raises(ValidationError, match="base_scale_minutes"):
+            relaxation_time(0.16, base)
+
 
 class TestFitEigencurve:
     def test_noiseless_market_curve_recovers_parameters(self):

@@ -1,7 +1,9 @@
-"""The package's import graph, read from its source, has no cycle."""
+"""The package's import graph, read from its source, has no cycle, and every
+name a module exports exists."""
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,17 @@ def test_import_graph_is_acyclic():
 
 def test_moments_does_not_import_spectral():
     assert "spectral" not in import_graph()["moments"]
+
+
+def test_panel_io_does_not_import_spectral():
+    assert "spectral" not in import_graph()["panel_io"]
+
+
+# __main__ runs the command line when imported
+@pytest.mark.parametrize("name", ["leadlag"] + [
+    f"leadlag.{path.stem}" for path in sorted(PACKAGE.glob("*.py"))
+    if path.stem not in ("__init__", "__main__")])
+def test_exported_names_exist(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names missing attributes: {missing}"

@@ -55,7 +55,8 @@ class TestModelSpecValidation:
         from leadlag import factor_strength_matrix
         gammas = np.array([0.17, 0.03, 0.02, 0.01])
         spec = ModelSpec.orthogonal_factors(60, gammas, 0.16, seed=5)
-        values = factor_strength_matrix(spec).values
+        values = factor_strength_matrix(spec)
+        assert isinstance(values, np.ndarray)
         assert np.allclose(values, np.diag(gammas), atol=1e-12)
 
 

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, Spectrum,
+from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel,
                      ValidationError, aggregate_returns, load_curves, load_fits,
-                     load_panel, load_spectra, sample_correlation, save_curves,
-                     save_fits, save_panel, save_spectra)
+                     load_panel, sample_correlation, save_curves, save_fits,
+                     save_panel)
 
 
 def write(tmp_path, name, text):
@@ -153,6 +153,18 @@ class TestPanelLabels:
             save_panel(self.panel((label, "plain")), path)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("label", [" a", "b ", "\tc"])
+    def test_label_with_outer_whitespace_rejected(self, tmp_path, label):
+        # load_panel strips header labels, so such a label could not round-trip
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match="whitespace"):
+            save_panel(self.panel((label, "plain")), path)
+        assert not list(tmp_path.iterdir())
+
+    def test_hand_written_spaced_header_loads(self, tmp_path):
+        path = write(tmp_path, "p.csv", "time, A, B\n0,0.1,0.2\n1,0.3,0.4\n")
+        assert load_panel(path).asset_labels == ("A", "B")
+
 
 class TestResultsJson:
     def curves(self):
@@ -196,14 +208,18 @@ class TestResultsJson:
         assert meta["n_assets"] == 533
         assert back == fits
 
-    def test_spectra_round_trip(self, tmp_path):
-        spec = Spectrum(np.array([2.0, 0.5, 0.5]), np.array([1, 2, 2]))
-        path = tmp_path / "spectra.json"
-        save_spectra([(4, spec)], path)
-        [(scale, back)] = load_spectra(path)
-        assert scale == 4
-        assert np.array_equal(back.eigenvalues, spec.eigenvalues)
-        assert np.array_equal(back.multiplicities, spec.multiplicities)
+    @pytest.mark.parametrize("field, value", [
+        ("n_assets", 0), ("n_assets", -3), ("base_scale_minutes", 0.0),
+        ("base_scale_minutes", -2.0), ("base_scale_minutes", math.nan),
+        ("base_scale_minutes", math.inf)])
+    def test_bad_run_metadata_rejected(self, tmp_path, field, value):
+        path = tmp_path / "curves.json"
+        save_curves(self.curves(), path, n_assets=9)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=field):
+            load_curves(path)
 
     def test_schema_is_versioned_and_checked(self, tmp_path):
         path = tmp_path / "curves.json"

@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (DataError, LoadingMatrix, LoadingVector, ModelSpec,
-                     ScaleMatrix, ValidationError, attenuation,
-                     correlation_loading, dense_eigenvalues,
-                     equicorrelation_eigenvalues, factor_eigencurve,
-                     factor_eigenvalues, factor_strength_matrix,
-                     factor_strengths, gram_eigenvalues, loading_matrix,
-                     loading_vector, reduced_determinant, secular_eigenvalues,
-                     secular_function, theoretical_correlation,
-                     top_eigenvalue_approx)
+from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
+                     ValidationError, attenuation, correlation_loading,
+                     dense_eigenvalues, factor_eigencurve, factor_eigenvalues,
+                     factor_strength_matrix, factor_strengths,
+                     gram_eigenvalues, loading_matrix, loading_vector,
+                     secular_eigenvalues, secular_function,
+                     theoretical_correlation)
 
-from oracles import dense_loading_spectrum
+from oracles import (dense_loading_spectrum, equicorrelation_eigenvalues,
+                     reduced_determinant)
 
 
 def assemble_one_factor(rho):
@@ -39,15 +38,15 @@ def blockwise_loadings(n, block_sizes, row_sq):
 
 
 class TestEquicorrelation:
+    """The equal-loading closed form (a test oracle) and the market case."""
+
     def test_zero_loading_is_identity(self):
-        spec = equicorrelation_eigenvalues(7, 0.0)
-        assert np.array_equal(spec.eigenvalues, np.ones(7))
-        assert np.array_equal(spec.multiplicities, np.full(7, 7))
+        assert np.array_equal(equicorrelation_eigenvalues(7, 0.0), np.ones(7))
 
     def test_direct_substitution(self):
-        spec = equicorrelation_eigenvalues(3, 0.5)
-        assert np.allclose(spec.eigenvalues, [2.0, 0.5, 0.5])
-        assert np.array_equal(spec.multiplicities, [1, 2, 2])
+        values = equicorrelation_eigenvalues(3, 0.5)
+        assert np.allclose(values, [2.0, 0.5, 0.5])
+        assert np.allclose(values, dense_loading_spectrum(np.full(3, math.sqrt(0.5))))
 
     def test_market_size_saturation(self):
         # gamma=0.17, alpha=0.16, tau -> inf: exact equal-loading saturation.
@@ -56,16 +55,11 @@ class TestEquicorrelation:
         # a large-eigenvalue approximation, not the equal-loading closed form.
         rho_inf_sq = correlation_loading(0.17, 0.16, math.inf) ** 2
         assert rho_inf_sq == pytest.approx(1.0 / (1.0 + (1 - 0.16) ** 2 / 0.17), rel=1e-12)
-        top = equicorrelation_eigenvalues(533, rho_inf_sq).eigenvalues[0]
+        lv = LoadingVector(np.full(533, math.sqrt(rho_inf_sq)))
+        top = secular_eigenvalues(lv).eigenvalues[0]
         assert top == pytest.approx(1 + 532 * rho_inf_sq, rel=1e-12)
         approx_limit = 533 * 0.17 / (1 - 0.16) ** 2
         assert approx_limit / top == pytest.approx(1 + 0.17 / 0.7056, rel=0.02)
-
-    def test_domain(self):
-        with pytest.raises(ValidationError):
-            equicorrelation_eigenvalues(3, 1.2)
-        with pytest.raises(ValidationError):
-            equicorrelation_eigenvalues(0, 0.3)
 
 
 class TestCorrelationLoading:
@@ -92,8 +86,8 @@ class TestSecularEigenvalues:
         rho = np.full(12, 0.6)
         sec = secular_eigenvalues(LoadingVector(rho))
         closed = equicorrelation_eigenvalues(12, 0.36)
-        assert np.max(np.abs(sec.eigenvalues - closed.eigenvalues)) < 1e-12
-        assert np.array_equal(sec.multiplicities, closed.multiplicities)
+        assert np.max(np.abs(sec.eigenvalues - closed)) < 1e-12
+        assert np.array_equal(sec.multiplicities, [1] + [11] * 11)
 
     def test_two_by_two_closed_form(self):
         a, b = 0.7, 0.2
@@ -193,69 +187,57 @@ class TestSecularStructure:
 
 
 class TestTopEigenvalueApprox:
+    """sum_i rho_i^2, the large-N approximation of the top eigenvalue."""
+
     def test_equal_loading_gap_is_exact(self):
         n, r2 = 20, 0.3
         lv = LoadingVector(np.full(n, math.sqrt(r2)))
-        approx = top_eigenvalue_approx(lv)
-        exact = equicorrelation_eigenvalues(n, r2).eigenvalues[0]
+        approx = np.sum(lv.rho**2)
+        exact = secular_eigenvalues(lv).eigenvalues[0]
         assert exact - approx == pytest.approx(1 - r2, rel=1e-12)
 
     def test_market_sized_accuracy(self):
         rng = np.random.default_rng(8)
         rho = np.sqrt(rng.uniform(0.05, 0.29, 533))  # mean rho^2 ~ 0.17
         lv = LoadingVector(rho)
-        approx = top_eigenvalue_approx(lv)
+        approx = np.sum(lv.rho**2)
         exact = secular_eigenvalues(lv).eigenvalues[0]
         assert abs(approx - exact) / exact < 0.02
 
     def test_single_asset_breakdown(self):
         lv = LoadingVector(np.array([0.5]))
-        assert top_eigenvalue_approx(lv) == pytest.approx(0.25)
+        assert np.sum(lv.rho**2) == pytest.approx(0.25)
         assert secular_eigenvalues(lv).eigenvalues[0] == pytest.approx(1.0)
 
     def test_bracketing_bounds(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
             lv = LoadingVector(rng.uniform(0.1, 0.95, int(rng.integers(2, 60))))
-            approx = top_eigenvalue_approx(lv)
+            approx = np.sum(lv.rho**2)
             exact = secular_eigenvalues(lv).eigenvalues[0]
             assert approx <= exact + 1e-12
             assert exact <= approx + (1 - np.min(lv.rho**2)) + 1e-12
 
 
 class TestReducedDeterminant:
+    """The reduced determinant, a test oracle, against the secular roots."""
+
     def test_one_factor_reduction_vanishes_at_secular_roots(self):
         rng = np.random.default_rng(15)
         rho = rng.uniform(0.1, 0.9, 12)
-        lm = LoadingMatrix(rho[:, None])
-        lv = LoadingVector(rho)
-        top = secular_eigenvalues(lv).eigenvalues[0]
-        assert abs(reduced_determinant(lm, top)) < 1e-9
-        assert reduced_determinant(lm, top + 0.5) * reduced_determinant(lm, top - 0.05) < 0
+        top = secular_eigenvalues(LoadingVector(rho)).eigenvalues[0]
+        rho = rho[:, None]
+        assert abs(reduced_determinant(rho, top)) < 1e-9
+        assert reduced_determinant(rho, top + 0.5) * reduced_determinant(rho, top - 0.05) < 0
 
     def test_large_lambda_limit(self):
         rng = np.random.default_rng(16)
-        lm = LoadingMatrix(rng.uniform(-0.5, 0.5, (10, 2)))
-        assert reduced_determinant(lm, 1e9) == pytest.approx(1.0, abs=1e-6)
-
-    def test_singularity_guard(self):
-        lm = LoadingMatrix(np.array([[0.6], [0.3]]))
-        with pytest.raises(DataError, match="singular"):
-            reduced_determinant(lm, 1.0 - 0.36 + 1e-13)
+        rho = rng.uniform(-0.5, 0.5, (10, 2))
+        assert reduced_determinant(rho, 1e9) == pytest.approx(1.0, abs=1e-6)
 
     def test_zero_rows_add_no_term(self):
         # the zero row's pole 1 - 0 = 1 is not a singularity: it has no term
-        lm = LoadingMatrix(np.array([[0.6], [0.0]]))
-        assert reduced_determinant(lm, 1.0) == 0.0
-
-    def test_two_factor_roots_match_dense(self):
-        spec = ModelSpec.orthogonal_factors(20, [0.6, 0.25], 0.2, seed=2)
-        lm = loading_matrix(spec, 8)
-        roots = factor_eigenvalues(lm)
-        dense = dense_eigenvalues(theoretical_correlation(spec, 8)).eigenvalues
-        above = dense[dense > 1.0]
-        assert roots.size == above.size
-        assert np.max(np.abs(roots - above)) < 1e-8
+        assert reduced_determinant(np.array([[0.6], [0.0]]), 1.0) == 0.0
 
 
 @st.composite
@@ -280,6 +262,15 @@ def loading_rows(draw):
 
 
 class TestSpectrumSlicer:
+    def test_two_factor_roots_match_dense(self):
+        spec = ModelSpec.orthogonal_factors(20, [0.6, 0.25], 0.2, seed=2)
+        lm = loading_matrix(spec, 8)
+        roots = factor_eigenvalues(lm)
+        dense = dense_eigenvalues(theoretical_correlation(spec, 8)).eigenvalues
+        above = dense[dense > 1.0]
+        assert roots.size == above.size
+        assert np.max(np.abs(roots - above)) < 1e-8
+
     @pytest.mark.parametrize("perturbation", [0.0, 1e-7])
     def test_tied_factor_blocks_give_both_roots(self, perturbation):
         # two disjoint blocks of 50 assets with rho^2 = 0.5: 1 + 49/2 twice
@@ -318,8 +309,7 @@ class TestGramEigenvalues:
         rng = np.random.default_rng(17)
         rho = rng.uniform(0.0, 0.9, 30)
         lm = LoadingMatrix(rho[:, None])
-        assert gram_eigenvalues(lm)[0] == pytest.approx(
-            top_eigenvalue_approx(LoadingVector(rho)), rel=1e-12)
+        assert gram_eigenvalues(lm)[0] == pytest.approx(np.sum(rho**2), rel=1e-12)
 
     def test_separated_factors_within_five_percent_of_dense(self):
         # well-separated column norms ~ {60, 16, 8} with saturated rows
@@ -346,7 +336,7 @@ class TestFactorStrengths:
         w = 1.0 / sigma**2
         raw[:, 1] -= raw[:, 0] * (raw[:, 0] * w @ raw[:, 1]) / (raw[:, 0] * w @ raw[:, 0])
         spec = ModelSpec(30, 2, 0.1, sigma, 1.0, raw)
-        values = factor_strength_matrix(spec).values
+        values = factor_strength_matrix(spec)
         assert abs(values[0, 1]) < 1e-12 * max(values[0, 0], values[1, 1])
 
     def test_uniform_spec(self):
@@ -390,7 +380,7 @@ class TestDenseEigenvalues:
         matrix = assemble_one_factor(np.full(15, 0.55))
         spectrum = dense_eigenvalues(ScaleMatrix(matrix, 1, "correlation"))
         closed = equicorrelation_eigenvalues(15, 0.55**2)
-        assert np.max(np.abs(spectrum.eigenvalues - closed.eigenvalues)) < 1e-10
+        assert np.max(np.abs(spectrum.eigenvalues - closed)) < 1e-10
 
     def test_trace_and_determinant_identities(self):
         rng = np.random.default_rng(23)
