@@ -16,7 +16,6 @@ seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
 from .panel_io import (load_curves, load_fits, load_panel, save_curves,
                        save_fits, save_panel, _atomic_write_text, _read_json_object,
-                       _read_text)
+                       _read_text, _require_int)
 from .svgplot import render_eigencurve
 
 __all__ = ["main", "entrypoint"]
@@ -35,31 +34,25 @@ __all__ = ["main", "entrypoint"]
 _DEFAULT_TAUS = ",".join(str(t) for t in pipeline.DYADIC_TAUS)
 
 
-def _parse_floats(text: str, name: str) -> list[float]:
+def _parse_list(text: str, name: str, kind=float) -> list:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        return [kind(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise ValidationError(f"--{name} expects a comma-separated list of numbers") from exc
-
-
-def _parse_ints(text: str, name: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise ValidationError(f"--{name} expects a comma-separated list of integers") from exc
+        noun = "integers" if kind is int else "numbers"
+        raise ValidationError(f"--{name} expects a comma-separated list of {noun}") from exc
 
 
 def _scalar_or_vector(text: str, name: str):
-    values = _parse_floats(text, name)
+    values = _parse_list(text, name)
     return values[0] if len(values) == 1 else np.asarray(values)
 
 
 def _read_beta_file(path) -> np.ndarray:
-    rows = [row for row in csv.reader(_read_text(path, "beta file ").splitlines()) if row]
     try:
-        return np.asarray([[float(v) for v in row] for row in rows])
+        return np.loadtxt(_read_text(path, "beta file ").splitlines(), delimiter=",",
+                          comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
-        raise DataError(f"beta file {path} contains non-numeric entries") from exc
+        raise DataError(f"beta file {path}: {exc}") from exc
 
 
 def _spec_from_args(args) -> ModelSpec:
@@ -67,16 +60,17 @@ def _spec_from_args(args) -> ModelSpec:
         raw = _read_json_object(args.spec_file, "spec file ")
         try:
             return ModelSpec(
-                n_assets=raw["n_assets"],
-                n_factors=raw.get("n_factors", 1),
+                n_assets=_require_int(raw["n_assets"], "n_assets"),
+                n_factors=_require_int(raw.get("n_factors", 1), "n_factors"),
                 alpha=raw["alpha"],
                 sigma=raw.get("sigma", 1.0),
                 factor_sigma=raw.get("factor_sigma", 1.0),
                 beta=raw["beta"],
-                seed=raw.get("seed", args.seed),
+                seed=_require_int(raw.get("seed", args.seed), "seed"),
             )
-        except KeyError as exc:
-            raise DataError(f"spec file {args.spec_file} is missing field {exc}") from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"spec file {args.spec_file}: malformed spec "
+                            f"({type(exc).__name__}: {exc})") from exc
 
     if args.assets is None or args.alpha is None:
         raise ValidationError("--assets and --alpha are required (or use --spec-file)")
@@ -112,7 +106,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     panel = load_panel(getattr(args, "in"), compounding=args.compounding)
-    taus = _parse_ints(args.taus, "taus")
+    taus = _parse_list(args.taus, "taus", int)
     kind = "correlation" if args.kind == "corr" else "covariance"
     curves = pipeline.eigencurves_from_panel(panel, taus, top_k=args.top_k, kind=kind)
     save_curves(curves, args.out, n_assets=panel.n_assets,
@@ -130,7 +124,7 @@ def _cmd_fit(args) -> int:
     base_scale = (args.base_scale_minutes if args.base_scale_minutes is not None
                   else meta["base_scale_minutes"])
     if args.ranks is not None:
-        wanted = set(_parse_ints(args.ranks, "ranks"))
+        wanted = set(_parse_list(args.ranks, "ranks", int))
         missing = wanted - {c.rank for c in curves}
         if missing:
             raise DataError("requested rank(s) not in curves file: "
@@ -177,7 +171,7 @@ def _cmd_plot(args) -> int:
 
 
 def _cmd_reproduce(args) -> int:
-    strengths = _parse_floats(args.gammas, "gammas")
+    strengths = _parse_list(args.gammas, "gammas")
     report = pipeline.reproduce_report(
         args.out_dir,
         n_assets=args.assets,
@@ -185,7 +179,7 @@ def _cmd_reproduce(args) -> int:
         alpha=args.alpha,
         n_steps=args.steps,
         seed=args.seed,
-        taus=_parse_ints(args.taus, "taus"),
+        taus=_parse_list(args.taus, "taus", int),
         log_x=not args.linear_x,
     )
     counter = report["counterfactual"]

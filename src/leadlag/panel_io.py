@@ -6,11 +6,11 @@ Panel CSV format (UTF-8, LF or CRLF):
     0,0.001,-0.0002,...
     1,0.0,0.0005,...
 
-The first column is an integer time index; when rows are uniformly strided
-the stride is interpreted as the bar length in base units (so aggregated
-panels round-trip their scale).  Returns are dimensionless decimals
-(0.001 = 10 bps), never percentages.  The decimal separator is always '.',
-independent of locale.
+The first column is an int64 time index and every other cell an ASCII
+decimal, quoted or not (no comments; empty lines are skipped).  Uniformly
+strided time indices give the bar length in base units, so aggregated panels
+round-trip their scale.  Returns are dimensionless decimals (0.001 = 10 bps),
+never percentages, with '.' as the decimal separator whatever the locale.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -32,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, ValidationError
-from .fitting import EigenCurve, FitResult
+from .fitting import EigenCurve, FitResult, _check_run
 from .model import ReturnPanel
 
 __all__ = [
@@ -95,12 +96,16 @@ def save_panel(panel: ReturnPanel, path) -> None:
         if lbl.strip() != lbl:
             raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
     header = io.StringIO()
-    csv.writer(header, lineterminator="").writerow(("time", *panel.asset_labels))
-    lines = [header.getvalue()]
-    stride = panel.base_scale
-    for i, row in enumerate(panel.returns.T):
-        lines.append(str(i * stride) + "," + ",".join(repr(float(v)) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    csv.writer(header, lineterminator="\n").writerow(("time", *panel.asset_labels))
+    rows = (f"{i * panel.base_scale}," + ",".join(map(repr, row.tolist())) + "\n"
+            for i, row in enumerate(panel.returns.T))
+    _atomic_write_text(path, header.getvalue() + "".join(rows))
+
+
+def _parse_rows(lines, n_assets: int) -> np.ndarray:
+    # the one grammar of a panel row: an int64 time index, then n_assets floats
+    return np.loadtxt(lines, dtype=[("time", np.int64), ("returns", np.float64, (n_assets,))],
+                      delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
 def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
@@ -113,58 +118,77 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     if compounding not in ("arithmetic", "geometric"):
         raise ValidationError("compounding must be 'arithmetic' or 'geometric'")
     path = Path(path)
-    rows = list(csv.reader(_read_text(path).splitlines()))
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = rows[0]
+    lines = _read_text(path).splitlines()
+    header = next(csv.reader(lines[:1]), [])  # an empty file has an empty header
     if len(header) < 2 or header[0].strip().lower() != "time":
         raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
     labels = tuple(lbl.strip() for lbl in header[1:])
-    n_fields = len(header)
-
-    times = []
-    data = []
-    for ln, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != n_fields:
-            raise DataError(f"{path}: line {ln}: expected {n_fields} fields, got {len(row)}")
-        try:
-            times.append(int(row[0]))
-        except ValueError as exc:
-            raise DataError(f"{path}: line {ln}: time index {row[0]!r} is not an integer") from exc
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise DataError(f"{path}: line {ln}: unparseable return value") from exc
-        for j, v in enumerate(values):
-            if not math.isfinite(v):
-                raise DataError(f"{path}: line {ln}: non-finite return for asset {labels[j]!r}")
-            if compounding == "geometric" and v <= -1.0:
-                raise DataError(f"{path}: line {ln}: return <= -100% for asset {labels[j]!r} "
-                                "cannot be compounded geometrically")
-        data.append(values)
-    if not data:
-        raise DataError(f"{path}: no data rows")
-
     if any(not lbl for lbl in labels):
         raise DataError("asset labels must be non-empty")
     if len(set(labels)) != len(labels):
         dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
         raise DataError(f"duplicate asset label {dup!r} in header")
-    arr = np.asarray(data, dtype=np.float64).T
+
+    line_numbers = [ln for ln, line in enumerate(lines[1:], start=2) if line]
+    body = [line for line in lines[1:] if line]
+    if not body:
+        raise DataError(f"{path}: no data rows")
+    try:
+        table = _parse_rows(body, len(labels))
+    except ValueError as exc:
+        # re-parse line by line, only to name the first line the grammar rejects
+        for ln, line in zip(line_numbers, body):
+            try:
+                _parse_rows([line], len(labels))
+            except ValueError as line_exc:
+                raise DataError(f"{path}: line {ln}: bad time index or return value "
+                                f"({line_exc})") from line_exc
+        raise DataError(f"{path}: {exc}") from exc
+
+    returns = np.array(table["returns"])
+    bad = ~np.isfinite(returns)
+    if compounding == "geometric":
+        bad |= returns <= -1.0
+    if bad.any():
+        row, j = divmod(int(bad.argmax()), len(labels))
+        reason = ("non-finite return" if not math.isfinite(returns[row, j])
+                  else "return <= -100% cannot be compounded geometrically")
+        raise DataError(f"{path}: line {line_numbers[row]}: asset {labels[j]!r}: {reason}")
+    arr = returns.T
     if compounding == "geometric":
         arr = np.log1p(arr)
-    strides = np.diff(times)
-    if strides.size and strides[0] > 0 and np.all(strides == strides[0]):
-        scale = int(strides[0])
-    else:
-        scale = 1
-    return ReturnPanel(arr, base_scale=scale, asset_labels=labels)
+    strides = np.diff(table["time"])
+    uniform = strides.size and strides[0] > 0 and np.all(strides == strides[0])
+    return ReturnPanel(arr, base_scale=int(strides[0]) if uniform else 1, asset_labels=labels)
 
 
 def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def _require_int(value, name: str) -> int:
+    # an integer proper: a float such as 2.7, a bool or a string is refused
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DataError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _run_metadata(n_assets, base_scale_minutes, path) -> dict:
+    # a results document's run metadata, checked alike on writing and reading:
+    # an integer asset count (a file may omit it), then the fitter's rule for a run
+    try:
+        n_assets = None if n_assets is None else _require_int(n_assets, "n_assets")
+        _check_run(1 if n_assets is None else n_assets, base_scale_minutes)
+        return {"n_assets": n_assets, "base_scale_minutes": float(base_scale_minutes)}
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def _save_entries(path, kind: str, entries: list, n_assets, base_scale_minutes) -> None:
+    # the writing half of _load_entries: the same metadata rule, then an atomic write
+    meta = _run_metadata(n_assets, base_scale_minutes, path)
+    _atomic_write_text(path, _dump({"schema": SCHEMA_VERSION, "kind": kind, **meta,
+                                    kind: entries}))
 
 
 def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
@@ -174,38 +198,24 @@ def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
         raise DataError(f"{path}: unsupported schema {document.get('schema')!r}")
     if document.get("kind") != kind:
         raise DataError(f"{path}: expected kind {kind!r}, got {document.get('kind')!r}")
+    meta = _run_metadata(document.get("n_assets"), document.get("base_scale_minutes", 1.0), path)
     try:
         entries = [parse(entry) for entry in document[kind]]
-        n_assets = document.get("n_assets")
-        meta = {"n_assets": None if n_assets is None else int(n_assets),
-                "base_scale_minutes": float(document.get("base_scale_minutes", 1.0))}
     except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {kind} ({type(exc).__name__}: {exc})") from exc
-    if meta["n_assets"] is not None and meta["n_assets"] < 1:
-        raise DataError(f"{path}: n_assets must be positive, got {meta['n_assets']}")
-    if not 0.0 < meta["base_scale_minutes"] < math.inf:
-        raise DataError(f"{path}: base_scale_minutes must be finite and positive, "
-                        f"got {meta['base_scale_minutes']!r}")
     return entries, meta
 
 
 def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,
                 base_scale_minutes: float = 1.0) -> None:
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": "curves",
-        "n_assets": int(n_assets),
-        "base_scale_minutes": float(base_scale_minutes),
-        "curves": [
-            {
-                "rank": c.rank,
-                "taus": [int(t) for t in c.taus],
-                "values": [float(v) for v in c.values],
-            }
-            for c in curves
-        ],
-    }
-    _atomic_write_text(path, _dump(document))
+    _save_entries(path, "curves", [
+        {
+            "rank": c.rank,
+            "taus": [int(t) for t in c.taus],
+            "values": [float(v) for v in c.values],
+        }
+        for c in curves
+    ], n_assets, base_scale_minutes)
 
 
 def load_curves(path) -> tuple[list[EigenCurve], dict]:
@@ -217,26 +227,19 @@ def load_curves(path) -> tuple[list[EigenCurve], dict]:
 
 def save_fits(fits: Sequence[tuple[int, FitResult]], path, *, n_assets: int,
               base_scale_minutes: float = 1.0) -> None:
-    document = {
-        "schema": SCHEMA_VERSION,
-        "kind": "fits",
-        "n_assets": int(n_assets),
-        "base_scale_minutes": float(base_scale_minutes),
-        "fits": [
-            {
-                "rank": int(rank),
-                "alpha": fit.alpha,
-                "amplitude": fit.amplitude,
-                "gamma_f": fit.gamma_f,
-                "t_alpha_minutes": fit.t_alpha,
-                "rss": fit.rss,
-                "iterations": fit.iterations,
-                "converged": fit.converged,
-            }
-            for rank, fit in fits
-        ],
-    }
-    _atomic_write_text(path, _dump(document))
+    _save_entries(path, "fits", [
+        {
+            "rank": int(rank),
+            "alpha": fit.alpha,
+            "amplitude": fit.amplitude,
+            "gamma_f": fit.gamma_f,
+            "t_alpha_minutes": fit.t_alpha,
+            "rss": fit.rss,
+            "iterations": fit.iterations,
+            "converged": fit.converged,
+        }
+        for rank, fit in fits
+    ], n_assets, base_scale_minutes)
 
 
 def load_fits(path) -> tuple[list[tuple[int, FitResult]], dict]:

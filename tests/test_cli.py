@@ -58,6 +58,16 @@ class TestSimulate:
         assert code == 0
         assert load_panel(out).returns.shape == (3, 64)
 
+    def test_beta_file_quoted_numbers_and_empty_lines(self, tmp_path):
+        beta = tmp_path / "beta.csv"
+        beta.write_text('"0.5",0.1\n\n0.4,"0.2"\n0.3,0.3\n')
+        out = tmp_path / "p.csv"
+        assert run("simulate", "--assets", "3", "--factors", "2", "--alpha", "0.2",
+                   "--beta-file", str(beta), "--steps", "64", "--seed", "5",
+                   "--out", str(out)) == 0
+        spec = ModelSpec(3, 2, 0.2, 1.0, 1.0, [[0.5, 0.1], [0.4, 0.2], [0.3, 0.3]], seed=5)
+        assert np.array_equal(load_panel(out).returns, simulate_panel(spec, 64).returns)
+
     def test_spec_file(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps({
@@ -325,7 +335,9 @@ class TestMalformedInput:
         path.write_text(json.dumps(document))
         self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
 
-    @pytest.mark.parametrize("field, value", [("n_assets", 0), ("base_scale_minutes", -2.0)])
+    @pytest.mark.parametrize("field, value", [
+        ("n_assets", 0), ("base_scale_minutes", -2.0), ("n_assets", 2.7), ("n_assets", True),
+        ("n_assets", "3")])
     def test_curves_metadata_out_of_range(self, tmp_path, capsys, field, value):
         path = tmp_path / "curves.json"
         save_curves([factor_eigencurve(5, 0.2, 0.2, (1, 2, 4, 8))], path, n_assets=5)
@@ -351,6 +363,24 @@ class TestMalformedInput:
         self.assert_data_error(capsys, "simulate", "--assets", "2", "--alpha", "0.2",
                                "--beta-file", str(beta), "--steps", "8",
                                "--out", str(tmp_path / "p.csv"))
+
+    def test_beta_file_ragged(self, tmp_path, capsys):
+        beta = tmp_path / "beta.csv"
+        beta.write_text("0.5,0.1\n0.4\n0.3,0.3\n")
+        self.assert_data_error(capsys, "simulate", "--assets", "3", "--factors", "2",
+                               "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
+                               "--out", str(tmp_path / "p.csv"))
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("beta", "abc"), ("n_assets", "x"), ("alpha", [0.1]), ("n_assets", 2.7),
+        ("n_factors", 1.0), ("seed", True), ("alpha", 1.5), ("sigma", -1.0)])
+    def test_spec_file_bad_field(self, tmp_path, capsys, field, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_assets": 3, "alpha": 0.25, "beta": 0.4, field: value}))
+        self.assert_data_error(capsys, "simulate", "--spec-file", str(spec),
+                               "--steps", "8", "--out", str(tmp_path / "p.csv"))
+        assert not (tmp_path / "p.csv").exists()
 
     def test_spec_file_is_a_list(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

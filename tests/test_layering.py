@@ -25,6 +25,17 @@ def relative_imports(path):
     return found
 
 
+def absolute_imports(path):
+    # top-level names of the outside modules a module imports, at any depth
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
 def import_graph():
     return {path.stem: relative_imports(path) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -44,6 +55,12 @@ def test_moments_does_not_import_spectral():
 
 def test_panel_io_does_not_import_spectral():
     assert "spectral" not in import_graph()["panel_io"]
+
+
+def test_only_panel_io_imports_csv():
+    # numeric rows are read by numpy alone; csv is left for the panel header
+    users = {path.stem for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)}
+    assert users == {"panel_io"}
 
 
 # __main__ runs the command line when imported

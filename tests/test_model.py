@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (ModelSpec, ValidationError, aggregate_returns,
-                     panel_from_innovations, sample_correlation,
-                     sample_covariance, simulate_panel, stationary_burn_in,
-                     theoretical_covariance)
+from leadlag import (ModelSpec, ValidationError, panel_from_innovations,
+                     sample_correlation, sample_covariance, simulate_panel,
+                     stationary_burn_in, theoretical_covariance)
 from oracles import smallest_power_below, truncated_convolution_panel
 
 
@@ -147,16 +146,26 @@ class TestSimulatePanel:
         assert not np.allclose(with_burn.returns, without.returns)
 
     def test_chunking_is_invisible(self):
-        # spans several internal chunks; equivalent to one-shot innovations
-        spec = one_factor(n=3, gamma=0.4, alpha=0.25, seed=31)
-        n_steps = (1 << 16) * 2 + 123
-        burn = stationary_burn_in(spec.alpha, 1e-15)
-        panel = simulate_panel(spec, n_steps)
-        assert panel.returns.shape == (3, n_steps)
-        # second half of a longer run equals an offset run? not required; just
-        # confirm chunk borders introduce no discontinuity in the recursion:
-        agg = aggregate_returns(panel, 2)
-        assert agg.returns.shape == (3, n_steps // 2)
+        # across two chunk borders the production simulator equals the one-shot
+        # assembly of the same keyed Philox draws, regenerated chunk by chunk
+        chunk = 1 << 16
+        for n_factors in (1, 2):
+            beta = np.array([[0.4, -0.3], [0.2, 0.1], [0.6, 0.5]])[:, :n_factors]
+            spec = ModelSpec(3, n_factors, 0.25, [1.0, 0.5, 2.0], [1.5, 0.7][:n_factors], beta,
+                             seed=31)
+            n_steps = 2 * chunk + 123
+            burn = stationary_burn_in(spec.alpha, 1e-15)
+            sizes = [min(chunk, burn + n_steps - start)
+                     for start in range(0, burn + n_steps, chunk)]
+            rng_e = np.random.Generator(np.random.Philox(key=31))
+            rng_f = np.random.Generator(np.random.Philox(key=31 + (1 << 64)))
+            idio = (np.hstack([rng_e.standard_normal((3, k)) for k in sizes])
+                    * spec.sigma[:, None])
+            shocks = (np.hstack([rng_f.standard_normal((n_factors, k)) for k in sizes])
+                      * spec.factor_sigma[:, None])
+            expected = panel_from_innovations(spec, idio, shocks, burn_in=burn).returns
+            assert len(sizes) == 3
+            assert np.array_equal(simulate_panel(spec, n_steps).returns, expected)
 
 
 class TestStationaryBurnIn:

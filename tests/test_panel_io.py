@@ -87,9 +87,31 @@ class TestPanelCsv:
         with pytest.raises(DataError, match="time index"):
             load_panel(path)
 
+    def test_error_after_blank_line_names_physical_line(self, tmp_path):
+        path = write(tmp_path, "p.csv", "time,A\n0,0.1\n\n1,x\n")
+        with pytest.raises(DataError, match="line 4"):
+            load_panel(path)
+
+    def test_quoted_number_loads(self, tmp_path):
+        path = write(tmp_path, "p.csv", 'time,A\n0,"0.1"\n1,0.2\n')
+        assert load_panel(path).returns.tolist() == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize("row", ["0,0.1 # note", "0,1_000", "1_0,0.1", "0,\u0661",
+                                     "99999999999999999999,0.1"])
+    def test_tokens_outside_the_row_grammar_are_refused(self, tmp_path, row):
+        # no comments; and Python's int()/float() accept the others, numpy does not
+        path = write(tmp_path, "p.csv", f"time,A\n{row}\n")
+        with pytest.raises(DataError, match="line 2"):
+            load_panel(path)
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "0,0.1\n1,0.2\n")
         with pytest.raises(DataError, match="header"):
+            load_panel(path)
+
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "p.csv", "")
+        with pytest.raises(DataError):
             load_panel(path)
 
     def test_empty_body(self, tmp_path):
@@ -113,6 +135,13 @@ class TestPanelCsv:
         path = write(tmp_path, "p.csv", "time,A\n0,-1.0\n")
         with pytest.raises(DataError, match="geometric"):
             load_panel(path, compounding="geometric")
+
+    def test_first_bad_cell_in_file_order_is_named(self, tmp_path):
+        path = write(tmp_path, "p.csv", "time,A,B\n0,0.1,-1.5\n\n1,nan,0.2\n")
+        with pytest.raises(DataError, match="line 2.*'B'.*geometric"):
+            load_panel(path, compounding="geometric")
+        with pytest.raises(DataError, match="line 4.*'A'"):
+            load_panel(path)
 
     def test_unknown_compounding(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A\n0,0.1\n")
@@ -211,7 +240,8 @@ class TestResultsJson:
     @pytest.mark.parametrize("field, value", [
         ("n_assets", 0), ("n_assets", -3), ("base_scale_minutes", 0.0),
         ("base_scale_minutes", -2.0), ("base_scale_minutes", math.nan),
-        ("base_scale_minutes", math.inf)])
+        ("base_scale_minutes", math.inf), ("n_assets", 2.7), ("n_assets", True),
+        ("n_assets", "3")])
     def test_bad_run_metadata_rejected(self, tmp_path, field, value):
         path = tmp_path / "curves.json"
         save_curves(self.curves(), path, n_assets=9)
@@ -220,6 +250,19 @@ class TestResultsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=field):
             load_curves(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_assets", 0), ("base_scale_minutes", math.nan), ("base_scale_minutes", math.inf),
+        ("base_scale_minutes", 0.0), ("base_scale_minutes", -1.0)])
+    @pytest.mark.parametrize("kind", ["curves", "fits"])
+    def test_writers_refuse_bad_run_metadata(self, tmp_path, kind, field, value):
+        # the writers apply the loaders' rule, so they never write a file load rejects
+        path = tmp_path / f"{kind}.json"
+        meta = {"n_assets": 3, "base_scale_minutes": 1.0, field: value}
+        save = save_curves if kind == "curves" else save_fits
+        with pytest.raises(DataError, match=field):
+            save([], path, **meta)
+        assert not list(tmp_path.iterdir())
 
     def test_schema_is_versioned_and_checked(self, tmp_path):
         path = tmp_path / "curves.json"
