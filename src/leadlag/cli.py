@@ -26,7 +26,7 @@ from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
 from .panel_io import (load_curves, load_fits, load_panel, save_curves,
                        save_fits, save_panel, _atomic_write_text, _read_json_object,
-                       _read_text, _require_int)
+                       _read_text)
 from .svgplot import render_eigencurve
 
 __all__ = ["main", "entrypoint"]
@@ -48,9 +48,11 @@ def _scalar_or_vector(text: str, name: str):
 
 
 def _read_beta_file(path) -> np.ndarray:
+    lines = _read_text(path, "beta file ").splitlines()
+    if not any(lines):
+        raise DataError(f"beta file {path}: no data")
     try:
-        return np.loadtxt(_read_text(path, "beta file ").splitlines(), delimiter=",",
-                          comments=None, quotechar='"', ndmin=2)
+        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
         raise DataError(f"beta file {path}: {exc}") from exc
 
@@ -60,13 +62,13 @@ def _spec_from_args(args) -> ModelSpec:
         raw = _read_json_object(args.spec_file, "spec file ")
         try:
             return ModelSpec(
-                n_assets=_require_int(raw["n_assets"], "n_assets"),
-                n_factors=_require_int(raw.get("n_factors", 1), "n_factors"),
+                n_assets=raw["n_assets"],
+                n_factors=raw.get("n_factors", 1),
                 alpha=raw["alpha"],
                 sigma=raw.get("sigma", 1.0),
                 factor_sigma=raw.get("factor_sigma", 1.0),
                 beta=raw["beta"],
-                seed=_require_int(raw.get("seed", args.seed), "seed"),
+                seed=raw.get("seed", args.seed),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"spec file {args.spec_file}: malformed spec "

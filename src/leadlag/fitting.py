@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ValidationError
+from .errors import ValidationError, _integer, _positive, _tau_grid
 from .moments import _attenuation_array
 
 __all__ = ["EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time"]
@@ -49,19 +49,15 @@ class EigenCurve:
     rank: int = 1
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=np.int64)
+        taus = _tau_grid(self.taus, "taus")
         values = np.asarray(self.values, dtype=np.float64)
-        if taus.ndim != 1 or values.shape != taus.shape or taus.size < 1:
-            raise ValidationError("taus and values must be equal-length nonempty vectors")
-        if taus[0] < 1 or np.any(np.diff(taus) <= 0):
-            raise ValidationError("taus must be strictly ascending positive integers")
+        if values.shape != taus.shape:
+            raise ValidationError("taus and values must be equal-length vectors")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):
             raise ValidationError("curve values must be positive and finite")
-        if int(self.rank) < 1:
-            raise ValidationError("rank must be a positive integer")
         object.__setattr__(self, "taus", taus)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rank", int(self.rank))
+        object.__setattr__(self, "rank", _integer(self.rank, "rank"))
 
     def __len__(self) -> int:
         return self.taus.size
@@ -92,18 +88,12 @@ def relaxation_time(alpha: float, base_scale_minutes: float = 1.0) -> float:
         raise ValidationError("no memory: relaxation time undefined (zero)")
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie strictly inside (0, 1)")
-    base_scale_minutes = float(base_scale_minutes)
-    if not 0.0 < base_scale_minutes < math.inf:
-        raise ValidationError("base_scale_minutes must be finite and positive")
-    return base_scale_minutes / math.log(1.0 / alpha)
+    return _positive(base_scale_minutes, "base_scale_minutes") / math.log(1.0 / alpha)
 
 
-def _check_run(n_assets: int, base_scale_minutes: float) -> None:
-    # the inputs shared by every curve of a run
-    if int(n_assets) < 1:
-        raise ValidationError("n_assets must be a positive integer")
-    if not 0.0 < float(base_scale_minutes) < math.inf:
-        raise ValidationError("base_scale_minutes must be finite and positive")
+def _check_run(n_assets: int, base_scale_minutes: float) -> tuple[int, float]:
+    # the inputs shared by every curve of a run, checked and converted
+    return _integer(n_assets, "n_assets"), _positive(base_scale_minutes, "base_scale_minutes")
 
 
 def _profiled_rss(values: np.ndarray, taus: np.ndarray, alpha):
@@ -134,8 +124,7 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
     """
     if len(curve) < 3:
         raise ValidationError("curve must contain at least 3 points to fit 2 parameters")
-    _check_run(n_assets, base_scale_minutes)
-    n_assets = int(n_assets)
+    n_assets, base_scale_minutes = _check_run(n_assets, base_scale_minutes)
     taus = curve.taus.astype(np.float64)
     # optimize on unit-normalized values so tolerances are scale-free and the
     # fit is equivariant under rescaling of the curve

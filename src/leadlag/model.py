@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import ValidationError
+from .errors import ValidationError, _alpha, _integer
 
 __all__ = [
     "ModelSpec",
@@ -40,11 +40,12 @@ _EPS_STREAM = 0
 _FACTOR_STREAM = 1
 _BETA_STREAM = 2
 _CHUNK = 1 << 16  # fixed so chunked generation is reproducible
+_SEED_MAX = 2**64 - 1
 
 
 def _keyed_rng(seed: int, stream: int) -> np.random.Generator:
     # Philox keys are 128-bit; (seed, stream) pairs give independent streams.
-    return np.random.Generator(np.random.Philox(key=int(seed) + (int(stream) << 64)))
+    return np.random.Generator(np.random.Philox(key=seed + (stream << 64)))
 
 
 def _as_vector(values, length: int, name: str) -> np.ndarray:
@@ -87,15 +88,9 @@ class ModelSpec:
     seed: int = 0
 
     def __post_init__(self):
-        n = int(self.n_assets)
-        f = int(self.n_factors)
-        if n < 1:
-            raise ValidationError("n_assets must be a positive integer")
-        if f < 1:
-            raise ValidationError("n_factors must be a positive integer")
-        alpha = float(self.alpha)
-        if not 0.0 <= alpha < 1.0:
-            raise ValidationError("alpha must satisfy 0 <= alpha < 1")
+        n = _integer(self.n_assets, "n_assets")
+        f = _integer(self.n_factors, "n_factors")
+        alpha = _alpha(self.alpha)
         sigma = _as_vector(self.sigma, n, "sigma")
         if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
             raise ValidationError("sigma entries must all be positive and finite")
@@ -111,9 +106,7 @@ class ModelSpec:
             raise ValidationError(f"beta must have shape ({n}, {f})")
         if not np.all(np.isfinite(beta)):
             raise ValidationError("beta entries must all be finite")
-        seed = int(self.seed)
-        if not 0 <= seed < 2**64:
-            raise ValidationError("seed must be an unsigned 64-bit integer")
+        seed = _integer(self.seed, "seed", minimum=0, maximum=_SEED_MAX)
         object.__setattr__(self, "n_assets", n)
         object.__setattr__(self, "n_factors", f)
         object.__setattr__(self, "alpha", alpha)
@@ -150,10 +143,10 @@ class ModelSpec:
             raise ValidationError("gammas must be a nonempty vector")
         if np.any(gammas < 0):
             raise ValidationError("gammas must be nonnegative")
-        n, f = int(n_assets), gammas.size
+        n, f = _integer(n_assets, "n_assets"), gammas.size
         if f > n:
             raise ValidationError("cannot build more orthogonal factors than assets")
-        rng = _keyed_rng(seed, _BETA_STREAM)
+        rng = _keyed_rng(_integer(seed, "seed", minimum=0, maximum=_SEED_MAX), _BETA_STREAM)
         q, r = np.linalg.qr(rng.standard_normal((n, f)))
         q = q * np.sign(np.diag(r))  # fix QR sign ambiguity
         beta = q * np.sqrt(n * gammas)[None, :]
@@ -185,9 +178,7 @@ class ReturnPanel:
             raise ValidationError("panel must contain at least one time step")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("panel entries must all be finite")
-        scale = int(self.base_scale)
-        if scale < 1:
-            raise ValidationError("base_scale must be a positive integer")
+        scale = _integer(self.base_scale, "base_scale")
         labels = tuple(self.asset_labels) or _default_labels(arr.shape[0])
         if len(labels) != arr.shape[0]:
             raise ValidationError("asset_labels count must equal the number of rows")
@@ -210,8 +201,7 @@ def stationary_burn_in(alpha: float, tolerance: float) -> int:
     This is the lag depth beyond which the memory kernel is negligible at the
     given tolerance, hence a sufficient burn-in length.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError("alpha must satisfy 0 <= alpha < 1")
+    alpha = _alpha(alpha)
     if not 0.0 < tolerance < 1.0:
         raise ValidationError("tolerance must lie strictly inside (0, 1)")
     if alpha == 0.0:
@@ -246,7 +236,7 @@ def panel_from_innovations(spec: ModelSpec, idio: np.ndarray, shocks: np.ndarray
         raise ValidationError("idio must be an (n_assets, total_steps) array")
     if shocks.shape != (spec.n_factors, idio.shape[1]):
         raise ValidationError("shocks must be an (n_factors, total_steps) array")
-    if not 0 <= burn_in < idio.shape[1]:
+    if _integer(burn_in, "burn_in", minimum=0) >= idio.shape[1]:
         raise ValidationError("burn_in must leave at least one emitted step")
     state = np.zeros((spec.n_factors, 1))
     smoothed, _ = _smooth_factors(spec.alpha, shocks, state)
@@ -262,14 +252,10 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     fixed chunk size, so memory stays bounded for long panels without changing
     the output.
     """
-    n_steps = int(n_steps)
-    if n_steps < 1:
-        raise ValidationError("n_steps must be >= 1")
+    n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:
         burn_in = stationary_burn_in(spec.alpha, 1e-15)
-    burn_in = int(burn_in)
-    if burn_in < 0:
-        raise ValidationError("burn_in must be nonnegative")
+    burn_in = _integer(burn_in, "burn_in", minimum=0)
 
     rng_eps = _keyed_rng(spec.seed, _EPS_STREAM)
     rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _alpha, _integer
 from .model import ModelSpec, ReturnPanel
 
 __all__ = [
@@ -60,9 +60,7 @@ class ScaleMatrix:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("matrix must be square")
-        scale = int(self.scale)
-        if scale < 1:
-            raise ValidationError("scale must be a positive integer")
+        scale = _integer(self.scale, "scale")
         if self.kind not in ("covariance", "correlation"):
             raise ValidationError("kind must be 'covariance' or 'correlation'")
         norm = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
@@ -81,23 +79,12 @@ class ScaleMatrix:
         return self.values.shape[0]
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValidationError("alpha must satisfy 0 <= alpha < 1")
-    return alpha
-
-
 def factor_variance_sum(alpha: float, tau: int) -> float:
     """Normalized factor-variance accumulation over a block of tau steps.
 
     Equals tau at alpha = 0 and is strictly positive for tau >= 1.
     """
-    alpha = _check_alpha(alpha)
-    tau = int(tau)
-    if tau < 1:
-        raise ValidationError("tau must be a positive integer")
-    return _accumulation(alpha, tau)
+    return _accumulation(_alpha(alpha), _integer(tau, "tau"))
 
 
 def attenuation(alpha: float, tau) -> float:
@@ -107,12 +94,10 @@ def attenuation(alpha: float, tau) -> float:
     avoiding any alpha**tau underflow ambiguity.  attenuation(alpha, 1) is
     exactly 1 - alpha^2.
     """
-    alpha = _check_alpha(alpha)
+    alpha = _alpha(alpha)
     if tau == math.inf:
         return (1.0 - alpha) ** 2
-    tau = int(tau)
-    if tau < 1:
-        raise ValidationError("tau must be a positive integer or math.inf")
+    tau = _integer(tau, "tau")
     if tau == 1:
         return 1.0 - alpha * alpha
     return tau * (1.0 - alpha) ** 2 / factor_variance_sum(alpha, tau)
@@ -145,7 +130,7 @@ def theoretical_covariance(spec: ModelSpec, tau: int) -> ScaleMatrix:
     factor_variance_sum(alpha, tau) / (1 - alpha)^2; the diagonal adds the
     diffusive idiosyncratic part tau * sigma_i^2.
     """
-    tau = int(tau)
+    tau = _integer(tau, "tau")
     weight = factor_variance_sum(spec.alpha, tau) / (1.0 - spec.alpha) ** 2
     cov = weight * _factor_gram(spec)
     cov[np.diag_indices_from(cov)] += tau * spec.sigma**2
@@ -174,9 +159,7 @@ def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
     Output length is floor(T / tau); trailing remainder steps are dropped so
     blocks stay homogeneous.  The base scale is multiplied by tau.
     """
-    tau = int(tau)
-    if tau < 1:
-        raise ValidationError("tau must be a positive integer")
+    tau = _integer(tau, "tau")
     n, t = panel.returns.shape
     if tau > t:
         raise DataError(f"scale exceeds series length (tau={tau}, steps={t})")

@@ -24,7 +24,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -32,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _integer
 from .fitting import EigenCurve, FitResult, _check_run
 from .model import ReturnPanel
 
@@ -136,13 +135,21 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     try:
         table = _parse_rows(body, len(labels))
     except ValueError as exc:
-        # re-parse line by line, only to name the first line the grammar rejects
-        for ln, line in zip(line_numbers, body):
+        # bisect for the first line the grammar rejects, then re-parse that line
+        # alone for numpy's reason
+        lo, hi = 0, len(body)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                _parse_rows([line], len(labels))
-            except ValueError as line_exc:
-                raise DataError(f"{path}: line {ln}: bad time index or return value "
-                                f"({line_exc})") from line_exc
+                _parse_rows(body[lo:mid], len(labels))
+                lo = mid
+            except ValueError:
+                hi = mid
+        try:
+            _parse_rows(body[lo:hi], len(labels))
+        except ValueError as line_exc:
+            raise DataError(f"{path}: line {line_numbers[lo]}: bad time index or return "
+                            f"value ({line_exc})") from line_exc
         raise DataError(f"{path}: {exc}") from exc
 
     returns = np.array(table["returns"])
@@ -159,27 +166,19 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
         arr = np.log1p(arr)
     strides = np.diff(table["time"])
     uniform = strides.size and strides[0] > 0 and np.all(strides == strides[0])
-    return ReturnPanel(arr, base_scale=int(strides[0]) if uniform else 1, asset_labels=labels)
+    return ReturnPanel(arr, base_scale=strides[0] if uniform else 1, asset_labels=labels)
 
 
 def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _require_int(value, name: str) -> int:
-    # an integer proper: a float such as 2.7, a bool or a string is refused
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise DataError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _run_metadata(n_assets, base_scale_minutes, path) -> dict:
-    # a results document's run metadata, checked alike on writing and reading:
-    # an integer asset count (a file may omit it), then the fitter's rule for a run
+    # a results document's run metadata, checked alike on writing and reading by
+    # the fitter's rule for a run (a file may omit the asset count)
     try:
-        n_assets = None if n_assets is None else _require_int(n_assets, "n_assets")
-        _check_run(1 if n_assets is None else n_assets, base_scale_minutes)
-        return {"n_assets": n_assets, "base_scale_minutes": float(base_scale_minutes)}
+        count, scale = _check_run(1 if n_assets is None else n_assets, base_scale_minutes)
+        return {"n_assets": None if n_assets is None else count, "base_scale_minutes": scale}
     except (TypeError, ValueError) as exc:
         raise DataError(f"{path}: {exc}") from exc
 
@@ -211,7 +210,7 @@ def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,
     _save_entries(path, "curves", [
         {
             "rank": c.rank,
-            "taus": [int(t) for t in c.taus],
+            "taus": c.taus.tolist(),
             "values": [float(v) for v in c.values],
         }
         for c in curves
@@ -220,16 +219,14 @@ def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,
 
 def load_curves(path) -> tuple[list[EigenCurve], dict]:
     return _load_entries(path, "curves", lambda entry: EigenCurve(
-        np.asarray(entry["taus"], dtype=np.int64),
-        np.asarray(entry["values"], dtype=np.float64),
-        rank=int(entry["rank"])))
+        entry["taus"], entry["values"], rank=entry["rank"]))
 
 
 def save_fits(fits: Sequence[tuple[int, FitResult]], path, *, n_assets: int,
               base_scale_minutes: float = 1.0) -> None:
     _save_entries(path, "fits", [
         {
-            "rank": int(rank),
+            "rank": _integer(rank, "rank"),
             "alpha": fit.alpha,
             "amplitude": fit.amplitude,
             "gamma_f": fit.gamma_f,
@@ -242,16 +239,19 @@ def save_fits(fits: Sequence[tuple[int, FitResult]], path, *, n_assets: int,
     ], n_assets, base_scale_minutes)
 
 
+def _fit_entry(entry: dict) -> tuple[int, FitResult]:
+    if not isinstance(entry["converged"], bool):
+        raise TypeError(f"converged must be true or false, got {entry['converged']!r}")
+    return _integer(entry["rank"], "rank"), FitResult(
+        alpha=float(entry["alpha"]),
+        amplitude=float(entry["amplitude"]),
+        gamma_f=float(entry["gamma_f"]),
+        t_alpha=float(entry["t_alpha_minutes"]),
+        rss=float(entry["rss"]),
+        iterations=_integer(entry["iterations"], "iterations", minimum=0),
+        converged=entry["converged"],
+    )
+
+
 def load_fits(path) -> tuple[list[tuple[int, FitResult]], dict]:
-    return _load_entries(path, "fits", lambda entry: (
-        int(entry["rank"]),
-        FitResult(
-            alpha=float(entry["alpha"]),
-            amplitude=float(entry["amplitude"]),
-            gamma_f=float(entry["gamma_f"]),
-            t_alpha=float(entry["t_alpha_minutes"]),
-            rss=float(entry["rss"]),
-            iterations=int(entry["iterations"]),
-            converged=bool(entry["converged"]),
-        ),
-    ))
+    return _load_entries(path, "fits", _fit_entry)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError
+from .errors import DataError, ValidationError, _integer, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
 from .model import ModelSpec, simulate_panel
 from .moments import aggregate_returns, sample_correlation, sample_covariance
@@ -36,15 +36,6 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _check_taus(taus) -> tuple[int, ...]:
-    taus = tuple(int(t) for t in taus)
-    if not taus:
-        raise ValidationError("tau grid must be nonempty")
-    if taus[0] < 1 or any(b <= a for a, b in zip(taus, taus[1:])):
-        raise ValidationError("tau grid must be strictly ascending positive integers")
-    return taus
-
-
 def _top_eigenvalues(panel, tau: int, top_k: int, kind: str) -> np.ndarray:
     aggregated = aggregate_returns(panel, tau)
     if kind == "correlation":
@@ -62,11 +53,11 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
     Raises DataError listing any grid scales that leave fewer than two
     aggregated observations.
     """
-    taus = _check_taus(taus)
+    taus = tuple(_tau_grid(taus, "tau grid").tolist())
     if kind not in ("correlation", "covariance"):
         raise ValidationError("kind must be 'correlation' or 'covariance'")
-    top_k = int(top_k)
-    if not 1 <= top_k <= panel.n_assets:
+    top_k = _integer(top_k, "top_k")
+    if top_k > panel.n_assets:
         raise ValidationError("top_k must lie between 1 and the number of assets")
     too_long = [t for t in taus if panel.n_steps // t < 2]
     if too_long:
@@ -123,13 +114,14 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    taus = _check_taus(taus)
+    taus = tuple(_tau_grid(taus, "tau grid").tolist())
     strengths = tuple(float(g) for g in strengths)
     if sorted(strengths, reverse=True) != list(strengths):
         raise ValidationError("strengths must be given in descending order")
 
     spec = ModelSpec.orthogonal_factors(n_assets, strengths, alpha, seed=seed)
     panel = simulate_panel(spec, n_steps)
+    n_assets, n_steps, seed = spec.n_assets, panel.n_steps, spec.seed
     curves = eigencurves_from_panel(panel, taus, top_k=len(strengths), kind="correlation")
     save_curves(curves, out_dir / "curves.json", n_assets=n_assets)
 
@@ -169,11 +161,11 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
         "schema": 1,
         "kind": "report",
         "config": {
-            "n_assets": int(n_assets),
+            "n_assets": n_assets,
             "strengths": list(strengths),
             "alpha": float(alpha),
-            "n_steps": int(n_steps),
-            "seed": int(seed),
+            "n_steps": n_steps,
+            "seed": seed,
             "taus": list(taus),
         },
         "counterfactual": {

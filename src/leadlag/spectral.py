@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _alpha, _integer, _positive, _tau_grid
 from .fitting import EigenCurve
 from .model import ModelSpec
 from .moments import ScaleMatrix, _attenuation_array, attenuation
@@ -73,10 +73,8 @@ class LoadingVector:
             raise ValidationError("loadings must be finite")
         if np.max(rho**2) > 1.0 + _UNIT_TOL:
             raise ValidationError("not a valid correlation structure: rho_i^2 exceeds 1")
-        if int(self.scale) < 1:
-            raise ValidationError("scale must be a positive integer")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "scale", int(self.scale))
+        object.__setattr__(self, "scale", _integer(self.scale, "scale"))
 
     @property
     def n_assets(self) -> int:
@@ -98,10 +96,8 @@ class LoadingMatrix:
             raise ValidationError("loadings must be finite")
         if np.max((rho**2).sum(axis=1)) > 1.0 + _UNIT_TOL:
             raise ValidationError("not a valid correlation structure: row norm exceeds 1")
-        if int(self.scale) < 1:
-            raise ValidationError("scale must be a positive integer")
         object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "scale", int(self.scale))
+        object.__setattr__(self, "scale", _integer(self.scale, "scale"))
 
     @property
     def n_assets(self) -> int:
@@ -171,9 +167,7 @@ def correlation_loading(gamma: float, alpha: float, tau) -> float:
     gamma is the asset's signal-to-noise ratio (factor-driven variance over
     idiosyncratic variance at the base scale); tau may be math.inf.
     """
-    gamma = float(gamma)
-    if gamma <= 0.0:
-        raise ValidationError("gamma must be positive")
+    gamma = _positive(gamma, "gamma")
     return math.sqrt(gamma / (gamma + attenuation(alpha, tau)))
 
 
@@ -185,6 +179,7 @@ def loading_matrix(spec: ModelSpec, tau: int) -> LoadingMatrix:
     rho[i, f] = factor_sigma_f * beta[i, f] / beta_i * rho_i(tau).
     Assets with beta_i = 0 get zero loadings.
     """
+    tau = _integer(tau, "tau")
     eta = attenuation(spec.alpha, tau)
     scaled = spec.beta * spec.factor_sigma[None, :]
     beta_sq = (scaled**2).sum(axis=1)
@@ -193,14 +188,14 @@ def loading_matrix(spec: ModelSpec, tau: int) -> LoadingMatrix:
         rho_i = np.sqrt(gamma / (gamma + eta))
         direction = scaled / np.sqrt(beta_sq)[:, None]
     rho = np.where(beta_sq[:, None] > 0.0, direction * rho_i[:, None], 0.0)
-    return LoadingMatrix(rho, scale=int(tau))
+    return LoadingMatrix(rho, scale=tau)
 
 
 def loading_vector(spec: ModelSpec, tau: int) -> LoadingVector:
     """One-factor loadings of the model at scale tau (requires n_factors=1)."""
     if spec.n_factors != 1:
         raise ValidationError("loading_vector requires a one-factor spec")
-    return LoadingVector(loading_matrix(spec, tau).rho[:, 0], scale=int(tau))
+    return LoadingVector(loading_matrix(spec, tau).rho[:, 0], scale=tau)
 
 
 def _nonzero_poles(loadings: LoadingVector):
@@ -324,12 +319,9 @@ def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,
     Strictly increasing in tau for alpha > 0, flat at n_assets * strength for
     alpha = 0.
     """
-    if float(strength) <= 0.0:
-        raise ValidationError("strength must be positive")
-    if not 0.0 <= float(alpha) < 1.0:
-        raise ValidationError("alpha must satisfy 0 <= alpha < 1")
-    taus = np.asarray(list(taus), dtype=np.int64)
-    values = int(n_assets) * float(strength) / _attenuation_array(float(alpha), taus)
+    strength = _positive(strength, "strength")
+    taus = _tau_grid(taus, "taus")
+    values = _integer(n_assets, "n_assets") * strength / _attenuation_array(_alpha(alpha), taus)
     return EigenCurve(taus, values, rank=rank)
 
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,18 @@ class TestMalformedInput:
         self.assert_data_error(capsys, "simulate", "--assets", "3", "--factors", "2",
                                "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
                                "--out", str(tmp_path / "p.csv"))
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_beta_file_empty(self, tmp_path, capsys, text):
+        # a data error, and no numpy warning before it
+        beta = tmp_path / "beta.csv"
+        beta.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_data_error(capsys, "simulate", "--assets", "3", "--alpha", "0.2",
+                                   "--beta-file", str(beta), "--steps", "8",
+                                   "--out", str(tmp_path / "p.csv"))
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("field, value", [

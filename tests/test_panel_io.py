@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel,
                      ValidationError, aggregate_returns, load_curves, load_fits,
-                     load_panel, sample_correlation, save_curves, save_fits,
-                     save_panel)
+                     load_panel, panel_io, sample_correlation, save_curves,
+                     save_fits, save_panel)
 
 
 def write(tmp_path, name, text):
@@ -91,6 +91,20 @@ class TestPanelCsv:
         path = write(tmp_path, "p.csv", "time,A\n0,0.1\n\n1,x\n")
         with pytest.raises(DataError, match="line 4"):
             load_panel(path)
+
+    @pytest.mark.parametrize("bad", [0, 1234, 4095])
+    def test_bad_line_is_found_by_bisection(self, tmp_path, monkeypatch, bad):
+        # a few parses name the first bad line, not one parse per line
+        n = 4096
+        rows = [f"{i},0.1,{'x' if i == bad else '0.2'}" for i in range(n)]
+        path = write(tmp_path, "p.csv", "time,A,B\n" + "\n".join(rows) + "\n")
+        calls = []
+        parse = panel_io._parse_rows
+        monkeypatch.setattr(panel_io, "_parse_rows",
+                            lambda lines, width: calls.append(1) or parse(lines, width))
+        with pytest.raises(DataError, match=rf"line {bad + 2}: bad .*could not convert .*'x'"):
+            load_panel(path)
+        assert len(calls) <= 2 * math.log2(n)
 
     def test_quoted_number_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", 'time,A\n0,"0.1"\n1,0.2\n')
@@ -273,6 +287,17 @@ class TestResultsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="schema"):
             load_curves(path)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_fit_converged_must_be_a_json_boolean(self, tmp_path, value):
+        # bool("false") is True, so a string used to load as converged
+        path = tmp_path / "fits.json"
+        save_fits([(1, FitResult(0.16, 90.61, 0.17, 0.55, 1e-9, 17, False))], path, n_assets=533)
+        doc = json.loads(path.read_text())
+        doc["fits"][0]["converged"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="converged"):
+            load_fits(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = tmp_path / "curves.json"

@@ -75,6 +75,14 @@ class TestCorrelationLoading:
         with pytest.raises(ValidationError, match="gamma"):
             correlation_loading(0.0, 0.2, 4)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_gamma_and_strength(self, value):
+        # both used to pass a `<= 0` guard and return NaN
+        with pytest.raises(ValidationError, match="gamma"):
+            correlation_loading(value, 0.2, 1)
+        with pytest.raises(ValidationError, match="strength"):
+            factor_eigencurve(10, value, 0.2, (1, 2, 4))
+
     def test_matches_loading_vector_from_spec(self):
         spec = ModelSpec.single_factor(4, 0.3, 0.25)
         lv = loading_vector(spec, 8)
