@@ -7,10 +7,11 @@ Panel CSV format (UTF-8, LF or CRLF):
     1,0.0,0.0005,...
 
 The first column is an int64 time index and every other cell an ASCII
-decimal, quoted or not (no comments; empty lines are skipped).  Uniformly
-strided time indices give the bar length in base units, so aggregated panels
-round-trip their scale.  Returns are dimensionless decimals (0.001 = 10 bps),
-never percentages, with '.' as the decimal separator whatever the locale.
+decimal, quoted or not (no comments; empty lines are skipped).  Time indices
+must strictly increase; uniformly strided ones give the bar length in base
+units, so aggregated panels round-trip their scale, and gappy ones give 1.
+Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
+'.' as the decimal separator whatever the locale.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -165,7 +166,11 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     if compounding == "geometric":
         arr = np.log1p(arr)
     strides = np.diff(table["time"])
-    uniform = strides.size and strides[0] > 0 and np.all(strides == strides[0])
+    if np.any(strides <= 0):
+        row = int(np.argmax(strides <= 0)) + 1
+        raise DataError(f"{path}: line {line_numbers[row]}: time index {table['time'][row]} "
+                        f"does not exceed the previous one ({table['time'][row - 1]})")
+    uniform = strides.size and np.all(strides == strides[0])
     return ReturnPanel(arr, base_scale=strides[0] if uniform else 1, asset_labels=labels)
 
 

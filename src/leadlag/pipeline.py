@@ -14,7 +14,9 @@ import numpy as np
 from .errors import DataError, ValidationError, _integer, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
 from .model import ModelSpec, simulate_panel
-from .moments import aggregate_returns, sample_correlation, sample_covariance
+from .moments import ScaleMatrix, _correlation, _scale_covariances
+# not called here; benchmark/tracing.py wraps these names in this module
+from .moments import aggregate_returns, sample_correlation  # noqa: F401
 from .panel_io import save_curves, save_fits, _atomic_write_text, _dump
 from .spectral import dense_eigenvalues
 from .svgplot import render_eigencurve
@@ -36,13 +38,16 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _top_eigenvalues(panel, tau: int, top_k: int, kind: str) -> np.ndarray:
-    aggregated = aggregate_returns(panel, tau)
-    if kind == "correlation":
-        matrix = sample_correlation(aggregated)
-    else:
-        matrix = sample_covariance(aggregated)
-    return dense_eigenvalues(matrix).eigenvalues[:top_k]
+def _top_eigenvalues(panel, taus, top_k: int, kind: str) -> np.ndarray:
+    # (n_taus, top_k): the leading eigenvalues at every scale, from one chunked
+    # pass over the panel
+    rows = []
+    for tau, cov in zip(taus, _scale_covariances(panel.returns, taus)):
+        if kind == "correlation":
+            cov = _correlation(cov, panel.asset_labels)
+        matrix = ScaleMatrix(cov, scale=panel.base_scale * tau, kind=kind)
+        rows.append(dense_eigenvalues(matrix).eigenvalues[:top_k])
+    return np.vstack(rows)
 
 
 def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
@@ -66,8 +71,7 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
             + ", ".join(str(t) for t in too_long)
         )
 
-    # (n_taus, top_k)
-    stacked = np.vstack([_top_eigenvalues(panel, t, top_k, kind) for t in taus])
+    stacked = _top_eigenvalues(panel, taus, top_k, kind)
     return [
         EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
         for r in range(top_k)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _alpha, _integer, _positive, _tau_grid
+from .errors import ValidationError, _alpha, _integer, _integers, _positive, _tau_grid
 from .fitting import EigenCurve
 from .model import ModelSpec
 from .moments import ScaleMatrix, _attenuation_array, attenuation
@@ -126,7 +126,7 @@ class Spectrum:
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        mult = np.asarray(self.multiplicities, dtype=np.int64)
+        mult = _integers(self.multiplicities, "multiplicities")
         if vals.ndim != 1 or mult.shape != vals.shape:
             raise ValidationError("eigenvalues and multiplicities must be equal-length vectors")
         if not np.all(np.isfinite(vals)):

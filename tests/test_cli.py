@@ -308,6 +308,12 @@ class TestMalformedInput:
         self.assert_data_error(capsys, "spectrum", "--in", str(path),
                                "--out", str(tmp_path / "curves.json"))
 
+    def test_panel_csv_time_index_not_increasing(self, tmp_path, capsys):
+        path = tmp_path / "panel.csv"
+        path.write_text("time,a\n5,0.1\n5,0.2\n3,0.3\n")
+        self.assert_data_error(capsys, "spectrum", "--in", str(path), "--taus", "1",
+                               "--top-k", "1", "--out", str(tmp_path / "curves.json"))
+
     @pytest.mark.parametrize("command", ["fit", "plot"])
     def test_results_json_not_utf8(self, tmp_path, capsys, command):
         path = tmp_path / "curves.json"

@@ -52,6 +52,20 @@ class TestPanelCsv:
         assert back.base_scale == 8
         assert np.array_equal(back.returns, agg.returns)
 
+    @pytest.mark.parametrize("body, line", [
+        ("5,0.1\n5,0.2\n3,0.3\n", 3),
+        ("0,0.1\n2,0.2\n\n1,0.3\n", 5),  # after a blank line
+    ], ids=["repeated", "descending"])
+    def test_time_index_must_increase(self, tmp_path, body, line):
+        path = write(tmp_path, "p.csv", "time,A\n" + body)
+        with pytest.raises(DataError, match=f"line {line}: time index"):
+            load_panel(path)
+
+    def test_gappy_increasing_time_index_has_unit_base_scale(self, tmp_path):
+        panel = load_panel(write(tmp_path, "p.csv", "time,A\n0,0.1\n1,0.2\n5,0.3\n"))
+        assert panel.base_scale == 1
+        assert np.array_equal(panel.returns, [[0.1, 0.2, 0.3]])
+
     def test_crlf_accepted(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A\r\n0,0.1\r\n1,0.2\r\n")
         panel = load_panel(path)
