@@ -3,7 +3,10 @@
 Its curves must equal the dense path's, which builds every scale in full:
 aggregate_returns, then sample_correlation or sample_covariance, then
 dense_eigenvalues.  The chunked comparisons shrink the chunk budget so that
-each case spans at least three chunks.
+each case spans at least three chunks.  A grid whose lcm fits the budget gets
+chunks that are multiples of it; a grid such as 1..16 (lcm 720,720) gets
+budget-sized chunks, and each tau carries its source's leftover sums across
+them.
 """
 
 import math
@@ -17,6 +20,7 @@ from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
                      sample_correlation, sample_covariance, simulate_panel)
 
 DYADIC = (1, 2, 4, 8, 16, 32, 64, 128)
+ONE_TO_16 = tuple(range(1, 17))
 
 
 def dense_curves(panel, taus, top_k, kind):
@@ -32,7 +36,7 @@ def streamed_curves(panel, taus, top_k, kind):
 
 def small_chunks(monkeypatch, panel, taus, steps=200):
     # a budget of `steps` base steps; the engine rounds it down to a multiple
-    # of lcm(taus), so a chunk aligned to max(taus) alone would differ
+    # of lcm(taus) where one fits
     monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * panel.n_assets * steps)
     length = moments._chunk_length(panel.n_assets, taus)
     assert math.ceil(panel.n_steps / length) >= 3
@@ -42,6 +46,7 @@ def small_chunks(monkeypatch, panel, taus, steps=200):
 @pytest.mark.parametrize("n_assets, n_steps, taus, offset, kind", [
     (6, 128 * 40 + 77, DYADIC, 0.0, "correlation"),      # T not a multiple of 128
     (6, 60 * 50 + 7, (1, 3, 10, 12), 0.0, "correlation"),  # lcm 60, max 12
+    (6, 3000 + 11, ONE_TO_16, 0.0, "correlation"),        # lcm beyond the chunk
     (6, 4000 + 13, (1, 2, 4, 8), 1e3, "correlation"),     # large common mean
     (300, 1000, DYADIC, 0.0, "correlation"),              # more assets than chunk steps
     (6, 128 * 40 + 77, DYADIC, 0.0, "covariance"),
@@ -74,20 +79,23 @@ def test_zero_variance_asset_is_named(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
 def test_single_chunk_base_sums_are_bit_exact(kind):
-    # 2, 3 and 5 are each summed straight from the base steps, as in the dense path
+    # 2, 3, 5 and 11 are each summed straight from the base steps, as in the
+    # dense path: fewer than 8 terms by strided adds, 11 by numpy's pairwise sum
     panel = simulate_panel(ModelSpec.single_factor(5, 0.3, 0.4, seed=3), 3001)
-    taus = (1, 2, 3, 5)
+    taus = (1, 2, 3, 5, 11)
     first = streamed_curves(panel, taus, 5, kind)
     assert np.array_equal(first, dense_curves(panel, taus, 5, kind))
     assert np.array_equal(first, streamed_curves(panel, taus, 5, kind))
 
 
-def test_peak_memory_is_a_fraction_of_the_panel():
+@pytest.mark.parametrize("taus, share", [(DYADIC, 1 / 4), (ONE_TO_16, 1 / 2)])
+def test_peak_memory_is_a_fraction_of_the_panel(taus, share):
+    # the 80 MiB panel spans five 16 MiB chunks, and is shorter than lcm(1..16)
     panel = ReturnPanel(np.random.default_rng(0).normal(size=(20, 1 << 19)))
     tracemalloc.start()
     try:
-        eigencurves_from_panel(panel, DYADIC, top_k=1)
+        eigencurves_from_panel(panel, taus, top_k=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < panel.returns.nbytes / 4
+    assert peak < panel.returns.nbytes * share
