@@ -219,7 +219,8 @@ def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
 def _chunk_length(n_assets: int, taus) -> int:
     # steps per chunk: what fits _CHUNK_BYTES, rounded down to a multiple of
     # lcm(taus) where one fits, so that no block straddles two chunks and no
-    # tail is carried (long-panel's curves: 1.7-1.8 s, 1.9-2.1 s unrounded)
+    # tail is carried (long-panel's curves on 2 cores: 1.7-1.8 s, 1.9-2.1 s
+    # unrounded)
     steps = max(1, _CHUNK_BYTES // (8 * n_assets))
     lcm = math.lcm(*taus)
     return steps // lcm * lcm or steps
@@ -229,7 +230,7 @@ def _block_sums(x: np.ndarray, ratio: int) -> np.ndarray:
     # sums of `ratio` consecutive columns of x, a trailing remainder dropped,
     # with aggregate_returns' bytes (up to the sign of a zero).  numpy adds
     # fewer than 8 terms left to right, which strided adds do in the same
-    # order and faster (long-panel's curves: 1.8-2.1 s, against 3.8-4.0 s
+    # order and faster (long-panel's curves on 2 cores: 1.8-2.1 s, 3.8-4.0 s
     # with the reduction alone); from 8 terms on numpy sums pairwise.
     if ratio == 1:
         return x
