@@ -176,7 +176,9 @@ class ReturnPanel:
             raise ValidationError("returns must be a 2-D (assets x steps) array")
         if arr.shape[1] < 1:
             raise ValidationError("panel must contain at least one time step")
-        if not np.all(np.isfinite(arr)):
+        # NaN propagates through min and max, and an infinity is an extreme,
+        # so this needs no N x T mask; `initial` covers a panel of no assets
+        if not (np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0))):
             raise ValidationError("panel entries must all be finite")
         scale = _integer(self.base_scale, "base_scale")
         labels = tuple(self.asset_labels) or _default_labels(arr.shape[0])
@@ -249,8 +251,9 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
 
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
     stationary_burn_in(alpha, 1e-15).  Generation is chunked along time with a
-    fixed chunk size, so memory stays bounded for long panels without changing
-    the output.
+    fixed chunk size and writes straight into the output panel: beyond the
+    panel, the only memory it takes is one row of a chunk of asset noise and
+    the chunk's F factor rows.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:
@@ -261,21 +264,27 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
     total = burn_in + n_steps
     out = np.empty((spec.n_assets, n_steps))
+    row = np.empty(min(_CHUNK, total))
     state = np.zeros((spec.n_factors, 1))
-    sigma = spec.sigma[:, None]
     factor_sigma = spec.factor_sigma[:, None]
     for start in range(0, total, _CHUNK):
         length = min(_CHUNK, total - start)
-        idio = rng_eps.standard_normal((spec.n_assets, length))
-        idio *= sigma
         shocks = rng_factor.standard_normal((spec.n_factors, length))
         shocks *= factor_sigma
         smoothed, state = _smooth_factors(spec.alpha, shocks, state)
-        keep = max(burn_in - start, 0)
-        if keep >= length:
-            continue
-        chunk = idio[:, keep:]
-        chunk += spec.beta @ smoothed[:, keep:]
-        lo = start + keep - burn_in
-        out[:, lo:lo + (length - keep)] = chunk
+        # the chunk's first `keep` steps are burn-in; a chunk that is all
+        # burn-in gets an empty `dst` but still draws its noise, so the
+        # stream stays where an (N, length) block draw would leave it
+        keep = min(max(burn_in - start, 0), length)
+        lo = max(start - burn_in, 0)
+        dst = out[:, lo:lo + length - keep]
+        np.matmul(spec.beta, smoothed[:, keep:], out=dst)
+        draws = row[:length]
+        for i, sigma in enumerate(spec.sigma):
+            # Philox fills in C order, so row i of the block, drawn alone
+            rng_eps.standard_normal(out=draws)
+            draws *= sigma
+            dst[i] += draws[keep:]
+        # free this chunk's factor rows before the next chunk allocates its own
+        del shocks, smoothed
     return ReturnPanel(out, base_scale=1)

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (ModelSpec, ValidationError, panel_from_innovations,
+from leadlag import (ModelSpec, ReturnPanel, ValidationError, panel_from_innovations,
                      sample_correlation, sample_covariance, simulate_panel,
                      stationary_burn_in, theoretical_covariance)
 from oracles import smallest_power_below, truncated_convolution_panel
@@ -149,11 +150,16 @@ class TestSimulatePanel:
         # across two chunk borders the production simulator equals the one-shot
         # assembly of the same keyed Philox draws, regenerated chunk by chunk
         chunk = 1 << 16
-        for n_factors in (1, 2):
-            beta = np.array([[0.4, -0.3], [0.2, 0.1], [0.6, 0.5]])[:, :n_factors]
-            spec = ModelSpec(3, n_factors, 0.25, [1.0, 0.5, 2.0], [1.5, 0.7][:n_factors], beta,
-                             seed=31)
-            n_steps = 2 * chunk + 123
+        cases = [(1, 0.25, 2), (2, 0.25, 2), (4, 0.25, 2),
+                 # burn-in 69,061 > one chunk: chunk 0 is all burn-in, chunk 1 partly
+                 (1, 0.9995, 1)]
+        for n_factors, alpha, extra_chunks in cases:
+            beta = np.array([[0.4, -0.3, 0.8, -0.1],
+                             [0.2, 0.1, -0.5, 0.3],
+                             [0.6, 0.5, 0.2, -0.7]])[:, :n_factors]
+            spec = ModelSpec(3, n_factors, alpha, [1.0, 0.5, 2.0],
+                             [1.5, 0.7, 0.3, 2.2][:n_factors], beta, seed=31)
+            n_steps = extra_chunks * chunk + 123
             burn = stationary_burn_in(spec.alpha, 1e-15)
             sizes = [min(chunk, burn + n_steps - start)
                      for start in range(0, burn + n_steps, chunk)]
@@ -166,6 +172,30 @@ class TestSimulatePanel:
             expected = panel_from_innovations(spec, idio, shocks, burn_in=burn).returns
             assert len(sizes) == 3
             assert np.array_equal(simulate_panel(spec, n_steps).returns, expected)
+
+    @pytest.mark.parametrize("n_factors", [1, 3])
+    def test_peak_memory_is_the_panel(self, n_factors):
+        # beyond the 80 MiB panel: one row of a chunk and the chunk's factor rows
+        spec = ModelSpec(20, n_factors, 0.3, 1.0, 1.0, 0.2, seed=1)
+        tracemalloc.start()
+        try:
+            panel = simulate_panel(spec, 1 << 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < panel.returns.nbytes * 1.05
+
+
+class TestReturnPanel:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_last_cell(self, value):
+        returns = np.ones((3, 4))
+        returns[-1, -1] = value
+        with pytest.raises(ValidationError, match="panel entries must all be finite"):
+            ReturnPanel(returns)
+
+    def test_accepts_panel_of_no_assets(self):
+        assert ReturnPanel(np.empty((0, 5))).n_steps == 5
 
 
 class TestStationaryBurnIn:
