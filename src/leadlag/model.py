@@ -281,7 +281,8 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
         np.matmul(spec.beta, smoothed[:, keep:], out=dst)
         draws = row[:length]
         for i, sigma in enumerate(spec.sigma):
-            # Philox fills in C order, so row i of the block, drawn alone
+            # Philox fills a block in C order, so row by row the stream is
+            # consumed exactly as by one (N, length) draw
             rng_eps.standard_normal(out=draws)
             draws *= sigma
             dst[i] += draws[keep:]
