@@ -11,7 +11,9 @@ alpha (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
 The profiled residual sum of squares is evaluated on a fixed 41-node grid over
 the box; the slope d rss / d alpha, taken exactly by a complex step, then
 either shows the best node to be a first-order point or brackets the minimum in
-a neighbouring cell, where Brent's method solves for the zero of the slope.
+a neighbouring cell, where Brent's method (Brent, Algorithms for Minimization
+without Derivatives, 1973, ch. 4) solves for the zero of the slope.  `_brent` is
+a step-for-step port of scipy's `brentq`, so the fits keep its iterates.
 Weights are uniform.
 """
 
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError, _integer, _positive, _tau_grid
 from .moments import _attenuation_array
@@ -32,8 +33,11 @@ _ALPHA_MAX = 1.0 - 1e-6
 # coarse grid whose best node locates the global minimum in alpha to one cell
 _ALPHA_GRID = np.linspace(0.0, _ALPHA_MAX, 41)
 _COMPLEX_STEP = 1e-30
-# the smallest relative tolerance brentq accepts
-_RTOL = 4.0 * np.finfo(np.float64).eps
+# Brent stops once the bracket is narrower than _XTOL + _RTOL * |alpha|: four
+# ulps of alpha, the tightest width scipy's brentq accepts.  _XTOL only keeps
+# that width positive at alpha = 0.  Both are Python floats, so the root is too.
+_RTOL = 4.0 * math.ulp(1.0)
+_XTOL = 1e-300
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,61 @@ def _slope(alpha: float, values: np.ndarray, taus: np.ndarray) -> float:
     return float(rss.imag) / _COMPLEX_STEP
 
 
+def _brent(f, xa: float, xb: float, args=(), maxiter: int = 100):
+    # Zero of f in [xa, xb], where f(xa) and f(xb) differ in sign or one is
+    # zero.  Ported statement for statement from scipy's brentq.c, so every
+    # iterate, and the root, is the one scipy.optimize.brentq returns with
+    # xtol=_XTOL and rtol=_RTOL.  xblk is the far end of the bracket, xpre the
+    # previous iterate; each step inverse-interpolates through two points or
+    # three, or bisects when that step would not shrink the bracket fast enough.
+    # Returns (root, function calls, converged).
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre, *args), f(xcur, *args)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls, True
+    if fcur == 0.0:
+        return xcur, calls, True
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                # bisect: the interpolated step is too long
+                spre = scur = sbis
+        else:
+            # bisect: the last step was too short or did not shrink |f|
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = f(xcur, *args)
+        calls += 1
+    return xcur, calls, False
+
+
 def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float = 1.0) -> FitResult:
     """Fit (alpha, amplitude) to one eigenvalue curve.
 
@@ -146,10 +205,8 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
         evaluations += 1
         if slope * _slope(neighbour, values, taus) <= 0.0:
             lo, hi = sorted((alpha, neighbour))
-            alpha, root = brentq(_slope, lo, hi, args=(values, taus), xtol=1e-300,
-                                 rtol=_RTOL, full_output=True, disp=False)
-            evaluations += root.function_calls
-            converged = root.converged
+            alpha, calls, converged = _brent(_slope, lo, hi, (values, taus))
+            evaluations += calls
         else:
             converged = False
     rss, amplitude = _profiled_rss(values, taus, alpha)

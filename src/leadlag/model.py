@@ -16,15 +16,20 @@ stationary regime.
 Draws come from counter-based Philox streams keyed by (seed, stream id), so
 the asset-noise and factor-noise streams are independent and the output is
 bit-reproducible for a given spec.
+
+The recursion for S_f runs one step at a time in plain floating point, as the
+direct-form IIR filter scipy.signal.lfilter runs it, so the panels carry that
+filter's rounding.  Between chunks it carries the filter's state, alpha * S_f
+of the last step, which the next chunk's first step adds unscaled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ValidationError, _alpha, _integer
 
@@ -218,8 +223,18 @@ def stationary_burn_in(alpha: float, tolerance: float) -> int:
 
 
 def _smooth_factors(alpha: float, shocks: np.ndarray, state: np.ndarray):
-    # S(t) = R(t) + alpha * S(t-1), continued across chunks via lfilter state
-    return lfilter([1.0], [1.0, -alpha], shocks, axis=1, zi=state)
+    # S(t) = R(t) + alpha * S(t-1) along each row of the C-contiguous (F, T)
+    # `shocks`, overwritten in place.  `state` (F, 1) follows lfilter's `zi`
+    # convention: alpha * S of the step before the chunk, added unscaled to the
+    # first step; the returned state is that of the chunk's last step.  The
+    # memoryview and fromiter build no Python list as long as the chunk.
+    def step(previous, shock):
+        return shock + alpha * previous
+
+    for row, incoming in zip(shocks, state[:, 0]):
+        row[0] += incoming
+        row[:] = np.fromiter(accumulate(memoryview(row), step), np.float64, row.size)
+    return shocks, alpha * shocks[:, -1:]
 
 
 def panel_from_innovations(spec: ModelSpec, idio: np.ndarray, shocks: np.ndarray,
@@ -233,8 +248,9 @@ def panel_from_innovations(spec: ModelSpec, idio: np.ndarray, shocks: np.ndarray
     compared against the recursive state on shared draws.
     """
     idio = np.asarray(idio, dtype=np.float64)
-    shocks = np.asarray(shocks, dtype=np.float64)
-    if idio.shape != (spec.n_assets, idio.shape[1]) or idio.ndim != 2:
+    # a C-ordered copy: the recursion overwrites it, and the caller's array stays
+    shocks = np.array(shocks, dtype=np.float64, order="C")
+    if idio.ndim != 2 or idio.shape[0] != spec.n_assets:
         raise ValidationError("idio must be an (n_assets, total_steps) array")
     if shocks.shape != (spec.n_factors, idio.shape[1]):
         raise ValidationError("shocks must be an (n_factors, total_steps) array")

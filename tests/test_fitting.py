@@ -1,13 +1,17 @@
+import inspect
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from leadlag import (EigenCurve, ValidationError, attenuation, factor_eigencurve,
                      fit_eigencurve, relaxation_time)
-from leadlag.fitting import _ALPHA_MAX, _profiled_rss, _slope
+from leadlag.fitting import (_ALPHA_GRID, _ALPHA_MAX, _RTOL, _XTOL, _brent, _profiled_rss,
+                             _slope)
 from leadlag.moments import _attenuation_array
 
 DYADIC = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -157,6 +161,107 @@ class TestFitEigencurve:
         values = _attenuation_array(1.0 - 1e-6, taus)
         assert np.all(values > 0.0)
         assert np.all(np.diff(values) < 0.0)
+
+
+def recorded(f):
+    # f, and the list of the points it is called at
+    points = []
+
+    def call(x, *args):
+        points.append(x)
+        return f(x, *args)
+
+    return call, points
+
+
+def scipy_brent(f, a, b, args=(), maxiter=100):
+    # the reference: ((root, function calls, converged), points evaluated)
+    f, points = recorded(f)
+    root, info = brentq(f, a, b, args=args, xtol=_XTOL, rtol=_RTOL, maxiter=maxiter,
+                        full_output=True, disp=False)
+    return (root, info.function_calls, info.converged), points
+
+
+def port_brent(f, a, b, args=(), maxiter=100):
+    f, points = recorded(f)
+    return _brent(f, a, b, args, maxiter), points
+
+
+def same_solve(ours, reference):
+    # root bits, call count, convergence flag and every evaluated point agree
+    (root, calls, converged), points = ours
+    (ref_root, ref_calls, ref_converged), ref_points = reference
+    assert type(root) is float
+    assert root.hex() == ref_root.hex()
+    assert (calls, converged) == (ref_calls, ref_converged)
+    assert [x.hex() for x in points] == [float(x).hex() for x in ref_points]
+
+
+def branches_taken(f, a, b, maxiter=100):
+    # the branch comments of _brent's source whose next statement ran, and the
+    # statements that ran, on one call
+    lines, first = inspect.getsourcelines(_brent)
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _brent.__code__:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno - first)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        _brent(f, a, b, maxiter=maxiter)
+    finally:
+        sys.settrace(previous)
+    return {lines[i].strip() for i in ran} | {lines[i - 1].strip() for i in ran}
+
+
+class TestBrentAgainstScipy:
+    def test_fitter_slope_on_noiseless_and_noisy_curves(self):
+        rng = np.random.default_rng(11)
+        curves = [factor_eigencurve(533, gamma, alpha, DYADIC).values
+                  for gamma in (0.01, 0.03, 0.17, 0.6)
+                  for alpha in (0.0, 0.02, 0.05, 0.1, 0.16, 0.25, 0.3, 0.4, 0.5, 0.6,
+                                0.75, 0.85, 0.9, 0.95, 0.97, 0.99)]
+        curves += [clean * np.exp(rng.normal(0.0, 0.05, len(DYADIC)))
+                   for clean in curves for _ in range(2)]
+        taus = np.array(DYADIC, dtype=float)
+        solves = 0
+        for values in curves:
+            values = values / values.max()
+            slopes = [_slope(float(a), values, taus) for a in _ALPHA_GRID]
+            for i in range(_ALPHA_GRID.size - 1):
+                # every cell the slope brackets, not only the one the fit picks
+                if slopes[i] * slopes[i + 1] <= 0.0:
+                    lo, hi = float(_ALPHA_GRID[i]), float(_ALPHA_GRID[i + 1])
+                    args = (values, taus)
+                    same_solve(port_brent(_slope, lo, hi, args),
+                               scipy_brent(_slope, lo, hi, args))
+                    solves += 1
+        # about one bracketed cell per curve; the alpha = 0 curves may have none
+        assert solves >= 150
+
+    @pytest.mark.parametrize("f, a, b, maxiter, branch", [
+        (lambda x: x - 0.25, 0.25, 1.0, 100, "return xpre, calls, True"),
+        (lambda x: x - 1.0, 0.25, 1.0, 100, "return xcur, calls, True"),
+        (lambda x: x - 0.3, 0.0, 1.0, 100, "# interpolate"),
+        (lambda x: math.expm1(3.0 * (x - 0.4)), 0.0, 1.0, 100, "# extrapolate"),
+        (lambda x: x**3 - 0.2, 0.0, 1.0, 100, "# bisect: the interpolated step is too long"),
+        (lambda x: -1.0 if x < 0.3 else 1.0, 0.0, 1.0, 100,
+         "# bisect: the last step was too short or did not shrink |f|"),
+        (lambda x: x**15 - 0.5, 0.0, 1.0, 100, "xcur += delta if sbis > 0 else -delta"),
+        # the product of the end values underflows to -0.0: the bracket test
+        # reads the signs, as scipy's does
+        (lambda x: 1e-200 * (x - 0.3), 0.0, 1.0, 100, "# interpolate"),
+        (lambda x: x**3 - 0.2, 0.0, 1.0, 3, "return xcur, calls, False"),
+    ], ids=["root-at-a", "root-at-b", "interpolation", "extrapolation", "forced-bisection",
+            "slow-bisection", "minimal-step", "tiny-values", "budget-exhausted"])
+    def test_every_branch(self, f, a, b, maxiter, branch):
+        assert branch in branches_taken(f, a, b, maxiter)
+        same_solve(port_brent(f, a, b, maxiter=maxiter), scipy_brent(f, a, b, maxiter=maxiter))
 
 
 class TestEigenCurveValidation:

@@ -1,9 +1,12 @@
-"""The package's import graph, read from its source, has no cycle, and every
-name a module exports exists."""
+"""The package's import graph, read from its source, has no cycle, every
+name a module exports exists, and the runtime needs numpy alone."""
 
 import ast
 import graphlib
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,6 +64,42 @@ def test_only_panel_io_imports_csv():
     # numeric rows are read by numpy alone; csv is left for the panel header
     users = {path.stem for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)}
     assert users == {"panel_io"}
+
+
+def test_no_module_imports_scipy():
+    users = {path.stem for path in PACKAGE.glob("*.py") if "scipy" in absolute_imports(path)}
+    assert not users
+
+
+# a tiny run of every subcommand, in one fresh interpreter
+_CLI_RUN = """
+import sys
+from pathlib import Path
+from leadlag.cli import main
+
+out = Path(sys.argv[1])
+runs = [
+    ["simulate", "--assets", "3", "--alpha", "0.3", "--gamma", "0.2", "--steps", "256",
+     "--out", str(out / "panel.csv")],
+    ["spectrum", "--in", str(out / "panel.csv"), "--taus", "1,2,4,8", "--top-k", "1",
+     "--out", str(out / "curves.json")],
+    ["fit", "--in", str(out / "curves.json"), "--out", str(out / "fits.json")],
+    ["plot", "--curves", str(out / "curves.json"), "--fits", str(out / "fits.json"),
+     "--out-dir", str(out / "plots")],
+    ["reproduce", "--assets", "8", "--steps", "512", "--taus", "1,2,4,8",
+     "--out-dir", str(out / "report")],
+]
+codes = [main(argv) for argv in runs]
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _CLI_RUN, str(tmp_path)], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 
 
 # __main__ runs the command line when imported

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from leadlag import (ModelSpec, ReturnPanel, ValidationError, panel_from_innovations,
                      sample_correlation, sample_covariance, simulate_panel,
                      stationary_burn_in, theoretical_covariance)
+from leadlag.model import _smooth_factors
 from oracles import smallest_power_below, truncated_convolution_panel
 
 
@@ -184,6 +186,44 @@ class TestSimulatePanel:
         finally:
             tracemalloc.stop()
         assert peak < panel.returns.nbytes * 1.05
+
+
+class TestPanelFromInnovations:
+    @pytest.mark.parametrize("idio", [np.zeros(5), np.float64(0)], ids=["1-D", "0-D"])
+    def test_idio_must_be_2d(self, idio):
+        with pytest.raises(ValidationError, match="idio"):
+            panel_from_innovations(one_factor(n=3), idio, np.zeros((1, 5)))
+
+    @pytest.mark.parametrize("shocks", [np.zeros(5), np.float64(0)], ids=["1-D", "0-D"])
+    def test_shocks_must_be_2d(self, shocks):
+        with pytest.raises(ValidationError, match="shocks"):
+            panel_from_innovations(one_factor(n=3), np.zeros((3, 5)), shocks)
+
+    def test_caller_arrays_are_unchanged(self):
+        # the recursion runs in place on a copy of the shocks
+        rng = np.random.default_rng(3)
+        idio, shocks = rng.standard_normal((3, 50)), rng.standard_normal((1, 50))
+        before = idio.copy(), shocks.copy()
+        panel_from_innovations(one_factor(n=3), idio, shocks)
+        assert np.array_equal(idio, before[0]) and np.array_equal(shocks, before[1])
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.16, 0.9995, 1 - 1e-6])
+@pytest.mark.parametrize("n_factors", [1, 4])
+def test_smooth_factors_is_lfilter_bit_for_bit(alpha, n_factors):
+    # rows and returned state, from a nonzero incoming state and through two
+    # chunks chained by the state
+    rng = np.random.default_rng(17)
+    shocks = rng.standard_normal((n_factors, 5000))
+    state = rng.standard_normal((n_factors, 1))
+    first, middle = _smooth_factors(alpha, shocks[:, :3000].copy(), state)
+    expected, expected_middle = lfilter([1.0], [1.0, -alpha], shocks[:, :3000], zi=state)
+    assert first.tobytes() == expected.tobytes()
+    assert middle.tobytes() == expected_middle.tobytes()
+    second, last = _smooth_factors(alpha, shocks[:, 3000:].copy(), middle)
+    whole, expected_last = lfilter([1.0], [1.0, -alpha], shocks, zi=state)
+    assert np.hstack([first, second]).tobytes() == whole.tobytes()
+    assert last.tobytes() == expected_last.tobytes()
 
 
 class TestReturnPanel:
