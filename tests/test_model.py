@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.signal import lfilter
 
 from leadlag import (ModelSpec, ReturnPanel, ValidationError, panel_from_innovations,
-                     sample_correlation, sample_covariance, simulate_panel,
-                     stationary_burn_in, theoretical_covariance)
+                     sample_correlation, simulate_panel, stationary_burn_in,
+                     theoretical_covariance)
 from leadlag.model import _smooth_factors
+from leadlag.moments import _scale_covariances
 from oracles import smallest_power_below, truncated_convolution_panel
 
 
@@ -107,15 +108,17 @@ class TestSimulatePanel:
         assert np.all(np.abs(means) < 5.0 / math.sqrt(1_000_000))
 
     def test_monte_carlo_covariance_matches_closed_form(self):
-        # N=10 one-factor (beta=0.5 -> gamma=0.25) at tau=1: sample covariance
-        # within 3 standard errors of the closed form
+        # N=10 one-factor (beta=0.5 -> gamma=0.25) at tau=1: each of the 55
+        # unique entries of the sample covariance lies within 4.3 standard
+        # errors of the closed form, a family-wise false-alarm rate near 1e-3.
+        # The streamed estimator makes no centered copy of the 320 MB panel.
         spec = one_factor(n=10, gamma=0.25, alpha=0.3, seed=23)
-        panel = simulate_panel(spec, 1_000_000)
-        sample = sample_covariance(panel).values
+        n_obs = 4_000_000
+        sample = _scale_covariances(simulate_panel(spec, n_obs).returns, (1,))[0]
         theory = theoretical_covariance(spec, 1).values
-        n_obs = panel.n_steps
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n_obs)
-        assert np.max(np.abs(sample - theory) / se) < 3.0
+        upper = np.triu_indices(spec.n_assets)
+        assert np.max(np.abs(sample - theory)[upper] / se[upper]) < 4.3
 
     def test_stationarity_first_and_second_half_agree(self):
         spec = one_factor(n=6, gamma=0.3, alpha=0.4, seed=17)
