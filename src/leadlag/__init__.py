@@ -10,16 +10,15 @@ curves.
 
 from .errors import ConvergenceError, DataError, ValidationError
 from .fitting import EigenCurve, FitResult, fit_eigencurve, relaxation_time
-from .model import (ModelSpec, ReturnPanel, panel_from_innovations,
-                    simulate_panel, stationary_burn_in)
+from .model import ModelSpec, ReturnPanel, simulate_panel, stationary_burn_in
 from .moments import (ScaleMatrix, aggregate_returns, attenuation,
                       factor_variance_sum, sample_correlation,
                       sample_covariance, theoretical_correlation,
                       theoretical_covariance)
 from .panel_io import (load_curves, load_fits, load_panel, save_curves,
                        save_fits, save_panel)
-from .pipeline import (DYADIC_TAUS, eigencurves_from_panel, fit_curves,
-                       reproduce_report)
+from .pipeline import (DYADIC_TAUS, eigencurves_from_model,
+                       eigencurves_from_panel, fit_curves, reproduce_report)
 from .spectral import (LoadingMatrix, LoadingVector, Spectrum,
                        correlation_loading, dense_eigenvalues,
                        factor_eigencurve, factor_eigenvalues,
@@ -32,8 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError", "DataError", "ValidationError",
-    "ModelSpec", "ReturnPanel", "simulate_panel", "panel_from_innovations",
-    "stationary_burn_in",
+    "ModelSpec", "ReturnPanel", "simulate_panel", "stationary_burn_in",
     "ScaleMatrix", "factor_variance_sum", "attenuation",
     "theoretical_covariance", "theoretical_correlation", "aggregate_returns",
     "sample_covariance", "sample_correlation",
@@ -45,7 +43,8 @@ __all__ = [
     "EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time",
     "load_panel", "save_panel", "save_curves", "load_curves", "save_fits",
     "load_fits",
-    "DYADIC_TAUS", "eigencurves_from_panel", "fit_curves", "reproduce_report",
+    "DYADIC_TAUS", "eigencurves_from_model", "eigencurves_from_panel", "fit_curves",
+    "reproduce_report",
     "render_eigencurve",
     "__version__",
 ]

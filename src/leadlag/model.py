@@ -14,8 +14,13 @@ initialization is generated and discarded, which puts the emitted panel in the
 stationary regime.
 
 Draws come from counter-based Philox streams keyed by (seed, stream id), so
-the asset-noise and factor-noise streams are independent and the output is
-bit-reproducible for a given spec.
+the streams are independent and the output is bit-reproducible for a given
+spec.  The factor shocks use stream 1, the loadings that
+`ModelSpec.orthogonal_factors` draws stream 2, and asset i's noise stream
+3 + i.  Idiosyncratic noise carries no state, so it is drawn for the emitted
+steps only, and each asset's stream runs on by itself.  The factor terms are
+matrix products of fixed tiles of a chunk.  So time slices of the panel can
+be emitted in any block length, with the same bytes.
 
 The recursion for S_f runs one step at a time in plain floating point, as the
 direct-form IIR filter scipy.signal.lfilter runs it, so the panels carry that
@@ -37,14 +42,14 @@ __all__ = [
     "ModelSpec",
     "ReturnPanel",
     "simulate_panel",
-    "panel_from_innovations",
     "stationary_burn_in",
 ]
 
-_EPS_STREAM = 0
 _FACTOR_STREAM = 1
 _BETA_STREAM = 2
-_CHUNK = 1 << 16  # fixed so chunked generation is reproducible
+_ASSET_STREAM = 3  # asset i draws its noise from stream 3 + i
+_CHUNK = 1 << 16  # factor shocks are drawn in chunks of this many steps
+_TILE = 256  # steps per matrix product of factor terms, fixed within a chunk
 _SEED_MAX = 2**64 - 1
 
 
@@ -237,71 +242,85 @@ def _smooth_factors(alpha: float, shocks: np.ndarray, state: np.ndarray):
     return shocks, alpha * shocks[:, -1:]
 
 
-def panel_from_innovations(spec: ModelSpec, idio: np.ndarray, shocks: np.ndarray,
-                           burn_in: int = 0) -> ReturnPanel:
-    """Assemble a panel from explicit innovation draws.
+def _factor_terms(dst: np.ndarray, beta: np.ndarray, smoothed: np.ndarray, first: int,
+                  tile: np.ndarray):
+    # dst = beta @ smoothed[:, first:first + dst's width], each column taken
+    # from the product of the whole _TILE-column tile of the chunk that holds
+    # it.  BLAS rounds a column by where it falls in the call, so one fixed
+    # call per tile keeps every cell's bits wherever dst starts and ends;
+    # `tile` is (N, _TILE) scratch for the tiles dst cuts.
+    width = dst.shape[1]
+    for t0 in range(first - first % _TILE, first + width, _TILE):
+        t1 = min(t0 + _TILE, smoothed.shape[1])
+        lo, hi = max(t0, first), min(t1, first + width)
+        if (lo, hi) == (t0, t1):
+            np.matmul(beta, smoothed[:, t0:t1], out=dst[:, t0 - first:t1 - first])
+        else:
+            product = tile[:, :t1 - t0]
+            np.matmul(beta, smoothed[:, t0:t1], out=product)
+            dst[:, lo - first:hi - first] = product[:, lo - t0:hi - t0]
 
-    `idio` is (N, T) idiosyncratic noise (already scaled by sigma), `shocks`
-    is (F, T) factor innovations (already scaled by factor_sigma).  The first
-    `burn_in` columns are consumed by the recursion and dropped from the
-    output.  Exposed so alternative realizations of the lag sum can be
-    compared against the recursive state on shared draws.
+
+def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
+                    out: np.ndarray | None = None):
+    """Yield the (N, <= length) blocks of the n_steps emitted steps, in order.
+
+    With `out`, the (N, n_steps) panel, each block is a view of it; without,
+    every block is a view of one buffer, which the next block overwrites.
+    Asset i draws its noise from its own keyed stream from the first emitted
+    step on.  The factor shocks are drawn in _CHUNK-step chunks from the first
+    burn-in step on, and their terms beta @ S are products of fixed tiles of a
+    chunk, so no cell depends on `length`.
     """
-    idio = np.asarray(idio, dtype=np.float64)
-    # a C-ordered copy: the recursion overwrites it, and the caller's array stays
-    shocks = np.array(shocks, dtype=np.float64, order="C")
-    if idio.ndim != 2 or idio.shape[0] != spec.n_assets:
-        raise ValidationError("idio must be an (n_assets, total_steps) array")
-    if shocks.shape != (spec.n_factors, idio.shape[1]):
-        raise ValidationError("shocks must be an (n_factors, total_steps) array")
-    if _integer(burn_in, "burn_in", minimum=0) >= idio.shape[1]:
-        raise ValidationError("burn_in must leave at least one emitted step")
+    assets = [_keyed_rng(spec.seed, _ASSET_STREAM + i) for i in range(spec.n_assets)]
+    rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
+    width = min(length, n_steps)
+    buffer = np.empty((spec.n_assets, width)) if out is None else None
+    draws = np.empty(width)
+    tile = np.empty((spec.n_assets, _TILE))
     state = np.zeros((spec.n_factors, 1))
-    smoothed, _ = _smooth_factors(spec.alpha, shocks, state)
-    panel = idio + spec.beta @ smoothed
-    return ReturnPanel(panel[:, burn_in:], base_scale=1)
+    factor_sigma = spec.factor_sigma[:, None]
+    # the factor rows of the chunk that ends before emitted step `end`
+    smoothed, end = None, -burn_in
+    for lo in range(0, n_steps, length):
+        hi = min(lo + length, n_steps)
+        block = buffer[:, :hi - lo] if out is None else out[:, lo:hi]
+        start = lo
+        while start < hi:
+            if start >= end:
+                smoothed = None  # free this chunk's rows before the next is drawn
+                smoothed = rng_factor.standard_normal((spec.n_factors, min(_CHUNK, n_steps - end)))
+                smoothed *= factor_sigma
+                smoothed, state = _smooth_factors(spec.alpha, smoothed, state)
+                end += smoothed.shape[1]
+                continue
+            # the steps [start, stop) share one factor chunk
+            stop = min(end, hi)
+            _factor_terms(block[:, start - lo:stop - lo], spec.beta, smoothed,
+                          start - end + smoothed.shape[1], tile)
+            start = stop
+        noise = draws[:hi - lo]
+        for rng, sigma, row in zip(assets, spec.sigma, block):
+            rng.standard_normal(out=noise)
+            noise *= sigma
+            row += noise
+        yield block
 
 
 def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) -> ReturnPanel:
     """Simulate a stationary (N, n_steps) return panel from the model.
 
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
-    stationary_burn_in(alpha, 1e-15).  Generation is chunked along time with a
-    fixed chunk size and writes straight into the output panel: beyond the
-    panel, the only memory it takes is one row of a chunk of asset noise and
-    the chunk's F factor rows.
+    stationary_burn_in(alpha, 1e-15).  Generation runs in blocks of time
+    steps written straight into the output panel: beyond the panel, the only
+    memory it takes is one row of scratch, an (N, 256) tile and a chunk's F
+    factor rows.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:
         burn_in = stationary_burn_in(spec.alpha, 1e-15)
     burn_in = _integer(burn_in, "burn_in", minimum=0)
-
-    rng_eps = _keyed_rng(spec.seed, _EPS_STREAM)
-    rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
-    total = burn_in + n_steps
     out = np.empty((spec.n_assets, n_steps))
-    row = np.empty(min(_CHUNK, total))
-    state = np.zeros((spec.n_factors, 1))
-    factor_sigma = spec.factor_sigma[:, None]
-    for start in range(0, total, _CHUNK):
-        length = min(_CHUNK, total - start)
-        shocks = rng_factor.standard_normal((spec.n_factors, length))
-        shocks *= factor_sigma
-        smoothed, state = _smooth_factors(spec.alpha, shocks, state)
-        # the chunk's first `keep` steps are burn-in; a chunk that is all
-        # burn-in gets an empty `dst` but still draws its noise, so the
-        # stream stays where an (N, length) block draw would leave it
-        keep = min(max(burn_in - start, 0), length)
-        lo = max(start - burn_in, 0)
-        dst = out[:, lo:lo + length - keep]
-        np.matmul(spec.beta, smoothed[:, keep:], out=dst)
-        draws = row[:length]
-        for i, sigma in enumerate(spec.sigma):
-            # Philox fills a block in C order, so row by row the stream is
-            # consumed exactly as by one (N, length) draw
-            rng_eps.standard_normal(out=draws)
-            draws *= sigma
-            dst[i] += draws[keep:]
-        # free this chunk's factor rows before the next chunk allocates its own
-        del shocks, smoothed
+    for _ in _emitted_blocks(spec, n_steps, burn_in, _CHUNK, out):
+        pass
     return ReturnPanel(out, base_scale=1)

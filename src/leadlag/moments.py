@@ -27,6 +27,7 @@ of `spectral.loading_matrix`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,31 +244,38 @@ def _block_sums(x: np.ndarray, ratio: int) -> np.ndarray:
     return sums
 
 
-def _scale_covariances(returns: np.ndarray, taus) -> list[np.ndarray]:
-    """Sample covariance of the tau-aggregated rows of `returns` for each
-    tau of the ascending grid `taus`, in one pass over time chunks.
+def _panel_chunks(returns: np.ndarray, taus) -> Iterator[np.ndarray]:
+    # the engine's chunks of a panel in memory: views of _chunk_length columns
+    length = _chunk_length(returns.shape[0], taus)
+    return (returns[:, start:start + length] for start in range(0, returns.shape[1], length))
+
+
+def _scale_covariances(chunks: Iterable[np.ndarray], taus) -> list[np.ndarray]:
+    """Sample covariance of the tau-aggregated rows of a panel for each tau
+    of the ascending grid `taus`, in one pass over `chunks`, the panel's
+    consecutive (N, <= _chunk_length) column blocks.
 
     Equals sample_covariance(aggregate_returns(panel, tau)) to rounding, and
     every tau must leave at least two blocks.  Within a chunk a scale's block
     sums are summed from those of the largest earlier grid scale dividing it
     (the dyadic cascade on the dyadic ladder), and are dropped once the last
     scale summed from them is done.  Blocks start at multiples of tau, so
-    floor(T / tau) of them survive: chunks are multiples of lcm(taus) where
-    that fits the budget, and otherwise each tau carries the few source sums
-    that end a chunk into the next one.  Across chunks the count, means and
-    centered cross-products merge by the pairwise update of Chan, Golub and
-    LeVeque (1979).  A panel that fits in one chunk gets the dense path's
-    bytes at tau = 1 and at every tau summed straight from the base steps.
+    floor(T / tau) of them survive: chunks of _chunk_length steps are
+    multiples of lcm(taus) where that fits the budget, and otherwise each tau
+    carries the few source sums that end a chunk into the next one.  Across
+    chunks the count, means and centered cross-products merge by the pairwise
+    update of Chan, Golub and LeVeque (1979).  A panel that fits in one chunk
+    gets the dense path's bytes at tau = 1 and at every tau summed straight
+    from the base steps.  Nothing here keeps a view of a chunk, so its memory
+    may be reused for the next one.
     """
-    n, t = returns.shape
-    length = _chunk_length(n, taus)
     sources = {tau: max(s for s in (1, *taus[:i]) if tau % s == 0)
                for i, tau in enumerate(taus)}
     last_use = {source: tau for tau, source in sources.items()}
     tails = {}  # tau -> its source's sums left over at the end of the last chunk
     states = {tau: None for tau in taus}  # (count, mean, cross-product)
-    for start in range(0, t, length):
-        sums = {1: returns[:, start:start + length]}
+    for chunk in chunks:
+        sums = {1: chunk}
         for tau in taus:
             source = sources[tau]
             x = sums.pop(source) if last_use[source] == tau else sums[source]

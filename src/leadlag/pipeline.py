@@ -13,9 +13,11 @@ import numpy as np
 
 from .errors import DataError, ValidationError, _integer, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
-from .model import ModelSpec, simulate_panel
-from .moments import ScaleMatrix, _correlation, _scale_covariances
+from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
+from .moments import (ScaleMatrix, _chunk_length, _correlation, _panel_chunks,
+                      _scale_covariances)
 # not called here; benchmark/tracing.py wraps these names in this module
+from .model import simulate_panel  # noqa: F401
 from .moments import aggregate_returns, sample_correlation  # noqa: F401
 from .panel_io import save_curves, save_fits, _atomic_write_text, _dump
 from .spectral import dense_eigenvalues
@@ -24,6 +26,7 @@ from .svgplot import render_eigencurve
 __all__ = [
     "DYADIC_TAUS",
     "REFERENCE_STRENGTHS",
+    "eigencurves_from_model",
     "eigencurves_from_panel",
     "fit_curves",
     "reproduce_report",
@@ -38,16 +41,38 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _top_eigenvalues(panel, taus, top_k: int, kind: str) -> np.ndarray:
-    # (n_taus, top_k): the leading eigenvalues at every scale, from one chunked
-    # pass over the panel
+def _checked_request(taus, top_k, kind, n_assets: int, n_steps: int):
+    # the validated (taus, top_k) of curves from an (n_assets, n_steps) panel
+    taus = tuple(_tau_grid(taus, "tau grid").tolist())
+    if kind not in ("correlation", "covariance"):
+        raise ValidationError("kind must be 'correlation' or 'covariance'")
+    top_k = _integer(top_k, "top_k")
+    if top_k > n_assets:
+        raise ValidationError("top_k must lie between 1 and the number of assets")
+    too_long = [t for t in taus if n_steps // t < 2]
+    if too_long:
+        raise DataError(
+            "aggregation scale(s) exceed usable series length: "
+            + ", ".join(str(t) for t in too_long)
+        )
+    return taus, top_k
+
+
+def _eigencurves(chunks, taus, top_k: int, kind: str, labels,
+                 base_scale: int) -> list[EigenCurve]:
+    # the top-k curves, from the leading eigenvalues at every scale, which one
+    # pass over the panel's column chunks gives
     rows = []
-    for tau, cov in zip(taus, _scale_covariances(panel.returns, taus)):
+    for tau, cov in zip(taus, _scale_covariances(chunks, taus)):
         if kind == "correlation":
-            cov = _correlation(cov, panel.asset_labels)
-        matrix = ScaleMatrix(cov, scale=panel.base_scale * tau, kind=kind)
+            cov = _correlation(cov, labels)
+        matrix = ScaleMatrix(cov, scale=base_scale * tau, kind=kind)
         rows.append(dense_eigenvalues(matrix).eigenvalues[:top_k])
-    return np.vstack(rows)
+    stacked = np.vstack(rows)
+    return [
+        EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
+        for r in range(top_k)
+    ]
 
 
 def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
@@ -58,24 +83,24 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
     Raises DataError listing any grid scales that leave fewer than two
     aggregated observations.
     """
-    taus = tuple(_tau_grid(taus, "tau grid").tolist())
-    if kind not in ("correlation", "covariance"):
-        raise ValidationError("kind must be 'correlation' or 'covariance'")
-    top_k = _integer(top_k, "top_k")
-    if top_k > panel.n_assets:
-        raise ValidationError("top_k must lie between 1 and the number of assets")
-    too_long = [t for t in taus if panel.n_steps // t < 2]
-    if too_long:
-        raise DataError(
-            "aggregation scale(s) exceed usable series length: "
-            + ", ".join(str(t) for t in too_long)
-        )
+    taus, top_k = _checked_request(taus, top_k, kind, panel.n_assets, panel.n_steps)
+    return _eigencurves(_panel_chunks(panel.returns, taus), taus, top_k, kind,
+                        panel.asset_labels, panel.base_scale)
 
-    stacked = _top_eigenvalues(panel, taus, top_k, kind)
-    return [
-        EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
-        for r in range(top_k)
-    ]
+
+def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
+                           top_k: int = 4, kind: str = "correlation") -> list[EigenCurve]:
+    """The curves of eigencurves_from_panel(simulate_panel(spec, n_steps)),
+    bit for bit, with no panel built.
+
+    The simulator emits the panel's steps chunk by chunk into the engine, so
+    memory is a few chunks (16 MiB each), whatever n_steps is.
+    """
+    n_steps = _integer(n_steps, "n_steps")
+    taus, top_k = _checked_request(taus, top_k, kind, spec.n_assets, n_steps)
+    chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha, 1e-15),
+                             _chunk_length(spec.n_assets, taus))
+    return _eigencurves(chunks, taus, top_k, kind, _default_labels(spec.n_assets), 1)
 
 
 def fit_curves(curves, n_assets: int,
@@ -103,9 +128,10 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
                      log_x: bool = True) -> dict:
     """Run the canonical synthetic scenario end to end and write a report.
 
-    Simulates a multi-factor panel with orthogonal factors of the given
-    strengths, computes correlation eigencurves on the scale grid, fits each
-    rank, renders fit overlays as SVG, and emits a parameter-recovery table
+    Simulates a multi-factor model with orthogonal factors of the given
+    strengths straight into correlation eigencurves on the scale grid
+    (eigencurves_from_model: no panel is built), fits each rank, renders fit
+    overlays as SVG, and emits a parameter-recovery table
     plus the no-memory counterfactual: with alpha forced to 0 the top
     eigenvalue would sit at n_assets * strength_1 at every scale, against the
     tau -> infinity limit n_assets * strength_1 / (1 - alpha)^2 of the fitted
@@ -124,9 +150,9 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
         raise ValidationError("strengths must be given in descending order")
 
     spec = ModelSpec.orthogonal_factors(n_assets, strengths, alpha, seed=seed)
-    panel = simulate_panel(spec, n_steps)
-    n_assets, n_steps, seed = spec.n_assets, panel.n_steps, spec.seed
-    curves = eigencurves_from_panel(panel, taus, top_k=len(strengths), kind="correlation")
+    n_assets, n_steps, seed = spec.n_assets, _integer(n_steps, "n_steps"), spec.seed
+    curves = eigencurves_from_model(spec, n_steps, taus, top_k=len(strengths),
+                                    kind="correlation")
     save_curves(curves, out_dir / "curves.json", n_assets=n_assets)
 
     fitted = fit_curves(curves, n_assets)

@@ -5,10 +5,16 @@ package: truncated lag sums are evaluated term by term (with prefix sums for
 speed), covariances are assembled from the raw double sum over block
 offsets, and loading spectra come from the explicitly built matrix, the
 equal-loading closed form or an LU determinant.  These stay the reference side
-of every dual-route check.
+of every dual-route check.  The one-piece panel assembly reuses the package's
+factor recursion, which its own test pins to scipy's lfilter bit for bit, and
+none of the simulator's blocks.
 """
 
 import numpy as np
+
+from leadlag import ValidationError
+from leadlag.errors import _integer
+from leadlag.model import _smooth_factors
 
 
 def smoothing_accumulation(alpha: float, tau: int, depth: int = 10_000) -> float:
@@ -41,6 +47,35 @@ def covariance_oracle(spec, tau: int, depth: int = 10_000) -> np.ndarray:
     cov = weight * (scaled @ scaled.T)
     cov[np.diag_indices_from(cov)] += tau * spec.sigma**2
     return cov
+
+
+def panel_from_innovations(spec, idio: np.ndarray, shocks: np.ndarray,
+                           burn_in: int = 0) -> np.ndarray:
+    """The (N, T) panel of explicit innovation draws, in one piece.
+
+    `idio` is the (N, T) idiosyncratic noise of the emitted steps (already
+    scaled by sigma), `shocks` the (F, burn_in + T) factor innovations
+    (already scaled by factor_sigma), whose first `burn_in` columns only feed
+    the recursion.  The factor terms beta @ S are the products of the
+    256-column tiles of each 65,536-step chunk of the shocks: the calls that
+    fix the simulator's rounding, whatever blocks it emits.
+    """
+    idio = np.asarray(idio, dtype=np.float64)
+    # a C-ordered copy: the recursion overwrites it, and the caller's array stays
+    shocks = np.array(shocks, dtype=np.float64, order="C")
+    if idio.ndim != 2 or idio.shape[0] != spec.n_assets:
+        raise ValidationError("idio must be an (n_assets, n_steps) array")
+    burn_in = _integer(burn_in, "burn_in", minimum=0)
+    total = burn_in + idio.shape[1]
+    if shocks.shape != (spec.n_factors, total):
+        raise ValidationError("shocks must be an (n_factors, burn_in + n_steps) array")
+    smoothed, _ = _smooth_factors(spec.alpha, shocks, np.zeros((spec.n_factors, 1)))
+    chunk, tile = 1 << 16, 256
+    terms = np.hstack([spec.beta @ smoothed[:, start:min(start + tile, end)]
+                       for first in range(0, total, chunk)
+                       for end in [min(first + chunk, total)]
+                       for start in range(first, end, tile)])
+    return idio + terms[:, burn_in:]
 
 
 def truncated_convolution_panel(spec, idio: np.ndarray, shocks: np.ndarray,

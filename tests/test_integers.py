@@ -15,9 +15,8 @@ from leadlag import (DataError, EigenCurve, FitResult, ModelSpec, ReturnPanel,
                      Spectrum, ValidationError, aggregate_returns,
                      eigencurves_from_panel, factor_eigencurve,
                      factor_variance_sum, fit_eigencurve, load_curves,
-                     load_fits, loading_matrix, loading_vector,
-                     panel_from_innovations, save_curves, save_fits,
-                     simulate_panel, theoretical_covariance)
+                     load_fits, loading_matrix, loading_vector, save_curves,
+                     save_fits, simulate_panel, theoretical_covariance)
 from leadlag.cli import main
 
 SPEC = ModelSpec(4, 1, 0.2, 1.0, 1.0, 0.5, seed=1)
@@ -35,7 +34,7 @@ def spec(**fields):
     ("n_steps", lambda: simulate_panel(SPEC, 1000.7)),
     ("n_steps", lambda: simulate_panel(SPEC, 1e3)),
     ("burn_in", lambda: simulate_panel(SPEC, 8, burn_in=2.0)),
-    ("burn_in", lambda: panel_from_innovations(SPEC, np.zeros((4, 8)), np.zeros((1, 8)), 2.5)),
+    ("burn_in", lambda: simulate_panel(SPEC, 8, burn_in=2.5)),
     ("tau", lambda: aggregate_returns(PANEL, 2.5)),
     ("tau", lambda: aggregate_returns(PANEL, 2.0)),
     ("tau", lambda: loading_matrix(SPEC, 2.5)),

@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.signal import lfilter
 
-from leadlag import (ModelSpec, ReturnPanel, ValidationError, panel_from_innovations,
-                     sample_correlation, simulate_panel, stationary_burn_in,
-                     theoretical_covariance)
-from leadlag.model import _smooth_factors
+from leadlag import (ModelSpec, ReturnPanel, ValidationError, sample_correlation,
+                     simulate_panel, stationary_burn_in, theoretical_covariance)
+from leadlag.model import _emitted_blocks, _smooth_factors
 from leadlag.moments import _scale_covariances
-from oracles import smallest_power_below, truncated_convolution_panel
+from oracles import panel_from_innovations, smallest_power_below, truncated_convolution_panel
 
 
 def one_factor(n=10, gamma=0.2, alpha=0.3, seed=0):
@@ -96,7 +95,7 @@ class TestSimulatePanel:
         rng_f = np.random.Generator(np.random.Philox(key=42 + (1 << 64)))
         idio = rng_e.standard_normal((5, total))
         shocks = rng_f.standard_normal((1, total))
-        panel = panel_from_innovations(spec, idio, shocks).returns
+        panel = panel_from_innovations(spec, idio, shocks)
         lagged = np.mean(panel[:, 1:] * shocks[0, :-1], axis=1)
         se = np.std(panel[:, 1:] * shocks[0, :-1], axis=1) / math.sqrt(total - 1)
         assert np.all(np.abs(lagged) < 5 * se)
@@ -111,10 +110,11 @@ class TestSimulatePanel:
         # N=10 one-factor (beta=0.5 -> gamma=0.25) at tau=1: each of the 55
         # unique entries of the sample covariance lies within 4.3 standard
         # errors of the closed form, a family-wise false-alarm rate near 1e-3.
-        # The streamed estimator makes no centered copy of the 320 MB panel.
+        # The 320 MB panel is streamed into the estimator in blocks.
         spec = one_factor(n=10, gamma=0.25, alpha=0.3, seed=23)
         n_obs = 4_000_000
-        sample = _scale_covariances(simulate_panel(spec, n_obs).returns, (1,))[0]
+        blocks = _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha, 1e-15), 1 << 16)
+        sample = _scale_covariances(blocks, (1,))[0]
         theory = theoretical_covariance(spec, 1).values
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n_obs)
         upper = np.triu_indices(spec.n_assets)
@@ -139,7 +139,7 @@ class TestSimulatePanel:
         rng_f = np.random.Generator(np.random.Philox(key=6))
         idio = rng_e.standard_normal((5, total))
         shocks = rng_f.standard_normal((1, total))
-        recursive = panel_from_innovations(spec, idio, shocks, burn_in=depth).returns
+        recursive = panel_from_innovations(spec, idio[:, depth:], shocks, burn_in=depth)
         truncated = truncated_convolution_panel(spec, idio, shocks, depth)[:, depth:]
         assert np.max(np.abs(recursive - truncated)) < 1e-12
 
@@ -152,8 +152,11 @@ class TestSimulatePanel:
         assert not np.allclose(with_burn.returns, without.returns)
 
     def test_chunking_is_invisible(self):
-        # across two chunk borders the production simulator equals the one-shot
-        # assembly of the same keyed Philox draws, regenerated chunk by chunk
+        # across two factor-chunk borders the production simulator equals the
+        # one-piece assembly of the same keyed Philox draws: each asset's noise
+        # in one draw from its own stream 3 + i, from the first emitted step,
+        # and the factor shocks from stream 1, chunk by chunk from the first
+        # burn-in step
         chunk = 1 << 16
         cases = [(1, 0.25, 2), (2, 0.25, 2), (4, 0.25, 2),
                  # burn-in 69,061 > one chunk: chunk 0 is all burn-in, chunk 1 partly
@@ -168,15 +171,31 @@ class TestSimulatePanel:
             burn = stationary_burn_in(spec.alpha, 1e-15)
             sizes = [min(chunk, burn + n_steps - start)
                      for start in range(0, burn + n_steps, chunk)]
-            rng_e = np.random.Generator(np.random.Philox(key=31))
-            rng_f = np.random.Generator(np.random.Philox(key=31 + (1 << 64)))
-            idio = (np.hstack([rng_e.standard_normal((3, k)) for k in sizes])
+            idio = (np.vstack([np.random.Generator(np.random.Philox(key=31 + ((3 + i) << 64)))
+                               .standard_normal(n_steps) for i in range(3)])
                     * spec.sigma[:, None])
+            rng_f = np.random.Generator(np.random.Philox(key=31 + (1 << 64)))
             shocks = (np.hstack([rng_f.standard_normal((n_factors, k)) for k in sizes])
                       * spec.factor_sigma[:, None])
-            expected = panel_from_innovations(spec, idio, shocks, burn_in=burn).returns
+            expected = panel_from_innovations(spec, idio, shocks, burn_in=burn)
             assert len(sizes) == 3
             assert np.array_equal(simulate_panel(spec, n_steps).returns, expected)
+
+    @pytest.mark.parametrize("n_factors", [1, 4])
+    def test_block_length_is_invisible(self, n_factors):
+        # blocks of 7 and of 997 steps, whose edges fall beside the factor
+        # chunks' (the burn-in is 69,061 steps), and of 100,000 steps, which
+        # span three chunks, give simulate_panel's bytes
+        spec = ModelSpec(5, n_factors, 0.9995, np.linspace(0.5, 2.0, 5),
+                         [1.5, 0.7, 0.3, 2.2][:n_factors],
+                         np.linspace(-0.7, 0.8, 5 * n_factors).reshape(5, n_factors), seed=8)
+        n_steps = 2 * (1 << 16) + 123
+        burn = stationary_burn_in(spec.alpha, 1e-15)
+        expected = simulate_panel(spec, n_steps).returns
+        for length in (7, 997, 100_000):
+            blocks = [block.copy() for block in _emitted_blocks(spec, n_steps, burn, length)]
+            assert {block.shape[1] for block in blocks[:-1]} == {length}
+            assert np.array_equal(np.hstack(blocks), expected)
 
     @pytest.mark.parametrize("n_factors", [1, 3])
     def test_peak_memory_is_the_panel(self, n_factors):
@@ -192,6 +211,7 @@ class TestSimulatePanel:
 
 
 class TestPanelFromInnovations:
+    # the oracle of tests/oracles.py refuses misshapen draws
     @pytest.mark.parametrize("idio", [np.zeros(5), np.float64(0)], ids=["1-D", "0-D"])
     def test_idio_must_be_2d(self, idio):
         with pytest.raises(ValidationError, match="idio"):
@@ -205,9 +225,9 @@ class TestPanelFromInnovations:
     def test_caller_arrays_are_unchanged(self):
         # the recursion runs in place on a copy of the shocks
         rng = np.random.default_rng(3)
-        idio, shocks = rng.standard_normal((3, 50)), rng.standard_normal((1, 50))
+        idio, shocks = rng.standard_normal((3, 50)), rng.standard_normal((1, 60))
         before = idio.copy(), shocks.copy()
-        panel_from_innovations(one_factor(n=3), idio, shocks)
+        panel_from_innovations(one_factor(n=3), idio, shocks, burn_in=10)
         assert np.array_equal(idio, before[0]) and np.array_equal(shocks, before[1])
 
 

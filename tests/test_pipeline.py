@@ -1,4 +1,5 @@
-"""eigencurves_from_panel streams the panel over time chunks.
+"""eigencurves_from_panel streams the panel over time chunks, and
+eigencurves_from_model streams the simulator's chunks with no panel built.
 
 Its curves must equal the dense path's, which builds every scale in full:
 aggregate_returns, then sample_correlation or sample_covariance, then
@@ -6,7 +7,8 @@ dense_eigenvalues.  The chunked comparisons shrink the chunk budget so that
 each case spans at least three chunks.  A grid whose lcm fits the budget gets
 chunks that are multiples of it; a grid such as 1..16 (lcm 720,720) gets
 budget-sized chunks, and each tau carries its source's leftover sums across
-them.
+them.  The model's curves must equal the curves of its simulated panel bit for
+bit.
 """
 
 import math
@@ -18,6 +20,8 @@ import pytest
 from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
                      dense_eigenvalues, eigencurves_from_panel, moments,
                      sample_correlation, sample_covariance, simulate_panel)
+from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
+                              eigencurves_from_model)
 
 DYADIC = (1, 2, 4, 8, 16, 32, 64, 128)
 ONE_TO_16 = tuple(range(1, 17))
@@ -99,3 +103,30 @@ def test_peak_memory_is_a_fraction_of_the_panel(taus, share):
     finally:
         tracemalloc.stop()
     assert peak < panel.returns.nbytes * share
+
+
+# reproduce's spec and length: 533 assets and 4 factors over 65,536 steps, of
+# which the last 19 fall in the second factor chunk
+REPRODUCE_SPEC = ModelSpec.orthogonal_factors(REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
+                                              REFERENCE_ALPHA, seed=0)
+REPRODUCE_STEPS = 1 << 16
+
+
+def test_model_curves_are_the_panel_curves_bit_for_bit():
+    streamed = eigencurves_from_model(REPRODUCE_SPEC, REPRODUCE_STEPS)
+    from_panel = eigencurves_from_panel(simulate_panel(REPRODUCE_SPEC, REPRODUCE_STEPS))
+    assert [c.rank for c in streamed] == [c.rank for c in from_panel] == [1, 2, 3, 4]
+    for a, b in zip(streamed, from_panel):
+        assert a.taus.tobytes() == b.taus.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_model_curves_peak_memory_is_a_fraction_of_the_panel():
+    # the 279 MB panel is never built: a few 16 MiB chunks are
+    tracemalloc.start()
+    try:
+        eigencurves_from_model(REPRODUCE_SPEC, REPRODUCE_STEPS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < REFERENCE_N_ASSETS * REPRODUCE_STEPS * 8 / 4
