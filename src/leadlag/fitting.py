@@ -9,7 +9,8 @@ with amplitude = n_assets * gamma_f > 0 and memory decay alpha in
 least-squares value is closed-form and the fit reduces to a 1-D search in
 alpha (variable projection; Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973).
 The profiled residual sum of squares is evaluated on a fixed 41-node grid over
-the box; the slope d rss / d alpha, taken exactly by a complex step, then
+the box, in one array evaluation of all nodes that keeps each node's scalar
+bits; the slope d rss / d alpha, taken exactly by a complex step, then
 either shows the best node to be a first-order point or brackets the minimum in
 a neighbouring cell, where Brent's method (Brent, Algorithms for Minimization
 without Derivatives, 1973, ch. 4) solves for the zero of the slope.  `_brent` is
@@ -100,14 +101,23 @@ def _check_run(n_assets: int, base_scale_minutes: float) -> tuple[int, float]:
     return _integer(n_assets, "n_assets"), _positive(base_scale_minutes, "base_scale_minutes")
 
 
+def _dot(x: np.ndarray, y: np.ndarray):
+    # x . y along the last axis, with no conjugation; a stack of rows gives one
+    # product per row.  Each product is a (1, T) @ (T, 1) matmul, which numpy
+    # hands to BLAS's dot as it does a 1-D x @ y, so a row's product has the
+    # bits of the same row's 1-D product.  Returns a scalar for 1-D x and y.
+    return np.matmul(x[..., None, :], y[..., None])[..., 0, 0][()]
+
+
 def _profiled_rss(values: np.ndarray, taus: np.ndarray, alpha):
     # RSS at alpha with the amplitude at its closed-form least-squares value
     # (values . g) / (g . g); no conjugation, so it extends analytically to
-    # complex alpha for the complex-step slope
+    # complex alpha for the complex-step slope.  A column of alphas gives the
+    # RSS and amplitude of each, with the bits of the scalar calls.
     g = 1.0 / _attenuation_array(alpha, taus)
-    amplitude = (values @ g) / (g @ g)
-    residual = values - amplitude * g
-    return residual @ residual, amplitude
+    amplitude = _dot(g, values) / _dot(g, g)
+    residual = values - amplitude[..., None] * g
+    return _dot(residual, residual), amplitude
 
 
 def _slope(alpha: float, values: np.ndarray, taus: np.ndarray) -> float:
@@ -176,10 +186,11 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
     """Fit (alpha, amplitude) to one eigenvalue curve.
 
     Requires at least 3 points (two parameters plus one).  iterations counts
-    evaluations of the profiled objective.  converged is True when the
-    first-order conditions hold on the box: the slope in alpha is zero inside
-    it, or points out of it at a bound.  Otherwise the best grid node is
-    returned with converged=False.
+    evaluations of the profiled objective; the 41-node alpha grid is scored in
+    one array evaluation but still counts as its 41 nodes.  converged is True
+    when the first-order conditions hold on the box: the slope in alpha is
+    zero inside it, or points out of it at a bound.  Otherwise the best grid
+    node is returned with converged=False.
     """
     if len(curve) < 3:
         raise ValidationError("curve must contain at least 3 points to fit 2 parameters")
@@ -190,7 +201,7 @@ def fit_eigencurve(curve: EigenCurve, n_assets: int, base_scale_minutes: float =
     unit = float(np.max(curve.values))
     values = curve.values / unit
 
-    grid_rss = [_profiled_rss(values, taus, a)[0] for a in _ALPHA_GRID]
+    grid_rss, _ = _profiled_rss(values, taus, _ALPHA_GRID[:, None])
     best = int(np.argmin(grid_rss))
     alpha = float(_ALPHA_GRID[best])
     slope = _slope(alpha, values, taus)

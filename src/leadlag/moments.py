@@ -118,7 +118,9 @@ def _accumulation(alpha, tau):
 
 def _attenuation_array(alpha: float, taus) -> np.ndarray:
     # Unguarded vector version used by fitting and plotting.  Tolerates float
-    # tau, and complex alpha for the fitter's complex-step slope.
+    # tau, and complex alpha for the fitter's complex-step slope.  A column of
+    # alphas against the taus broadcasts to one row per alpha: the fitter
+    # scores its whole alpha grid in one call.
     taus = np.asarray(taus, dtype=np.float64)
     return taus * (1.0 - alpha) ** 2 / _accumulation(alpha, taus)
 

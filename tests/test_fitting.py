@@ -155,6 +155,56 @@ class TestFitEigencurve:
         assert abs(fit.alpha - alpha) < 1e-6
         assert abs(fit.amplitude - 250 * gamma_f) < 1e-6 * max(1.0, 250 * gamma_f)
 
+    @pytest.mark.parametrize("values, n_assets, expected", [
+        (factor_eigencurve(533, 0.17, 0.16, DYADIC).values, 533,
+         "FitResult(alpha=0.16000000000000003, amplitude=90.61, gamma_f=0.17, "
+         "t_alpha=0.5456783339686457, rss=2.022200390200816e-27, iterations=51, "
+         "converged=True)"),
+        (factor_eigencurve(150, 0.12, 0.3, DYADIC).values
+         * (1 + np.random.default_rng(5).normal(0, 0.03, len(DYADIC))), 150,
+         "FitResult(alpha=0.3144372312815994, amplitude=17.292375802746985, "
+         "gamma_f=0.11528250535164657, t_alpha=0.8643260446953348, rss=3.362835808495561, "
+         "iterations=50, converged=True)"),
+        (np.exp(np.random.default_rng(1).normal(size=(215, 8))[214]), 150,
+         "FitResult(alpha=0.9946377562013415, amplitude=0.0003464301869788275, "
+         "gamma_f=2.30953457985885e-06, t_alpha=185.9886482158355, rss=5.748951740431893, "
+         "iterations=57, converged=True)"),
+        (1.5 - 0.05 * np.log2(np.array(DYADIC, dtype=float)), 50,
+         "FitResult(alpha=0.0, amplitude=1.3249999999999997, gamma_f=0.026499999999999996, "
+         "t_alpha=0.0, rss=0.10500000000000004, iterations=43, converged=True)"),
+        (np.array(DYADIC, dtype=float), 50,
+         "FitResult(alpha=0.999999, amplitude=2.000071633937657e-06, "
+         "gamma_f=4.0001432678753144e-08, t_alpha=999999.4999942828, "
+         "rss=2.6799589982754618e-06, iterations=43, converged=True)"),
+        (np.full(len(DYADIC), 12.5), 100,
+         "FitResult(alpha=0.0, amplitude=12.5, gamma_f=0.125, t_alpha=0.0, rss=0.0, "
+         "iterations=43, converged=True)"),
+    ], ids=["noiseless", "noisy-market", "two-minima", "below-the-box", "above-the-box",
+            "flat"])
+    def test_fit_bits_are_pinned(self, values, n_assets, expected):
+        # every field to the last bit, iterations included: float repr round-trips
+        fit = fit_eigencurve(EigenCurve(np.array(DYADIC), values), n_assets)
+        assert repr(fit) == expected
+
+    @settings(max_examples=25)
+    @given(alpha=st.floats(min_value=0.0, max_value=0.99),
+           gamma_f=st.floats(min_value=1e-4, max_value=2.0),
+           noise=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_grid_rss_matches_each_node(self, alpha, gamma_f, noise, seed):
+        # the fitter scores the grid in one call; each row must be that node's
+        # own scalar evaluation to the bit, and so pick the same best node
+        clean = factor_eigencurve(250, gamma_f, alpha, DYADIC).values
+        values = clean * np.exp(np.random.default_rng(seed).normal(0.0, noise, len(DYADIC)))
+        values /= values.max()
+        taus = np.array(DYADIC, dtype=float)
+        grid_rss, grid_amplitude = _profiled_rss(values, taus, _ALPHA_GRID[:, None])
+        node_rss, node_amplitude = np.array(
+            [_profiled_rss(values, taus, float(a)) for a in _ALPHA_GRID]).T
+        np.testing.assert_array_equal(grid_rss, node_rss)
+        np.testing.assert_array_equal(grid_amplitude, node_amplitude)
+        assert np.argmin(grid_rss) == np.argmin(node_rss)
+
     def test_attenuation_array_is_sane_at_fit_boundary(self):
         # the fitter's grid and slope evaluate alpha right at the box bound
         taus = np.arange(1, 129, dtype=float)

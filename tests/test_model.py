@@ -9,7 +9,7 @@ from scipy.signal import lfilter
 
 from leadlag import (ModelSpec, ReturnPanel, ValidationError, sample_correlation,
                      simulate_panel, stationary_burn_in, theoretical_covariance)
-from leadlag.model import _emitted_blocks, _smooth_factors
+from leadlag.model import _CHUNK, _TILE, _emitted_blocks, _smooth_factors
 from leadlag.moments import _scale_covariances
 from oracles import panel_from_innovations, smallest_power_below, truncated_convolution_panel
 
@@ -199,15 +199,22 @@ class TestSimulatePanel:
 
     @pytest.mark.parametrize("n_factors", [1, 3])
     def test_peak_memory_is_the_panel(self, n_factors):
-        # beyond the 80 MiB panel: one row of a chunk and the chunk's factor rows
-        spec = ModelSpec(20, n_factors, 0.3, 1.0, 1.0, 0.2, seed=1)
+        # beyond the panel: a chunk's F factor rows, one row of draws, the
+        # recursion's one-row output and an (N, _TILE) tile, plus under half a
+        # row of slack.  A narrow panel makes these the whole excess, so a
+        # factor chunk kept alive while the next is drawn (2F + 1 rows) fails
+        # for F > 1
+        spec = ModelSpec(4, n_factors, 0.3, 1.0, 1.0, 0.2, seed=1)
+        simulate_panel(spec, 1)  # the first simulation imports numpy.random
         tracemalloc.start()
         try:
             panel = simulate_panel(spec, 1 << 19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < panel.returns.nbytes * 1.05
+        row = _CHUNK * 8
+        excess = peak - panel.returns.nbytes
+        assert excess < (n_factors + 2.5) * row + spec.n_assets * _TILE * 8
 
 
 class TestPanelFromInnovations:
