@@ -22,7 +22,6 @@ from .pipeline import (DYADIC_TAUS, eigencurves_from_model,
 from .spectral import (LoadingMatrix, LoadingVector, Spectrum,
                        correlation_loading, dense_eigenvalues,
                        factor_eigencurve, factor_eigenvalues,
-                       factor_strength_matrix, factor_strengths,
                        gram_eigenvalues, loading_matrix, loading_vector,
                        secular_eigenvalues, secular_function)
 from .svgplot import render_eigencurve
@@ -38,8 +37,7 @@ __all__ = [
     "LoadingVector", "LoadingMatrix", "Spectrum",
     "correlation_loading", "loading_vector", "loading_matrix",
     "secular_function", "secular_eigenvalues", "factor_eigenvalues",
-    "gram_eigenvalues", "factor_strength_matrix", "factor_strengths",
-    "factor_eigencurve", "dense_eigenvalues",
+    "gram_eigenvalues", "factor_eigencurve", "dense_eigenvalues",
     "EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time",
     "load_panel", "save_panel", "save_curves", "load_curves", "save_fits",
     "load_fits",

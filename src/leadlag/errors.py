@@ -6,7 +6,8 @@ ConvergenceError -> 4 (numerical failure).
 
 Counts (a spectrum's multiplicities too), scales, ranks, tau grids and seeds
 are integers: an integral float such as 2.0, a bool or a string is refused,
-never truncated.  The API and the file readers share these rules.
+never truncated.  Real parameters refuse a bool or a string too, never
+converting them.  The API and the file readers share these rules.
 """
 
 import math
@@ -58,17 +59,24 @@ def _tau_grid(values, name: str) -> np.ndarray:
     return grid
 
 
+def _real(value, name: str) -> float:
+    """`value` as a float; a bool or a string is refused, never converted."""
+    if isinstance(value, (bool, np.bool_, str)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _alpha(value) -> float:
     """The memory decay as a float in [0, 1)."""
-    alpha = float(value)
+    alpha = _real(value, "alpha")
     if not 0.0 <= alpha < 1.0:
         raise ValidationError("alpha must satisfy 0 <= alpha < 1")
     return alpha
 
 
-def _positive(value, name: str) -> float:
-    """`value` as a finite positive float."""
-    value = float(value)
-    if not 0.0 < value < math.inf:
-        raise ValidationError(f"{name} must be finite and positive")
+def _positive(value, name: str, allow_zero: bool = False) -> float:
+    """`value` as a finite float, positive (or zero, with allow_zero)."""
+    value = _real(value, name)
+    if not (0.0 <= value < math.inf and (allow_zero or value > 0.0)):
+        raise ValidationError(f"{name} must be finite and {'>= 0' if allow_zero else 'positive'}")
     return value

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _positive, _tau_grid
+from .errors import ValidationError, _integer, _positive, _real, _tau_grid
 from .moments import _attenuation_array
 
 __all__ = ["EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time"]
@@ -88,7 +88,7 @@ class FitResult:
 
 def relaxation_time(alpha: float, base_scale_minutes: float = 1.0) -> float:
     """Memory decay time base_scale / ln(1/alpha) of the lead-lag kernel."""
-    alpha = float(alpha)
+    alpha = _real(alpha, "alpha")
     if alpha == 0.0:
         raise ValidationError("no memory: relaxation time undefined (zero)")
     if not 0.0 < alpha < 1.0:

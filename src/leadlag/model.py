@@ -313,8 +313,8 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
     stationary_burn_in(alpha, 1e-15).  Generation runs in blocks of time
     steps written straight into the output panel: beyond the panel, the only
-    memory it takes is one row of scratch, an (N, 256) tile and a chunk's F
-    factor rows.
+    memory it takes is F + 2 rows of a chunk (its F factor rows, one row of
+    draws and the factor recursion's one-row output) and an (N, 256) tile.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:

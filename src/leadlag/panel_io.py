@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ValidationError, _integer
+from .errors import DataError, ValidationError, _alpha, _integer, _positive
 from .fitting import EigenCurve, FitResult, _check_run
 from .model import ReturnPanel
 
@@ -248,11 +248,11 @@ def _fit_entry(entry: dict) -> tuple[int, FitResult]:
     if not isinstance(entry["converged"], bool):
         raise TypeError(f"converged must be true or false, got {entry['converged']!r}")
     return _integer(entry["rank"], "rank"), FitResult(
-        alpha=float(entry["alpha"]),
-        amplitude=float(entry["amplitude"]),
-        gamma_f=float(entry["gamma_f"]),
-        t_alpha=float(entry["t_alpha_minutes"]),
-        rss=float(entry["rss"]),
+        alpha=_alpha(entry["alpha"]),
+        amplitude=_positive(entry["amplitude"], "amplitude"),
+        gamma_f=_positive(entry["gamma_f"], "gamma_f"),
+        t_alpha=_positive(entry["t_alpha_minutes"], "t_alpha_minutes", allow_zero=True),
+        rss=_positive(entry["rss"], "rss", allow_zero=True),
         iterations=_integer(entry["iterations"], "iterations", minimum=0),
         converged=entry["converged"],
     )

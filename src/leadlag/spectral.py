@@ -16,8 +16,6 @@ one gemm and one batched F x F eigvalsh, and the bisection stops at a width
 of 2 eps max(1, top), about 52 steps for any N, F or root size.  Assets with
 zero loadings enter only the pole count #{d_i > lam}.  Tied loadings follow
 identical bisection paths, so tied eigenvalues come out bit-identical.
-Eigenvectors, when asked for, come from LAPACK (eigh) on the explicit
-matrix, which keeps them orthonormal however close the d_i are.
 
 For one factor phi is the secular function f(z) = sum_i rho_i^2 / (z - d_i),
 strictly decreasing between poles; its eigenvalues above 1 are the zeros of
@@ -49,8 +47,6 @@ __all__ = [
     "secular_eigenvalues",
     "factor_eigenvalues",
     "gram_eigenvalues",
-    "factor_strength_matrix",
-    "factor_strengths",
     "factor_eigencurve",
     "dense_eigenvalues",
 ]
@@ -116,13 +112,11 @@ class Spectrum:
     """Eigenvalues in descending order with per-entry multiplicity counts.
 
     multiplicities[i] is the number of entries sharing exactly the value
-    eigenvalues[i] (so a simple eigenvalue carries 1).  When eigenvectors are
-    attached, column j pairs with eigenvalues[j].
+    eigenvalues[i] (so a simple eigenvalue carries 1).
     """
 
     eigenvalues: np.ndarray
     multiplicities: np.ndarray
-    eigenvectors: np.ndarray | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
@@ -135,11 +129,6 @@ class Spectrum:
             raise ValidationError("eigenvalues must be in descending order")
         if np.any(mult < 1):
             raise ValidationError("multiplicities must be positive")
-        if self.eigenvectors is not None:
-            vecs = np.asarray(self.eigenvectors, dtype=np.float64)
-            if vecs.shape != (vals.size, vals.size):
-                raise ValidationError("eigenvectors must form a square matrix")
-            object.__setattr__(self, "eigenvectors", vecs)
         object.__setattr__(self, "eigenvalues", vals)
         object.__setattr__(self, "multiplicities", mult)
 
@@ -153,12 +142,9 @@ def _exact_multiplicities(values: np.ndarray) -> np.ndarray:
     return counts[inverse]
 
 
-def _spectrum_from_values(values: np.ndarray, vectors: np.ndarray | None = None) -> Spectrum:
-    order = np.argsort(values, kind="stable")[::-1]
-    values = values[order]
-    if vectors is not None:
-        vectors = vectors[:, order]
-    return Spectrum(values, _exact_multiplicities(values), vectors)
+def _spectrum_from_values(values: np.ndarray) -> Spectrum:
+    # values arrive in descending order
+    return Spectrum(values, _exact_multiplicities(values))
 
 
 def correlation_loading(gamma: float, alpha: float, tau) -> float:
@@ -253,23 +239,15 @@ def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     return np.sort(0.5 * (lo + hi))[::-1]
 
 
-def secular_eigenvalues(loadings: LoadingVector, with_vectors: bool = False) -> Spectrum:
+def secular_eigenvalues(loadings: LoadingVector) -> Spectrum:
     """Exact spectrum of the one-factor correlation matrix diag(1 - rho_i^2) + rho rho^T.
 
     All N eigenvalues come from the inertia-counting slicer with a floor below
     every 1 - rho_i^2, to an absolute width of 2 eps max(1, top).  Tied
     loadings give bit-identical eigenvalues, so `multiplicities` is exact;
-    zero loadings give eigenvalue 1.  Eigenvectors are computed only on
-    demand, by LAPACK (eigh) on the explicit matrix, and paired with the
-    values by position; degenerate subspaces get an orthonormal basis.
+    zero loadings give eigenvalue 1.
     """
-    values = _slice_spectrum(loadings.rho[:, None], floor=-1.0)
-    vectors = None
-    if with_vectors:
-        matrix = np.outer(loadings.rho, loadings.rho)
-        np.fill_diagonal(matrix, 1.0)
-        vectors = np.linalg.eigh(matrix)[1][:, ::-1]
-    return _spectrum_from_values(values, vectors)
+    return _spectrum_from_values(_slice_spectrum(loadings.rho[:, None], floor=-1.0))
 
 
 def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
@@ -292,25 +270,6 @@ def factor_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     return _slice_spectrum(loadings.rho, floor=1.0)
 
 
-def factor_strength_matrix(spec: ModelSpec) -> np.ndarray:
-    """Scale-independent factor strengths, an F x F symmetric PSD matrix:
-
-    values[f, g] = factor_sigma_f * factor_sigma_g / N
-                   * sum_i beta[i, f] * beta[i, g] / sigma_i^2
-    """
-    weighted = spec.beta / spec.sigma[:, None]
-    core = (weighted.T @ weighted) / spec.n_assets
-    values = core * np.outer(spec.factor_sigma, spec.factor_sigma)
-    return 0.5 * (values + values.T)
-
-
-def factor_strengths(spec: ModelSpec) -> np.ndarray:
-    """Descending factor strengths gamma_f of a model spec: the eigenvalues of
-    factor_strength_matrix, clipped at zero; they enter
-    n_assets * strength / attenuation(tau)."""
-    return np.clip(np.linalg.eigvalsh(factor_strength_matrix(spec))[::-1], 0.0, None)
-
-
 def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,
                       rank: int = 1) -> EigenCurve:
     """Predicted eigenvalue-versus-scale curve for one factor:
@@ -325,17 +284,12 @@ def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,
     return EigenCurve(taus, values, rank=rank)
 
 
-def dense_eigenvalues(matrix: ScaleMatrix, with_vectors: bool = False) -> Spectrum:
+def dense_eigenvalues(matrix: ScaleMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix (LAPACK symmetric eigensolver).
 
     Serves as the independent dense oracle for the secular and reduced-
     determinant paths.  Rejects matrices that are not symmetric within
-    tolerance; per-pair residuals satisfy ||A v - lam v|| <= 1e-9 ||A||.
+    tolerance.
     """
     a = matrix.values
-    sym = 0.5 * (a + a.T)
-    if with_vectors:
-        vals, vecs = np.linalg.eigh(sym)
-        return _spectrum_from_values(vals, vecs)
-    vals = np.linalg.eigvalsh(sym)
-    return _spectrum_from_values(vals)
+    return _spectrum_from_values(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1])

@@ -249,6 +249,21 @@ class TestFitAndPlot:
         err = capsys.readouterr().err
         assert "3" in err and "4" in err
 
+    def test_plot_out_of_range_alpha_is_exit_3(self, tmp_path, capsys):
+        # alpha = 1 would put nan coordinates into the SVG
+        curves_path = self.write_reference_curves(tmp_path)
+        fits_path = tmp_path / "fits.json"
+        assert run("fit", "--in", str(curves_path), "--out", str(fits_path)) == 0
+        doc = json.loads(fits_path.read_text())
+        doc["fits"][0]["alpha"] = 1.0
+        fits_path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "p"
+        code = run("plot", "--curves", str(curves_path), "--fits", str(fits_path),
+                   "--out-dir", str(out_dir))
+        assert code == 3
+        assert "alpha" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestReproduce:
     def test_small_smoke_report(self, tmp_path):

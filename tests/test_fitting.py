@@ -40,6 +40,10 @@ class TestRelaxationTime:
         with pytest.raises(ValidationError):
             relaxation_time(1.0)
 
+    def test_alpha_string_refused(self):
+        with pytest.raises(ValidationError, match="alpha must be a number"):
+            relaxation_time("0.5")
+
     def test_base_scale_units(self):
         assert relaxation_time(0.16, 5.0) == pytest.approx(5 * relaxation_time(0.16, 1.0))
 

@@ -1,5 +1,6 @@
 """The package's import graph, read from its source, has no cycle, every
-name a module exports exists, and the runtime needs numpy alone."""
+name a module exports exists and has a caller beyond the unit tests, and the
+runtime needs numpy alone."""
 
 import ast
 import graphlib
@@ -14,6 +15,7 @@ import pytest
 import leadlag
 
 PACKAGE = Path(leadlag.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def relative_imports(path):
@@ -110,3 +112,30 @@ def test_exported_names_exist(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
+
+
+def referenced_names(path, with_imports):
+    # names a file reads, bare or as an attribute, and (with_imports) imports
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.add(node.attr)
+        elif with_imports and isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.split(".")[-1] for alias in node.names)
+    return found
+
+
+def test_every_export_has_a_caller():
+    # the public API is what the package, the benchmark, the scripts or the
+    # acceptance tests use; a name only the unit tests call is dead surface
+    used = set()
+    for path in sorted((ROOT / "src" / "leadlag").glob("*.py")):
+        used |= referenced_names(path, with_imports=False)
+    outside = [*(ROOT / "benchmark").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+               ROOT / "tests" / "test_acceptance.py"]
+    for path in outside:
+        used |= referenced_names(path, with_imports=True)
+    unused = [n for n in leadlag.__all__ if n != "__version__" and n not in used]
+    assert not unused, f"exported but called only by the unit tests: {unused}"

@@ -54,11 +54,11 @@ class TestModelSpecValidation:
         assert spec.beta.shape == (4, 2)
 
     def test_orthogonal_factors_strengths_are_exact(self):
-        from leadlag import factor_strength_matrix
         gammas = np.array([0.17, 0.03, 0.02, 0.01])
         spec = ModelSpec.orthogonal_factors(60, gammas, 0.16, seed=5)
-        values = factor_strength_matrix(spec)
-        assert isinstance(values, np.ndarray)
+        # the signal-to-noise Gram (sigma_f beta / sigma)^T (sigma_f beta / sigma) / N
+        weighted = spec.factor_sigma[None, :] * spec.beta / spec.sigma[:, None]
+        values = weighted.T @ weighted / spec.n_assets
         assert np.allclose(values, np.diag(gammas), atol=1e-12)
 
 

@@ -269,7 +269,7 @@ class TestResultsJson:
         ("n_assets", 0), ("n_assets", -3), ("base_scale_minutes", 0.0),
         ("base_scale_minutes", -2.0), ("base_scale_minutes", math.nan),
         ("base_scale_minutes", math.inf), ("n_assets", 2.7), ("n_assets", True),
-        ("n_assets", "3")])
+        ("n_assets", "3"), ("base_scale_minutes", True), ("base_scale_minutes", "2")])
     def test_bad_run_metadata_rejected(self, tmp_path, field, value):
         path = tmp_path / "curves.json"
         save_curves(self.curves(), path, n_assets=9)
@@ -311,6 +311,19 @@ class TestResultsJson:
         doc["fits"][0]["converged"] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="converged"):
+            load_fits(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", True), ("alpha", 1.0), ("alpha", -0.5), ("alpha", "0.5"),
+        ("amplitude", 0), ("amplitude", "3")])
+    def test_fit_parameters_must_be_numbers_in_range(self, tmp_path, field, value):
+        # a bare float() would take a bool or a numeric string, and any value
+        path = tmp_path / "fits.json"
+        save_fits([(1, FitResult(0.16, 90.61, 0.17, 0.55, 1e-9, 17, True))], path, n_assets=533)
+        doc = json.loads(path.read_text())
+        doc["fits"][0][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=field):
             load_fits(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
                      ValidationError, attenuation, correlation_loading,
                      dense_eigenvalues, factor_eigencurve, factor_eigenvalues,
-                     factor_strength_matrix, factor_strengths,
                      gram_eigenvalues, loading_matrix, loading_vector,
                      secular_eigenvalues, secular_function,
                      theoretical_correlation)
@@ -133,21 +132,6 @@ class TestSecularEigenvalues:
             sec = secular_eigenvalues(lv)
             n = lv.n_assets
             assert abs(sec.trace - n) < 1e-9 * n
-
-    @pytest.mark.parametrize("rho", [
-        [0.0, 0.6, 0.6, -0.6, 0.3, 0.0, 0.85],
-        # poles 1e-10 apart, where a vector built from the secular equation
-        # amplifies the root error by 1/gap
-        [0.0, 0.6, 0.6 + 1e-10, -0.6 + 2e-10, 0.3, 0.0, 0.85],
-    ], ids=["tied", "near-tied"])
-    def test_eigenvectors_are_orthonormal_and_consistent(self, rho):
-        rho = np.array(rho)
-        sec = secular_eigenvalues(LoadingVector(rho), with_vectors=True)
-        matrix = assemble_one_factor(rho)
-        resid = matrix @ sec.eigenvectors - sec.eigenvectors * sec.eigenvalues[None, :]
-        assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(matrix))
-        gram = sec.eigenvectors.T @ sec.eigenvectors
-        assert np.max(np.abs(gram - np.eye(len(rho)))) < 1e-9
 
     @given(st.lists(st.floats(min_value=-0.98, max_value=0.98), min_size=2, max_size=12))
     def test_property_matches_dense(self, rho):
@@ -328,30 +312,6 @@ class TestGramEigenvalues:
         assert np.max(np.abs(mu - dense) / dense) < 0.05
 
 
-class TestFactorStrengths:
-    def test_single_factor_is_mean_snr(self):
-        rng = np.random.default_rng(18)
-        beta = rng.normal(0, 0.5, (40, 1))
-        sigma = rng.uniform(0.5, 2.0, 40)
-        spec = ModelSpec(40, 1, 0.2, sigma, 1.3, beta)
-        expected = np.mean(1.3**2 * beta[:, 0] ** 2 / sigma**2)
-        assert factor_strengths(spec)[0] == pytest.approx(expected, rel=1e-12)
-
-    def test_weighted_orthogonality_zeroes_offdiagonal(self):
-        sigma = np.random.default_rng(19).uniform(0.5, 2.0, 30)
-        raw = np.random.default_rng(20).normal(size=(30, 2))
-        # orthogonalize the columns under the 1/sigma^2 weighting
-        w = 1.0 / sigma**2
-        raw[:, 1] -= raw[:, 0] * (raw[:, 0] * w @ raw[:, 1]) / (raw[:, 0] * w @ raw[:, 0])
-        spec = ModelSpec(30, 2, 0.1, sigma, 1.0, raw)
-        values = factor_strength_matrix(spec)
-        assert abs(values[0, 1]) < 1e-12 * max(values[0, 0], values[1, 1])
-
-    def test_uniform_spec(self):
-        spec = ModelSpec(25, 1, 0.3, 1.0, 1.0, 0.4)
-        assert factor_strengths(spec)[0] == pytest.approx(0.16, rel=1e-12)
-
-
 class TestFactorEigencurve:
     TAUS = (1, 2, 4, 8, 16, 32, 64, 128)
 
@@ -399,14 +359,6 @@ class TestDenseEigenvalues:
         # LU-based determinant is independent of the symmetric eigensolver
         det_lu = np.linalg.det(sym)
         assert np.prod(spectrum.eigenvalues) == pytest.approx(det_lu, rel=1e-8)
-
-    def test_eigenvector_residuals(self):
-        rng = np.random.default_rng(24)
-        raw = rng.normal(size=(20, 20))
-        sym = 0.5 * (raw + raw.T)
-        spectrum = dense_eigenvalues(ScaleMatrix(sym, 1, "covariance"), with_vectors=True)
-        resid = sym @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues
-        assert np.max(np.abs(resid)) < 1e-9 * np.max(np.abs(sym))
 
     def test_asymmetric_input_rejected_at_type_boundary(self):
         with pytest.raises(ValidationError, match="symmetric"):
