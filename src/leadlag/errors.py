@@ -6,8 +6,9 @@ ConvergenceError -> 4 (numerical failure).
 
 Counts (a spectrum's multiplicities too), scales, ranks, tau grids and seeds
 are integers: an integral float such as 2.0, a bool or a string is refused,
-never truncated.  Real parameters refuse a bool or a string too, never
-converting them.  The API and the file readers share these rules.
+never truncated.  Real parameters refuse a bool or a string too, also as one
+entry of a vector, never converting them.  The API and the file readers share
+these rules.
 """
 
 import math
@@ -59,11 +60,23 @@ def _tau_grid(values, name: str) -> np.ndarray:
     return grid
 
 
+_NOT_REAL = (bool, np.bool_, str)
+
+
 def _real(value, name: str) -> float:
     """`value` as a float; a bool or a string is refused, never converted."""
-    if isinstance(value, (bool, np.bool_, str)):
+    if isinstance(value, _NOT_REAL):
         raise ValidationError(f"{name} must be a number, got {value!r}")
     return float(value)
+
+
+def _reals(values, name: str) -> np.ndarray:
+    """`values`, a number or an array-like of numbers, as a float64 array; a
+    bool or a string anywhere in it is refused, never converted."""
+    # np.asarray([0.3, True]) is float64, so its dtype hides the bool
+    if any(isinstance(v, _NOT_REAL) for v in np.asarray(values, dtype=object).flat):
+        raise ValidationError(f"{name} must be numbers, got {values!r}")
+    return np.asarray(values, dtype=np.float64)
 
 
 def _alpha(value) -> float:

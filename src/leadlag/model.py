@@ -18,9 +18,10 @@ the streams are independent and the output is bit-reproducible for a given
 spec.  The factor shocks use stream 1, the loadings that
 `ModelSpec.orthogonal_factors` draws stream 2, and asset i's noise stream
 3 + i.  Idiosyncratic noise carries no state, so it is drawn for the emitted
-steps only, and each asset's stream runs on by itself.  The factor terms are
-matrix products of fixed tiles of a chunk.  So time slices of the panel can
-be emitted in any block length, with the same bytes.
+steps only, and each asset's stream runs on by itself.  A factor term is the
+elementwise sum over f, in order, of beta[i, f] * S_f(t), so no cell depends
+on its neighbours and time slices of the panel can be emitted in any block
+length, with the same bytes.
 
 The recursion for S_f runs one step at a time in plain floating point, as the
 direct-form IIR filter scipy.signal.lfilter runs it, so the panels carry that
@@ -36,7 +37,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError, _alpha, _integer
+from .errors import ValidationError, _alpha, _integer, _positive, _real, _reals
 
 __all__ = [
     "ModelSpec",
@@ -49,7 +50,6 @@ _FACTOR_STREAM = 1
 _BETA_STREAM = 2
 _ASSET_STREAM = 3  # asset i draws its noise from stream 3 + i
 _CHUNK = 1 << 16  # factor shocks are drawn in chunks of this many steps
-_TILE = 256  # steps per matrix product of factor terms, fixed within a chunk
 _SEED_MAX = 2**64 - 1
 
 
@@ -59,7 +59,7 @@ def _keyed_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _as_vector(values, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _reals(values, name)
     if arr.ndim == 0:
         arr = np.full(length, float(arr))
     if arr.shape != (length,):
@@ -107,7 +107,7 @@ class ModelSpec:
         factor_sigma = _as_vector(self.factor_sigma, f, "factor_sigma")
         if not np.all(np.isfinite(factor_sigma)) or np.any(factor_sigma <= 0):
             raise ValidationError("factor_sigma entries must all be positive and finite")
-        beta = np.asarray(self.beta, dtype=np.float64)
+        beta = _reals(self.beta, "beta")
         if beta.ndim == 0:
             beta = np.full((n, f), float(beta))
         if beta.ndim == 1 and f == 1 and beta.shape == (n,):
@@ -134,9 +134,8 @@ class ModelSpec:
         gamma = (factor_sigma * beta / sigma)^2 per asset, so beta is derived
         as sigma * sqrt(gamma) / factor_sigma.
         """
-        if gamma < 0:
-            raise ValidationError("gamma must be nonnegative")
-        beta = float(sigma) * math.sqrt(gamma) / float(factor_sigma)
+        beta = (_positive(sigma, "sigma") * math.sqrt(_positive(gamma, "gamma", allow_zero=True))
+                / _positive(factor_sigma, "factor_sigma"))
         return cls(n_assets, 1, alpha, sigma, factor_sigma, beta, seed=seed)
 
     @classmethod
@@ -148,7 +147,7 @@ class ModelSpec:
         scaled so the cross-sectional mean of (factor_sigma*beta/sigma)^2
         equals gammas[f].  Unit sigma and factor_sigma.
         """
-        gammas = np.asarray(gammas, dtype=np.float64)
+        gammas = _reals(gammas, "gammas")
         if gammas.ndim != 1 or gammas.size < 1:
             raise ValidationError("gammas must be a nonempty vector")
         if np.any(gammas < 0):
@@ -214,7 +213,7 @@ def stationary_burn_in(alpha: float, tolerance: float) -> int:
     given tolerance, hence a sufficient burn-in length.
     """
     alpha = _alpha(alpha)
-    if not 0.0 < tolerance < 1.0:
+    if not 0.0 < _real(tolerance, "tolerance") < 1.0:
         raise ValidationError("tolerance must lie strictly inside (0, 1)")
     if alpha == 0.0:
         return 0
@@ -242,25 +241,6 @@ def _smooth_factors(alpha: float, shocks: np.ndarray, state: np.ndarray):
     return shocks, alpha * shocks[:, -1:]
 
 
-def _factor_terms(dst: np.ndarray, beta: np.ndarray, smoothed: np.ndarray, first: int,
-                  tile: np.ndarray):
-    # dst = beta @ smoothed[:, first:first + dst's width], each column taken
-    # from the product of the whole _TILE-column tile of the chunk that holds
-    # it.  BLAS rounds a column by where it falls in the call, so one fixed
-    # call per tile keeps every cell's bits wherever dst starts and ends;
-    # `tile` is (N, _TILE) scratch for the tiles dst cuts.
-    width = dst.shape[1]
-    for t0 in range(first - first % _TILE, first + width, _TILE):
-        t1 = min(t0 + _TILE, smoothed.shape[1])
-        lo, hi = max(t0, first), min(t1, first + width)
-        if (lo, hi) == (t0, t1):
-            np.matmul(beta, smoothed[:, t0:t1], out=dst[:, t0 - first:t1 - first])
-        else:
-            product = tile[:, :t1 - t0]
-            np.matmul(beta, smoothed[:, t0:t1], out=product)
-            dst[:, lo - first:hi - first] = product[:, lo - t0:hi - t0]
-
-
 def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
                     out: np.ndarray | None = None):
     """Yield the (N, <= length) blocks of the n_steps emitted steps, in order.
@@ -269,15 +249,14 @@ def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
     every block is a view of one buffer, which the next block overwrites.
     Asset i draws its noise from its own keyed stream from the first emitted
     step on.  The factor shocks are drawn in _CHUNK-step chunks from the first
-    burn-in step on, and their terms beta @ S are products of fixed tiles of a
-    chunk, so no cell depends on `length`.
+    burn-in step on.  Each factor term is an elementwise sum over f of
+    beta[i, f] * S_f(t), with no BLAS call, so no cell depends on `length`.
     """
     assets = [_keyed_rng(spec.seed, _ASSET_STREAM + i) for i in range(spec.n_assets)]
     rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
     width = min(length, n_steps)
     buffer = np.empty((spec.n_assets, width)) if out is None else None
     draws = np.empty(width)
-    tile = np.empty((spec.n_assets, _TILE))
     state = np.zeros((spec.n_factors, 1))
     factor_sigma = spec.factor_sigma[:, None]
     # the factor rows of the chunk that ends before emitted step `end`
@@ -296,8 +275,9 @@ def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
                 continue
             # the steps [start, stop) share one factor chunk
             stop = min(end, hi)
-            _factor_terms(block[:, start - lo:stop - lo], spec.beta, smoothed,
-                          start - end + smoothed.shape[1], tile)
+            first = start - end + smoothed.shape[1]
+            np.einsum("if,ft->it", spec.beta, smoothed[:, first:first + stop - start],
+                      out=block[:, start - lo:stop - lo])
             start = stop
         noise = draws[:hi - lo]
         for rng, sigma, row in zip(assets, spec.sigma, block):
@@ -313,8 +293,8 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
     stationary_burn_in(alpha, 1e-15).  Generation runs in blocks of time
     steps written straight into the output panel: beyond the panel, the only
-    memory it takes is F + 2 rows of a chunk (its F factor rows, one row of
-    draws and the factor recursion's one-row output) and an (N, 256) tile.
+    memory it takes is F + 2 rows of a chunk: its F factor rows, one row of
+    draws and the factor recursion's one-row output.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:

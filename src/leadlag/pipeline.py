@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, ValidationError, _integer, _tau_grid
+from .errors import DataError, ValidationError, _integer, _real, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
 from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
 from .moments import (ScaleMatrix, _chunk_length, _correlation, _panel_chunks,
@@ -145,7 +145,7 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     taus = tuple(_tau_grid(taus, "tau grid").tolist())
-    strengths = tuple(float(g) for g in strengths)
+    strengths = tuple(_real(g, "strengths") for g in strengths)
     if sorted(strengths, reverse=True) != list(strengths):
         raise ValidationError("strengths must be given in descending order")
 

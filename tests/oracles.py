@@ -7,7 +7,8 @@ offsets, and loading spectra come from the explicitly built matrix, the
 equal-loading closed form or an LU determinant.  These stay the reference side
 of every dual-route check.  The one-piece panel assembly reuses the package's
 factor recursion, which its own test pins to scipy's lfilter bit for bit, and
-none of the simulator's blocks.
+sums its factor terms by an explicit multiply-add over the factors, with no
+BLAS call, no einsum and none of the simulator's blocks.
 """
 
 import numpy as np
@@ -56,9 +57,9 @@ def panel_from_innovations(spec, idio: np.ndarray, shocks: np.ndarray,
     `idio` is the (N, T) idiosyncratic noise of the emitted steps (already
     scaled by sigma), `shocks` the (F, burn_in + T) factor innovations
     (already scaled by factor_sigma), whose first `burn_in` columns only feed
-    the recursion.  The factor terms beta @ S are the products of the
-    256-column tiles of each 65,536-step chunk of the shocks: the calls that
-    fix the simulator's rounding, whatever blocks it emits.
+    the recursion.  Each factor term is beta[i, 0] * S_0(t) + beta[i, 1] *
+    S_1(t) + ..., added in the order of the factors: the simulator's sum,
+    whatever blocks it emits.
     """
     idio = np.asarray(idio, dtype=np.float64)
     # a C-ordered copy: the recursion overwrites it, and the caller's array stays
@@ -70,11 +71,9 @@ def panel_from_innovations(spec, idio: np.ndarray, shocks: np.ndarray,
     if shocks.shape != (spec.n_factors, total):
         raise ValidationError("shocks must be an (n_factors, burn_in + n_steps) array")
     smoothed, _ = _smooth_factors(spec.alpha, shocks, np.zeros((spec.n_factors, 1)))
-    chunk, tile = 1 << 16, 256
-    terms = np.hstack([spec.beta @ smoothed[:, start:min(start + tile, end)]
-                       for first in range(0, total, chunk)
-                       for end in [min(first + chunk, total)]
-                       for start in range(first, end, tile)])
+    terms = spec.beta[:, :1] * smoothed[:1]
+    for f in range(1, spec.n_factors):
+        terms += spec.beta[:, f:f + 1] * smoothed[f:f + 1]
     return idio + terms[:, burn_in:]
 
 

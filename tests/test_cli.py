@@ -303,6 +303,12 @@ class TestReproduce:
             alphas.append(report["recovery"][0]["fitted"]["alpha"])
         assert max(alphas) - min(alphas) < 0.1
 
+    @pytest.mark.parametrize("strengths", [("0.5",), (True, 0.5)], ids=["string", "bool"])
+    def test_strengths_refuse_bools_and_strings(self, tmp_path, strengths):
+        from leadlag import ValidationError, reproduce_report
+        with pytest.raises(ValidationError, match="strengths must be a number"):
+            reproduce_report(tmp_path, n_assets=3, strengths=strengths, n_steps=64, taus=(1, 2))
+
 
 class TestMalformedInput:
     """Every file the program reads from outside fails with a data error."""
@@ -408,7 +414,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("field, value", [
         ("beta", "abc"), ("n_assets", "x"), ("alpha", [0.1]), ("n_assets", 2.7),
-        ("n_factors", 1.0), ("seed", True), ("alpha", 1.5), ("sigma", -1.0)])
+        ("n_factors", 1.0), ("seed", True), ("alpha", 1.5), ("sigma", -1.0),
+        ("sigma", "1.5"), ("sigma", True), ("factor_sigma", "2"), ("beta", [0.4, 0.4, True])])
     def test_spec_file_bad_field(self, tmp_path, capsys, field, value):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_assets": 3, "alpha": 0.25, "beta": 0.4, field: value}))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from scipy.signal import lfilter
 
 from leadlag import (ModelSpec, ReturnPanel, ValidationError, sample_correlation,
                      simulate_panel, stationary_burn_in, theoretical_covariance)
-from leadlag.model import _CHUNK, _TILE, _emitted_blocks, _smooth_factors
+from leadlag.model import _CHUNK, _emitted_blocks, _smooth_factors
 from leadlag.moments import _scale_covariances
 from oracles import panel_from_innovations, smallest_power_below, truncated_convolution_panel
 
@@ -46,6 +47,19 @@ class TestModelSpecValidation:
     def test_seed_range(self):
         with pytest.raises(ValidationError, match="seed"):
             ModelSpec(2, 1, 0.2, 1.0, 1.0, 0.5, seed=-1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelSpec(3, 1, 0.2, True, "1.5", 0.4),
+        lambda: ModelSpec(2, 1, 0.2, 1.0, 1.0, [0.3, True]),
+        lambda: ModelSpec.orthogonal_factors(3, ["0.1"], 0.3),
+        lambda: ModelSpec.orthogonal_factors(3, [True], 0.3),
+        lambda: ModelSpec.single_factor(3, "0.2", 0.3),
+        lambda: stationary_burn_in(0.5, "1e-3"),
+    ], ids=["sigma", "beta-entry", "gammas-string", "gammas-bool", "gamma", "tolerance"])
+    def test_real_parameters_refuse_bools_and_strings(self, build):
+        # refused, never read as 1.0 or parsed
+        with pytest.raises(ValidationError, match="must be (a number|numbers)"):
+            build()
 
     def test_scalar_broadcast(self):
         spec = ModelSpec(4, 2, 0.1, 0.5, 2.0, 0.25)
@@ -181,13 +195,15 @@ class TestSimulatePanel:
             assert len(sizes) == 3
             assert np.array_equal(simulate_panel(spec, n_steps).returns, expected)
 
-    @pytest.mark.parametrize("n_factors", [1, 4])
+    @pytest.mark.parametrize("n_factors", [1, 4, 9])
     def test_block_length_is_invisible(self, n_factors):
         # blocks of 7 and of 997 steps, whose edges fall beside the factor
         # chunks' (the burn-in is 69,061 steps), and of 100,000 steps, which
-        # span three chunks, give simulate_panel's bytes
+        # span three chunks, give simulate_panel's bytes.  Nine factors are
+        # wider than an 8-lane unroll, so a sum over f reordered by the
+        # block's width would show
         spec = ModelSpec(5, n_factors, 0.9995, np.linspace(0.5, 2.0, 5),
-                         [1.5, 0.7, 0.3, 2.2][:n_factors],
+                         np.resize([1.5, 0.7, 0.3, 2.2], n_factors),
                          np.linspace(-0.7, 0.8, 5 * n_factors).reshape(5, n_factors), seed=8)
         n_steps = 2 * (1 << 16) + 123
         burn = stationary_burn_in(spec.alpha, 1e-15)
@@ -197,13 +213,20 @@ class TestSimulatePanel:
             assert {block.shape[1] for block in blocks[:-1]} == {length}
             assert np.array_equal(np.hstack(blocks), expected)
 
+    def test_one_factor_bits_are_pinned(self):
+        # a one-factor cell is a single product, so these bytes, across a
+        # factor-chunk border (burn-in 29 + 70,000 steps), stay put whatever
+        # computes the factor terms
+        panel = simulate_panel(ModelSpec.single_factor(4, 0.2, 0.3, seed=5), 70_000)
+        assert hashlib.sha256(panel.returns.tobytes()).hexdigest() == (
+            "9e13ae2bdb52fb0859a879137134619f85358f7bbb9719d0c8c69fa056a045eb")
+
     @pytest.mark.parametrize("n_factors", [1, 3])
     def test_peak_memory_is_the_panel(self, n_factors):
-        # beyond the panel: a chunk's F factor rows, one row of draws, the
-        # recursion's one-row output and an (N, _TILE) tile, plus under half a
-        # row of slack.  A narrow panel makes these the whole excess, so a
-        # factor chunk kept alive while the next is drawn (2F + 1 rows) fails
-        # for F > 1
+        # beyond the panel: a chunk's F factor rows, one row of draws and the
+        # recursion's one-row output, plus under half a row of slack.  A
+        # narrow panel makes these the whole excess, so a factor chunk kept
+        # alive while the next is drawn (2F + 1 rows) fails for F > 1
         spec = ModelSpec(4, n_factors, 0.3, 1.0, 1.0, 0.2, seed=1)
         simulate_panel(spec, 1)  # the first simulation imports numpy.random
         tracemalloc.start()
@@ -214,7 +237,7 @@ class TestSimulatePanel:
             tracemalloc.stop()
         row = _CHUNK * 8
         excess = peak - panel.returns.nbytes
-        assert excess < (n_factors + 2.5) * row + spec.n_assets * _TILE * 8
+        assert excess < (n_factors + 2.5) * row
 
 
 class TestPanelFromInnovations:
