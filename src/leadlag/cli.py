@@ -36,10 +36,13 @@ _DEFAULT_TAUS = ",".join(str(t) for t in pipeline.DYADIC_TAUS)
 
 def _parse_list(text: str, name: str, kind=float) -> list:
     try:
-        return [kind(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
+        values = [kind(part) for part in text.split(",") if part != ""]
+    except ValueError:
+        values = []
+    if not values:
         noun = "integers" if kind is int else "numbers"
-        raise ValidationError(f"--{name} expects a comma-separated list of {noun}") from exc
+        raise ValidationError(f"--{name} expects a comma-separated list of {noun}")
+    return values
 
 
 def _scalar_or_vector(text: str, name: str):

@@ -4,11 +4,10 @@ The CLI maps these onto exit codes: ValidationError -> 2 (bad arguments or
 configuration), DataError -> 3 (malformed or unusable input data),
 ConvergenceError -> 4 (numerical failure).
 
-Counts (a spectrum's multiplicities too), scales, ranks, tau grids and seeds
-are integers: an integral float such as 2.0, a bool or a string is refused,
-never truncated.  Real parameters refuse a bool or a string too, also as one
-entry of a vector, never converting them.  The API and the file readers share
-these rules.
+Counts, scales, ranks, tau grids and seeds are integers: an integral float
+such as 2.0, a bool or a string is refused, never truncated.  Real parameters
+refuse a bool or a string too, also as one entry of a vector, never
+converting them.  The API and the file readers share these rules.
 """
 
 import math
@@ -38,21 +37,15 @@ def _integer(value, name: str, minimum: int = 1, maximum: float = math.inf) -> i
     return int(value)
 
 
-def _integers(values, name: str) -> np.ndarray:
-    """`values`, an array of integer dtype, as an int64 array of the same values."""
-    arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
-        raise ValidationError(f"{name} must be integers, got {values!r}")
-    ints = arr.astype(np.int64)  # a uint64 beyond the int64 range changes here
-    if np.any(ints != arr):
-        raise ValidationError(f"{name} must lie in the int64 range, got {values!r}")
-    return ints
-
-
 def _tau_grid(values, name: str) -> np.ndarray:
     """`values`, an array of integer dtype, as a nonempty, strictly ascending
     int64 vector of integers >= 1."""
-    grid = _integers(values, name)
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValidationError(f"{name} must be integers, got {values!r}")
+    grid = arr.astype(np.int64)  # a uint64 beyond the int64 range changes here
+    if np.any(grid != arr):
+        raise ValidationError(f"{name} must lie in the int64 range, got {values!r}")
     if grid.ndim != 1 or not grid.size:
         raise ValidationError(f"{name} must be a nonempty vector of integers, got {values!r}")
     if np.any(grid < 1) or np.any(np.diff(grid) <= 0):

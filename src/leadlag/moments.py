@@ -56,33 +56,26 @@ _CHUNK_BYTES = 16 << 20
 
 @dataclass(frozen=True)
 class ScaleMatrix:
-    """Covariance or correlation matrix tagged with its aggregation scale."""
+    """Covariance or correlation matrix of aggregated returns."""
 
     values: np.ndarray
-    scale: int
     kind: str  # "covariance" | "correlation"
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("matrix must be square")
-        scale = _integer(self.scale, "scale")
         if self.kind not in ("covariance", "correlation"):
             raise ValidationError("kind must be 'covariance' or 'correlation'")
-        norm = max(1.0, float(np.max(np.abs(arr))) if arr.size else 0.0)
-        if float(np.max(np.abs(arr - arr.T))) > _SYM_TOL * norm:
+        norm = float(np.max(np.abs(arr), initial=1.0))
+        if float(np.max(np.abs(arr - arr.T), initial=0.0)) > _SYM_TOL * norm:
             raise ValidationError("matrix is not symmetric within tolerance")
         if self.kind == "correlation":
-            if float(np.max(np.abs(np.diag(arr) - 1.0))) > _SYM_TOL:
+            if float(np.max(np.abs(np.diag(arr) - 1.0), initial=0.0)) > _SYM_TOL:
                 raise ValidationError("correlation matrix must have unit diagonal")
-            if float(np.max(np.abs(arr))) > 1.0 + _SYM_TOL:
+            if float(np.max(np.abs(arr), initial=0.0)) > 1.0 + _SYM_TOL:
                 raise ValidationError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "scale", scale)
-
-    @property
-    def n_assets(self) -> int:
-        return self.values.shape[0]
 
 
 def factor_variance_sum(alpha: float, tau: int) -> float:
@@ -142,7 +135,7 @@ def theoretical_covariance(spec: ModelSpec, tau: int) -> ScaleMatrix:
     weight = factor_variance_sum(spec.alpha, tau) / (1.0 - spec.alpha) ** 2
     cov = weight * _factor_gram(spec)
     cov[np.diag_indices_from(cov)] += tau * spec.sigma**2
-    return ScaleMatrix(cov, scale=tau, kind="covariance")
+    return ScaleMatrix(cov, kind="covariance")
 
 
 def _normalize(cov: np.ndarray) -> np.ndarray:
@@ -158,7 +151,7 @@ def theoretical_correlation(spec: ModelSpec, tau: int) -> ScaleMatrix:
     """Model correlation of tau-aggregated returns: the normalized
     theoretical covariance, with exact unit diagonal."""
     cov = theoretical_covariance(spec, tau)
-    return ScaleMatrix(_normalize(cov.values), scale=cov.scale, kind="correlation")
+    return ScaleMatrix(_normalize(cov.values), kind="correlation")
 
 
 def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
@@ -206,7 +199,7 @@ def sample_covariance(panel: ReturnPanel) -> ScaleMatrix:
     if t < 2:
         raise DataError("at least two observations are required")
     cov = _covariance(_centered_moments(panel.returns)[1], t)
-    return ScaleMatrix(cov, scale=panel.base_scale, kind="covariance")
+    return ScaleMatrix(cov, kind="covariance")
 
 
 def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
@@ -215,8 +208,7 @@ def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
     Raises DataError naming the first asset whose sample variance is zero.
     """
     cov = sample_covariance(panel).values
-    return ScaleMatrix(_correlation(cov, panel.asset_labels), scale=panel.base_scale,
-                       kind="correlation")
+    return ScaleMatrix(_correlation(cov, panel.asset_labels), kind="correlation")
 
 
 def _chunk_length(n_assets: int, taus) -> int:

@@ -58,16 +58,14 @@ def _checked_request(taus, top_k, kind, n_assets: int, n_steps: int):
     return taus, top_k
 
 
-def _eigencurves(chunks, taus, top_k: int, kind: str, labels,
-                 base_scale: int) -> list[EigenCurve]:
+def _eigencurves(chunks, taus, top_k: int, kind: str, labels) -> list[EigenCurve]:
     # the top-k curves, from the leading eigenvalues at every scale, which one
     # pass over the panel's column chunks gives
     rows = []
-    for tau, cov in zip(taus, _scale_covariances(chunks, taus)):
+    for cov in _scale_covariances(chunks, taus):
         if kind == "correlation":
             cov = _correlation(cov, labels)
-        matrix = ScaleMatrix(cov, scale=base_scale * tau, kind=kind)
-        rows.append(dense_eigenvalues(matrix).eigenvalues[:top_k])
+        rows.append(dense_eigenvalues(ScaleMatrix(cov, kind=kind)).eigenvalues[:top_k])
     stacked = np.vstack(rows)
     return [
         EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
@@ -85,7 +83,7 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
     """
     taus, top_k = _checked_request(taus, top_k, kind, panel.n_assets, panel.n_steps)
     return _eigencurves(_panel_chunks(panel.returns, taus), taus, top_k, kind,
-                        panel.asset_labels, panel.base_scale)
+                        panel.asset_labels)
 
 
 def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
@@ -100,7 +98,7 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     taus, top_k = _checked_request(taus, top_k, kind, spec.n_assets, n_steps)
     chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha, 1e-15),
                              _chunk_length(spec.n_assets, taus))
-    return _eigencurves(chunks, taus, top_k, kind, _default_labels(spec.n_assets), 1)
+    return _eigencurves(chunks, taus, top_k, kind, _default_labels(spec.n_assets))
 
 
 def fit_curves(curves, n_assets: int,
@@ -142,8 +140,6 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
     large-eigenvalue approximation of the exact spectrum; the recovery table
     reports both so the gap is visible.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     taus = tuple(_tau_grid(taus, "tau grid").tolist())
     strengths = tuple(_real(g, "strengths") for g in strengths)
     if sorted(strengths, reverse=True) != list(strengths):
@@ -153,6 +149,8 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
     n_assets, n_steps, seed = spec.n_assets, _integer(n_steps, "n_steps"), spec.seed
     curves = eigencurves_from_model(spec, n_steps, taus, top_k=len(strengths),
                                     kind="correlation")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_curves(curves, out_dir / "curves.json", n_assets=n_assets)
 
     fitted = fit_curves(curves, n_assets)

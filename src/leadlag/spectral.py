@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _alpha, _integer, _integers, _positive, _tau_grid
+from .errors import ValidationError, _alpha, _integer, _positive, _tau_grid
 from .fitting import EigenCurve
 from .model import ModelSpec
 from .moments import ScaleMatrix, _attenuation_array, attenuation
@@ -72,10 +72,6 @@ class LoadingVector:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "scale", _integer(self.scale, "scale"))
 
-    @property
-    def n_assets(self) -> int:
-        return self.rho.size
-
 
 @dataclass(frozen=True)
 class LoadingMatrix:
@@ -95,56 +91,29 @@ class LoadingMatrix:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "scale", _integer(self.scale, "scale"))
 
-    @property
-    def n_assets(self) -> int:
-        return self.rho.shape[0]
-
-    @property
-    def n_factors(self) -> int:
-        return self.rho.shape[1]
-
     def row_norms_sq(self) -> np.ndarray:
         return (self.rho**2).sum(axis=1)
 
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues in descending order with per-entry multiplicity counts.
-
-    multiplicities[i] is the number of entries sharing exactly the value
-    eigenvalues[i] (so a simple eigenvalue carries 1).
-    """
+    """Eigenvalues in descending order; tied roots are bit-identical."""
 
     eigenvalues: np.ndarray
-    multiplicities: np.ndarray
 
     def __post_init__(self):
         vals = np.asarray(self.eigenvalues, dtype=np.float64)
-        mult = _integers(self.multiplicities, "multiplicities")
-        if vals.ndim != 1 or mult.shape != vals.shape:
-            raise ValidationError("eigenvalues and multiplicities must be equal-length vectors")
+        if vals.ndim != 1:
+            raise ValidationError("eigenvalues must be a vector")
         if not np.all(np.isfinite(vals)):
             raise ValidationError("eigenvalues must be finite")
         if np.any(np.diff(vals) > 1e-9):
             raise ValidationError("eigenvalues must be in descending order")
-        if np.any(mult < 1):
-            raise ValidationError("multiplicities must be positive")
         object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "multiplicities", mult)
 
     @property
     def trace(self) -> float:
         return float(self.eigenvalues.sum())
-
-
-def _exact_multiplicities(values: np.ndarray) -> np.ndarray:
-    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return counts[inverse]
-
-
-def _spectrum_from_values(values: np.ndarray) -> Spectrum:
-    # values arrive in descending order
-    return Spectrum(values, _exact_multiplicities(values))
 
 
 def correlation_loading(gamma: float, alpha: float, tau) -> float:
@@ -244,10 +213,9 @@ def secular_eigenvalues(loadings: LoadingVector) -> Spectrum:
 
     All N eigenvalues come from the inertia-counting slicer with a floor below
     every 1 - rho_i^2, to an absolute width of 2 eps max(1, top).  Tied
-    loadings give bit-identical eigenvalues, so `multiplicities` is exact;
-    zero loadings give eigenvalue 1.
+    loadings give bit-identical eigenvalues; zero loadings give eigenvalue 1.
     """
-    return _spectrum_from_values(_slice_spectrum(loadings.rho[:, None], floor=-1.0))
+    return Spectrum(_slice_spectrum(loadings.rho[:, None], floor=-1.0))
 
 
 def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
@@ -292,4 +260,4 @@ def dense_eigenvalues(matrix: ScaleMatrix) -> Spectrum:
     tolerance.
     """
     a = matrix.values
-    return _spectrum_from_values(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1])
+    return Spectrum(np.linalg.eigvalsh(0.5 * (a + a.T))[::-1])

@@ -119,6 +119,13 @@ class TestSpectrum:
         err = capsys.readouterr().err
         assert "64" in err and "128" in err
 
+    def test_empty_taus_is_exit_2(self, tmp_path, capsys):
+        panel_path = self.make_panel(tmp_path, steps=100)
+        code = run("spectrum", "--in", str(panel_path), "--taus", "",
+                   "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert "--taus expects a comma-separated list" in capsys.readouterr().err
+
     def test_covariance_mode_file_path(self, tmp_path):
         panel_path = self.make_panel(tmp_path, steps=2000)
         curves_path = tmp_path / "cov.json"
@@ -199,6 +206,13 @@ class TestFitAndPlot:
                    "--out", str(tmp_path / "f.json"))
         assert code == 3
         assert "9" in capsys.readouterr().err
+
+    def test_fit_empty_ranks_is_exit_2(self, tmp_path, capsys):
+        curves_path = self.write_reference_curves(tmp_path)
+        code = run("fit", "--in", str(curves_path), "--ranks", "",
+                   "--out", str(tmp_path / "f.json"))
+        assert code == 2
+        assert "--ranks expects a comma-separated list" in capsys.readouterr().err
 
     def test_fit_short_curves_skip_but_continue(self, tmp_path, capsys):
         curves = [
@@ -302,6 +316,16 @@ class TestReproduce:
                                       taus=(1, 2, 4, 8, 16, 32, 64, 128))
             alphas.append(report["recovery"][0]["fitted"]["alpha"])
         assert max(alphas) - min(alphas) < 0.1
+
+    @pytest.mark.parametrize("flags", [
+        ("--gammas", "0.1,0.2"),
+        ("--gammas", ""),
+        ("--taus", "1,2,4,1000", "--steps", "512", "--assets", "8"),
+    ], ids=["ascending", "empty", "too-long"])
+    def test_refused_call_creates_nothing(self, tmp_path, flags):
+        out = tmp_path / "report"
+        assert run("reproduce", "--out-dir", str(out), *flags) != 0
+        assert not out.exists()
 
     @pytest.mark.parametrize("strengths", [("0.5",), (True, 0.5)], ids=["string", "bool"])
     def test_strengths_refuse_bools_and_strings(self, tmp_path, strengths):

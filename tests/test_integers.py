@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from leadlag import (DataError, EigenCurve, FitResult, ModelSpec, ReturnPanel,
-                     Spectrum, ValidationError, aggregate_returns,
+                     ValidationError, aggregate_returns,
                      eigencurves_from_panel, factor_eigencurve,
                      factor_variance_sum, fit_eigencurve, load_curves,
                      load_fits, loading_matrix, loading_vector, save_curves,
@@ -60,8 +60,6 @@ def spec(**fields):
     ("base_scale", lambda: ReturnPanel(np.zeros((2, 4)), base_scale=1.5)),
     ("n_assets", lambda: fit_eigencurve(CURVE, 2.7)),
     ("n_assets", lambda: factor_eigencurve(4.0, 0.2, 0.2, (1, 2, 4))),
-    ("multiplicities", lambda: Spectrum(np.array([2.0, 1.0]), np.array([1.5, 1.9]))),
-    ("multiplicities", lambda: Spectrum(np.array([2.0, 1.0]), np.array([1.0, 1.0]))),
 ])
 def test_api_refuses_non_integers(field, call):
     with pytest.raises(ValidationError, match=field):

@@ -1,10 +1,13 @@
 """The package's import graph, read from its source, has no cycle, every
-name a module exports exists and has a caller beyond the unit tests, and the
-runtime needs numpy alone."""
+name a module exports exists and has a caller beyond the unit tests, so does
+every public attribute of an exported dataclass, and the runtime needs numpy
+alone."""
 
 import ast
+import dataclasses
 import graphlib
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -115,21 +118,23 @@ def test_exported_names_exist(name):
 
 
 def referenced_names(path, with_imports):
-    # names a file reads, bare or as an attribute, and (with_imports) imports
+    # names a file reads, bare or as an attribute of anything but `self`, and
+    # (with_imports) imports
     found = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            found.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                found.add(node.attr)
         elif with_imports and isinstance(node, (ast.Import, ast.ImportFrom)):
             found.update(alias.name.split(".")[-1] for alias in node.names)
     return found
 
 
-def test_every_export_has_a_caller():
+def names_read_outside_unit_tests():
     # the public API is what the package, the benchmark, the scripts or the
-    # acceptance tests use; a name only the unit tests call is dead surface
+    # acceptance tests use; a name only the unit tests read is dead surface
     used = set()
     for path in sorted((ROOT / "src" / "leadlag").glob("*.py")):
         used |= referenced_names(path, with_imports=False)
@@ -137,5 +142,29 @@ def test_every_export_has_a_caller():
                ROOT / "tests" / "test_acceptance.py"]
     for path in outside:
         used |= referenced_names(path, with_imports=True)
+    return used
+
+
+def test_every_export_has_a_caller():
+    used = names_read_outside_unit_tests()
     unused = [n for n in leadlag.__all__ if n != "__version__" and n not in used]
     assert not unused, f"exported but called only by the unit tests: {unused}"
+
+
+def test_every_public_attribute_has_a_reader():
+    # every field, property and method of an exported dataclass is read as
+    # x.attr somewhere outside the unit tests.  The match is by name alone, so
+    # an attribute whose name another type or a variable also uses (n_assets)
+    # passes unread.
+    used = names_read_outside_unit_tests()
+    unread = []
+    for cls in (getattr(leadlag, n) for n in leadlag.__all__):
+        if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
+            continue
+        members = {f.name for f in dataclasses.fields(cls)} | {
+            name for name, value in vars(cls).items()
+            if isinstance(value, (property, classmethod, staticmethod))
+            or inspect.isfunction(value)}
+        unread += [f"{cls.__name__}.{name}" for name in sorted(members)
+                   if not name.startswith("_") and name not in used]
+    assert not unread, f"read only by the unit tests: {unread}"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from leadlag import (DataError, ModelSpec, ReturnPanel, ScaleMatrix,
                      ValidationError, aggregate_returns, attenuation,
-                     factor_variance_sum, loading_matrix, sample_correlation,
-                     sample_covariance, simulate_panel,
+                     dense_eigenvalues, factor_variance_sum, loading_matrix,
+                     sample_correlation, sample_covariance, simulate_panel,
                      theoretical_correlation, theoretical_covariance)
 from oracles import covariance_oracle, smoothing_accumulation
 
@@ -221,6 +221,13 @@ class TestSampleMoments:
         with pytest.raises(DataError):
             sample_covariance(panel)
 
+    def test_panel_of_no_assets(self):
+        panel = ReturnPanel(np.zeros((0, 5)))
+        assert sample_covariance(panel).values.shape == (0, 0)
+        correlation = sample_correlation(panel)
+        assert correlation.values.shape == (0, 0)
+        assert dense_eigenvalues(correlation).eigenvalues.shape == (0,)
+
     def test_long_panel_converges_to_theoretical_correlation(self):
         spec = ModelSpec.single_factor(5, 0.4, 0.2, seed=77)
         panel = simulate_panel(spec, 400_000)
@@ -232,16 +239,16 @@ class TestSampleMoments:
 class TestScaleMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            ScaleMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), 1, "covariance")
+            ScaleMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), "covariance")
 
     def test_rejects_bad_correlation_diagonal(self):
         with pytest.raises(ValidationError, match="diagonal"):
-            ScaleMatrix(np.array([[1.1, 0.0], [0.0, 1.0]]), 1, "correlation")
+            ScaleMatrix(np.array([[1.1, 0.0], [0.0, 1.0]]), "correlation")
 
     def test_rejects_out_of_range_correlation(self):
         with pytest.raises(ValidationError, match="correlation entries"):
-            ScaleMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), 1, "correlation")
+            ScaleMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), "correlation")
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValidationError, match="kind"):
-            ScaleMatrix(np.eye(2), 1, "corr")
+            ScaleMatrix(np.eye(2), "corr")
