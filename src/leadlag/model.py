@@ -18,10 +18,11 @@ the streams are independent and the output is bit-reproducible for a given
 spec.  The factor shocks use stream 1, the loadings that
 `ModelSpec.orthogonal_factors` draws stream 2, and asset i's noise stream
 3 + i.  Idiosyncratic noise carries no state, so it is drawn for the emitted
-steps only, and each asset's stream runs on by itself.  A factor term is the
-elementwise sum over f, in order, of beta[i, f] * S_f(t), so no cell depends
-on its neighbours and time slices of the panel can be emitted in any block
-length, with the same bytes.
+steps only, and each asset's stream runs on by itself: the assets are split
+into one part per CPU, whose noise is drawn at once on threads, with the same
+bytes.  A factor term is the elementwise sum over f, in order, of
+beta[i, f] * S_f(t), so no cell depends on its neighbours and time slices of
+the panel can be emitted in any block length, with the same bytes.
 
 The recursion for S_f runs one step at a time in plain floating point, as the
 direct-form IIR filter scipy.signal.lfilter runs it, so the panels carry that
@@ -32,6 +33,7 @@ of the last step, which the next chunk's first step adds unscaled.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -241,6 +243,17 @@ def _smooth_factors(alpha: float, shocks: np.ndarray, state: np.ndarray):
     return shocks, alpha * shocks[:, -1:]
 
 
+def _add_noise(block, assets, sigma, rows, scratch):
+    # add sigma[k] times the next draws of stream assets[k] to block[rows][k],
+    # in pieces of scratch's length: consecutive draws equal one long draw
+    for rng, scale, row in zip(assets, sigma, block[rows]):
+        for lo in range(0, row.size, scratch.size):
+            piece = scratch[:row.size - lo]
+            rng.standard_normal(out=piece)
+            piece *= scale
+            row[lo:lo + piece.size] += piece
+
+
 def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
                     out: np.ndarray | None = None):
     """Yield the (N, <= length) blocks of the n_steps emitted steps, in order.
@@ -251,40 +264,55 @@ def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
     step on.  The factor shocks are drawn in _CHUNK-step chunks from the first
     burn-in step on.  Each factor term is an elementwise sum over f of
     beta[i, f] * S_f(t), with no BLAS call, so no cell depends on `length`.
+
+    The noise goes in P = min(CPUs, N, width) parts of contiguous rows, at
+    once: part 0 in the calling thread, the others on one executor's
+    threads for the call, waited for before the block is yielded, so an
+    exception in any part reaches the caller.  Part k draws into slice k
+    of the one scratch row, in pieces of its length.  A row's noise is its
+    stream's next draws in order, so neither P nor the slices move a byte.
     """
+    # only simulation needs the executor, which slows `import leadlag` by ~3%
+    from concurrent.futures import ThreadPoolExecutor
     assets = [_keyed_rng(spec.seed, _ASSET_STREAM + i) for i in range(spec.n_assets)]
     rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
     width = min(length, n_steps)
     buffer = np.empty((spec.n_assets, width)) if out is None else None
     draws = np.empty(width)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_parts = min(cpus or 1, spec.n_assets, width)
+    cuts = [(spec.n_assets * k // n_parts, width * k // n_parts) for k in range(n_parts + 1)]
+    parts = [(assets[a:b], spec.sigma[a:b], slice(a, b), draws[c:d])
+             for (a, c), (b, d) in zip(cuts, cuts[1:])]
     state = np.zeros((spec.n_factors, 1))
     factor_sigma = spec.factor_sigma[:, None]
     # the factor rows of the chunk that ends before emitted step `end`
     smoothed, end = None, -burn_in
-    for lo in range(0, n_steps, length):
-        hi = min(lo + length, n_steps)
-        block = buffer[:, :hi - lo] if out is None else out[:, lo:hi]
-        start = lo
-        while start < hi:
-            if start >= end:
-                smoothed = None  # free this chunk's rows before the next is drawn
-                smoothed = rng_factor.standard_normal((spec.n_factors, min(_CHUNK, n_steps - end)))
-                smoothed *= factor_sigma
-                smoothed, state = _smooth_factors(spec.alpha, smoothed, state)
-                end += smoothed.shape[1]
-                continue
-            # the steps [start, stop) share one factor chunk
-            stop = min(end, hi)
-            first = start - end + smoothed.shape[1]
-            np.einsum("if,ft->it", spec.beta, smoothed[:, first:first + stop - start],
-                      out=block[:, start - lo:stop - lo])
-            start = stop
-        noise = draws[:hi - lo]
-        for rng, sigma, row in zip(assets, spec.sigma, block):
-            rng.standard_normal(out=noise)
-            noise *= sigma
-            row += noise
-        yield block
+    with ThreadPoolExecutor(max(n_parts - 1, 1)) as pool:
+        for lo in range(0, n_steps, length):
+            hi = min(lo + length, n_steps)
+            block = buffer[:, :hi - lo] if out is None else out[:, lo:hi]
+            start = lo
+            while start < hi:
+                if start >= end:
+                    smoothed = None  # free this chunk's rows before the next is drawn
+                    smoothed = rng_factor.standard_normal(
+                        (spec.n_factors, min(_CHUNK, n_steps - end)))
+                    smoothed *= factor_sigma
+                    smoothed, state = _smooth_factors(spec.alpha, smoothed, state)
+                    end += smoothed.shape[1]
+                    continue
+                # the steps [start, stop) share one factor chunk
+                stop = min(end, hi)
+                first = start - end + smoothed.shape[1]
+                np.einsum("if,ft->it", spec.beta, smoothed[:, first:first + stop - start],
+                          out=block[:, start - lo:stop - lo])
+                start = stop
+            helpers = [pool.submit(_add_noise, block, *part) for part in parts[1:]]
+            _add_noise(block, *parts[0])
+            for helper in helpers:
+                helper.result()
+            yield block
 
 
 def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) -> ReturnPanel:
@@ -294,7 +322,9 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     stationary_burn_in(alpha, 1e-15).  Generation runs in blocks of time
     steps written straight into the output panel: beyond the panel, the only
     memory it takes is F + 2 rows of a chunk: its F factor rows, one row of
-    draws and the factor recursion's one-row output.
+    draws and the factor recursion's one-row output.  The noise is drawn on
+    one thread per CPU, each into its own slice of that row of draws, and
+    each asset from its own stream, so the CPU count changes no byte.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:

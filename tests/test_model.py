@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,13 +12,28 @@ from scipy.signal import lfilter
 
 from leadlag import (ModelSpec, ReturnPanel, ValidationError, sample_correlation,
                      simulate_panel, stationary_burn_in, theoretical_covariance)
+from leadlag import model
 from leadlag.model import _CHUNK, _emitted_blocks, _smooth_factors
 from leadlag.moments import _scale_covariances
+from leadlag.pipeline import eigencurves_from_model
 from oracles import panel_from_innovations, smallest_power_below, truncated_convolution_panel
 
 
 def one_factor(n=10, gamma=0.2, alpha=0.3, seed=0):
     return ModelSpec.single_factor(n, gamma, alpha, seed=seed)
+
+
+def five_assets(n_factors):
+    # burn-in 69,061 steps, so factor-chunk edges fall inside the panel
+    return ModelSpec(5, n_factors, 0.9995, np.linspace(0.5, 2.0, 5),
+                     np.resize([1.5, 0.7, 0.3, 2.2], n_factors),
+                     np.linspace(-0.7, 0.8, 5 * n_factors).reshape(5, n_factors), seed=8)
+
+
+def force_cpus(monkeypatch, n):
+    # the simulator draws its noise in one part per CPU it may run on, which
+    # it reads from os.sched_getaffinity where the platform has one
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 class TestModelSpecValidation:
@@ -202,9 +219,7 @@ class TestSimulatePanel:
         # span three chunks, give simulate_panel's bytes.  Nine factors are
         # wider than an 8-lane unroll, so a sum over f reordered by the
         # block's width would show
-        spec = ModelSpec(5, n_factors, 0.9995, np.linspace(0.5, 2.0, 5),
-                         np.resize([1.5, 0.7, 0.3, 2.2], n_factors),
-                         np.linspace(-0.7, 0.8, 5 * n_factors).reshape(5, n_factors), seed=8)
+        spec = five_assets(n_factors)
         n_steps = 2 * (1 << 16) + 123
         burn = stationary_burn_in(spec.alpha, 1e-15)
         expected = simulate_panel(spec, n_steps).returns
@@ -212,6 +227,50 @@ class TestSimulatePanel:
             blocks = [block.copy() for block in _emitted_blocks(spec, n_steps, burn, length)]
             assert {block.shape[1] for block in blocks[:-1]} == {length}
             assert np.array_equal(np.hstack(blocks), expected)
+
+    @pytest.mark.parametrize("n_factors", [1, 4, 9])
+    def test_parts_are_invisible(self, n_factors, monkeypatch):
+        # the noise drawn in 2, 3 and 5 parts of rows (7 CPUs, 5 assets), each
+        # part into its own slice of the one scratch row, gives the 1-part
+        # bytes in every block length.  Blocks of 7 steps cut each part's
+        # slice into pieces of 1 to 4 steps; a 1-step panel is narrower than
+        # the parts.  Every block hands work to each part, so the 7-step
+        # blocks cover 7,003 steps, not the 131,195 of the longer blocks
+        spec = five_assets(n_factors)
+        burn = stationary_burn_in(spec.alpha, 1e-15)
+        long = 2 * (1 << 16) + 123
+        steps = {7: 7003, 997: long, 100_000: long}
+        force_cpus(monkeypatch, 1)
+        expected = {n_steps: simulate_panel(spec, n_steps).returns for n_steps in (1, 7003, long)}
+        for cpus in (1, 2, 3, 7):
+            force_cpus(monkeypatch, cpus)
+            for n_steps, panel in expected.items():
+                assert np.array_equal(simulate_panel(spec, n_steps).returns, panel)
+            for length, n_steps in steps.items():
+                blocks = [block.copy() for block in _emitted_blocks(spec, n_steps, burn, length)]
+                assert np.array_equal(np.hstack(blocks), expected[n_steps])
+
+    def test_a_failing_part_reaches_the_caller(self, monkeypatch):
+        # every part off the calling thread raises: both routes through the
+        # simulator raise it, rather than return blocks missing that noise,
+        # and leave no thread behind
+        caller, add_noise = threading.current_thread(), model._add_noise
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("a helper part failed")
+            add_noise(*args)
+
+        force_cpus(monkeypatch, 4)
+        monkeypatch.setattr(model, "_add_noise", failing)
+        spec = one_factor(n=6)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="a helper part failed"):
+            simulate_panel(spec, 1000)
+        assert threading.active_count() == threads
+        with pytest.raises(RuntimeError, match="a helper part failed"):
+            eigencurves_from_model(spec, 1024, taus=(1, 2), top_k=1)
+        assert threading.active_count() == threads
 
     def test_one_factor_bits_are_pinned(self):
         # a one-factor cell is a single product, so these bytes, across a
@@ -221,12 +280,19 @@ class TestSimulatePanel:
         assert hashlib.sha256(panel.returns.tobytes()).hexdigest() == (
             "9e13ae2bdb52fb0859a879137134619f85358f7bbb9719d0c8c69fa056a045eb")
 
-    @pytest.mark.parametrize("n_factors", [1, 3])
-    def test_peak_memory_is_the_panel(self, n_factors):
+    @pytest.mark.parametrize("n_factors, cpus", [
+        pytest.param(1, None, id="1"), pytest.param(3, None, id="3"),
+        pytest.param(1, 2, id="1-2cpus"), pytest.param(3, 2, id="3-2cpus"),
+        pytest.param(1, 4, id="1-4cpus"), pytest.param(3, 4, id="3-4cpus")])
+    def test_peak_memory_is_the_panel(self, n_factors, cpus, monkeypatch):
         # beyond the panel: a chunk's F factor rows, one row of draws and the
         # recursion's one-row output, plus under half a row of slack.  A
         # narrow panel makes these the whole excess, so a factor chunk kept
-        # alive while the next is drawn (2F + 1 rows) fails for F > 1
+        # alive while the next is drawn (2F + 1 rows) fails for F > 1.  With
+        # 2 or 4 CPUs the noise parts share the one row of draws; a row of
+        # draws per part (F + 1 + parts rows) fails
+        if cpus is not None:
+            force_cpus(monkeypatch, cpus)
         spec = ModelSpec(4, n_factors, 0.3, 1.0, 1.0, 0.2, seed=1)
         simulate_panel(spec, 1)  # the first simulation imports numpy.random
         tracemalloc.start()
