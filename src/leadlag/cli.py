@@ -100,7 +100,7 @@ def _spec_from_args(args) -> ModelSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    burn_in = args.burn_in if args.burn_in is not None else stationary_burn_in(spec.alpha, 1e-15)
+    burn_in = args.burn_in if args.burn_in is not None else stationary_burn_in(spec.alpha)
     panel = simulate_panel(spec, args.steps, burn_in)
     save_panel(panel, args.out)
     print(f"simulated panel: {spec.n_assets} assets x {panel.n_steps} steps "

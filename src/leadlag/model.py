@@ -66,6 +66,8 @@ def _as_vector(values, length: int, name: str) -> np.ndarray:
         arr = np.full(length, float(arr))
     if arr.shape != (length,):
         raise ValidationError(f"{name} must be a scalar or a vector of length {length}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
+        raise ValidationError(f"{name} entries must all be positive and finite")
     return arr
 
 
@@ -104,11 +106,7 @@ class ModelSpec:
         f = _integer(self.n_factors, "n_factors")
         alpha = _alpha(self.alpha)
         sigma = _as_vector(self.sigma, n, "sigma")
-        if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0):
-            raise ValidationError("sigma entries must all be positive and finite")
         factor_sigma = _as_vector(self.factor_sigma, f, "factor_sigma")
-        if not np.all(np.isfinite(factor_sigma)) or np.any(factor_sigma <= 0):
-            raise ValidationError("factor_sigma entries must all be positive and finite")
         beta = _reals(self.beta, "beta")
         if beta.ndim == 0:
             beta = np.full((n, f), float(beta))
@@ -129,16 +127,11 @@ class ModelSpec:
 
     @classmethod
     def single_factor(cls, n_assets: int, gamma: float, alpha: float, *,
-                      sigma: float = 1.0, factor_sigma: float = 1.0,
                       seed: int = 0) -> "ModelSpec":
-        """One-factor spec with uniform signal-to-noise ratio gamma.
-
-        gamma = (factor_sigma * beta / sigma)^2 per asset, so beta is derived
-        as sigma * sqrt(gamma) / factor_sigma.
-        """
-        beta = (_positive(sigma, "sigma") * math.sqrt(_positive(gamma, "gamma", allow_zero=True))
-                / _positive(factor_sigma, "factor_sigma"))
-        return cls(n_assets, 1, alpha, sigma, factor_sigma, beta, seed=seed)
+        """One-factor spec with uniform signal-to-noise ratio gamma = beta^2 per
+        asset: unit sigma and factor_sigma, so beta = sqrt(gamma)."""
+        beta = math.sqrt(_positive(gamma, "gamma", allow_zero=True))
+        return cls(n_assets, 1, alpha, 1.0, 1.0, beta, seed=seed)
 
     @classmethod
     def orthogonal_factors(cls, n_assets: int, gammas, alpha: float, *,
@@ -208,11 +201,11 @@ class ReturnPanel:
         return self.returns.shape[1]
 
 
-def stationary_burn_in(alpha: float, tolerance: float) -> int:
+def stationary_burn_in(alpha: float, tolerance: float = 1e-15) -> int:
     """Smallest k with alpha**k < tolerance; 0 when alpha == 0.
 
-    This is the lag depth beyond which the memory kernel is negligible at the
-    given tolerance, hence a sufficient burn-in length.
+    The lag depth beyond which the memory kernel is negligible at `tolerance`;
+    at the default, the burn-in every simulation uses unless given one.
     """
     alpha = _alpha(alpha)
     if not 0.0 < _real(tolerance, "tolerance") < 1.0:
@@ -319,7 +312,7 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     """Simulate a stationary (N, n_steps) return panel from the model.
 
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
-    stationary_burn_in(alpha, 1e-15).  Generation runs in blocks of time
+    stationary_burn_in(alpha).  Generation runs in blocks of time
     steps written straight into the output panel: beyond the panel, the only
     memory it takes is F + 2 rows of a chunk: its F factor rows, one row of
     draws and the factor recursion's one-row output.  The noise is drawn on
@@ -328,7 +321,7 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:
-        burn_in = stationary_burn_in(spec.alpha, 1e-15)
+        burn_in = stationary_burn_in(spec.alpha)
     burn_in = _integer(burn_in, "burn_in", minimum=0)
     out = np.empty((spec.n_assets, n_steps))
     for _ in _emitted_blocks(spec, n_steps, burn_in, _CHUNK, out):

@@ -56,25 +56,18 @@ _CHUNK_BYTES = 16 << 20
 
 @dataclass(frozen=True)
 class ScaleMatrix:
-    """Covariance or correlation matrix of aggregated returns."""
+    """Covariance or correlation matrix of aggregated returns, square and
+    symmetric within tolerance (correlations come clipped by `_normalize`)."""
 
     values: np.ndarray
-    kind: str  # "covariance" | "correlation"
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValidationError("matrix must be square")
-        if self.kind not in ("covariance", "correlation"):
-            raise ValidationError("kind must be 'covariance' or 'correlation'")
         norm = float(np.max(np.abs(arr), initial=1.0))
         if float(np.max(np.abs(arr - arr.T), initial=0.0)) > _SYM_TOL * norm:
             raise ValidationError("matrix is not symmetric within tolerance")
-        if self.kind == "correlation":
-            if float(np.max(np.abs(np.diag(arr) - 1.0), initial=0.0)) > _SYM_TOL:
-                raise ValidationError("correlation matrix must have unit diagonal")
-            if float(np.max(np.abs(arr), initial=0.0)) > 1.0 + _SYM_TOL:
-                raise ValidationError("correlation entries must lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
 
 
@@ -135,7 +128,7 @@ def theoretical_covariance(spec: ModelSpec, tau: int) -> ScaleMatrix:
     weight = factor_variance_sum(spec.alpha, tau) / (1.0 - spec.alpha) ** 2
     cov = weight * _factor_gram(spec)
     cov[np.diag_indices_from(cov)] += tau * spec.sigma**2
-    return ScaleMatrix(cov, kind="covariance")
+    return ScaleMatrix(cov)
 
 
 def _normalize(cov: np.ndarray) -> np.ndarray:
@@ -151,7 +144,7 @@ def theoretical_correlation(spec: ModelSpec, tau: int) -> ScaleMatrix:
     """Model correlation of tau-aggregated returns: the normalized
     theoretical covariance, with exact unit diagonal."""
     cov = theoretical_covariance(spec, tau)
-    return ScaleMatrix(_normalize(cov.values), kind="correlation")
+    return ScaleMatrix(_normalize(cov.values))
 
 
 def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
@@ -199,7 +192,7 @@ def sample_covariance(panel: ReturnPanel) -> ScaleMatrix:
     if t < 2:
         raise DataError("at least two observations are required")
     cov = _covariance(_centered_moments(panel.returns)[1], t)
-    return ScaleMatrix(cov, kind="covariance")
+    return ScaleMatrix(cov)
 
 
 def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
@@ -208,7 +201,7 @@ def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
     Raises DataError naming the first asset whose sample variance is zero.
     """
     cov = sample_covariance(panel).values
-    return ScaleMatrix(_correlation(cov, panel.asset_labels), kind="correlation")
+    return ScaleMatrix(_correlation(cov, panel.asset_labels))
 
 
 def _chunk_length(n_assets: int, taus) -> int:

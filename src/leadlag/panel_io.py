@@ -83,18 +83,28 @@ def _atomic_write_text(path, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_labels(labels) -> None:
+    # the rule for a panel file's asset labels, alike on writing and reading
+    if not all(labels):
+        raise DataError("asset labels must be non-empty")
+    if len(set(labels)) != len(labels):
+        dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
+        raise DataError(f"duplicate asset label {dup!r} in header")
+
+
 def save_panel(panel: ReturnPanel, path) -> None:
     """Write a panel as CSV; the time stride encodes the base scale.
 
     Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
     a line break, or with leading or trailing whitespace (which load_panel
-    strips), is rejected.
+    strips), is rejected, as are labels load_panel refuses.
     """
     for lbl in panel.asset_labels:
         if "".join(lbl.splitlines()) != lbl:
             raise DataError(f"asset label {lbl!r} contains a line break")
         if lbl.strip() != lbl:
             raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
+    _check_labels(panel.asset_labels)
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(("time", *panel.asset_labels))
     rows = (f"{i * panel.base_scale}," + ",".join(map(repr, row.tolist())) + "\n"
@@ -123,11 +133,7 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     if len(header) < 2 or header[0].strip().lower() != "time":
         raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
     labels = tuple(lbl.strip() for lbl in header[1:])
-    if any(not lbl for lbl in labels):
-        raise DataError("asset labels must be non-empty")
-    if len(set(labels)) != len(labels):
-        dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
-        raise DataError(f"duplicate asset label {dup!r} in header")
+    _check_labels(labels)
 
     line_numbers = [ln for ln, line in enumerate(lines[1:], start=2) if line]
     body = [line for line in lines[1:] if line]
@@ -178,9 +184,11 @@ def _dump(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
-def _run_metadata(n_assets, base_scale_minutes, path) -> dict:
+def _run_metadata(n_assets, base_scale_minutes, ranks, path) -> dict:
     # a results document's run metadata, checked alike on writing and reading by
-    # the fitter's rule for a run (a file may omit the asset count)
+    # the fitter's rule for a run (a file may omit the asset count); one entry per rank
+    if len(set(ranks)) < len(ranks):
+        raise DataError(f"{path}: repeated rank {max(ranks, key=ranks.count)}")
     try:
         count, scale = _check_run(1 if n_assets is None else n_assets, base_scale_minutes)
         return {"n_assets": None if n_assets is None else count, "base_scale_minutes": scale}
@@ -189,8 +197,8 @@ def _run_metadata(n_assets, base_scale_minutes, path) -> dict:
 
 
 def _save_entries(path, kind: str, entries: list, n_assets, base_scale_minutes) -> None:
-    # the writing half of _load_entries: the same metadata rule, then an atomic write
-    meta = _run_metadata(n_assets, base_scale_minutes, path)
+    # the writing half of _load_entries: the same run and rank rules, then an atomic write
+    meta = _run_metadata(n_assets, base_scale_minutes, [e["rank"] for e in entries], path)
     _atomic_write_text(path, _dump({"schema": SCHEMA_VERSION, "kind": kind, **meta,
                                     kind: entries}))
 
@@ -202,12 +210,13 @@ def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
         raise DataError(f"{path}: unsupported schema {document.get('schema')!r}")
     if document.get("kind") != kind:
         raise DataError(f"{path}: expected kind {kind!r}, got {document.get('kind')!r}")
-    meta = _run_metadata(document.get("n_assets"), document.get("base_scale_minutes", 1.0), path)
     try:
         entries = [parse(entry) for entry in document[kind]]
     except (LookupError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {kind} ({type(exc).__name__}: {exc})") from exc
-    return entries, meta
+    ranks = [entry["rank"] for entry in document[kind]]
+    return entries, _run_metadata(document.get("n_assets"),
+                                  document.get("base_scale_minutes", 1.0), ranks, path)
 
 
 def save_curves(curves: Sequence[EigenCurve], path, *, n_assets: int,

@@ -65,7 +65,7 @@ def _eigencurves(chunks, taus, top_k: int, kind: str, labels) -> list[EigenCurve
     for cov in _scale_covariances(chunks, taus):
         if kind == "correlation":
             cov = _correlation(cov, labels)
-        rows.append(dense_eigenvalues(ScaleMatrix(cov, kind=kind)).eigenvalues[:top_k])
+        rows.append(dense_eigenvalues(ScaleMatrix(cov)).eigenvalues[:top_k])
     stacked = np.vstack(rows)
     return [
         EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
@@ -87,18 +87,18 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
 
 
 def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
-                           top_k: int = 4, kind: str = "correlation") -> list[EigenCurve]:
-    """The curves of eigencurves_from_panel(simulate_panel(spec, n_steps)),
-    bit for bit, with no panel built.
+                           top_k: int = 4) -> list[EigenCurve]:
+    """The correlation curves of eigencurves_from_panel(simulate_panel(spec,
+    n_steps)), bit for bit, with no panel built.
 
     The simulator emits the panel's steps chunk by chunk into the engine, so
     memory is a few chunks (16 MiB each), whatever n_steps is.
     """
     n_steps = _integer(n_steps, "n_steps")
-    taus, top_k = _checked_request(taus, top_k, kind, spec.n_assets, n_steps)
-    chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha, 1e-15),
+    taus, top_k = _checked_request(taus, top_k, "correlation", spec.n_assets, n_steps)
+    chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha),
                              _chunk_length(spec.n_assets, taus))
-    return _eigencurves(chunks, taus, top_k, kind, _default_labels(spec.n_assets))
+    return _eigencurves(chunks, taus, top_k, "correlation", _default_labels(spec.n_assets))
 
 
 def fit_curves(curves, n_assets: int,
@@ -147,8 +147,7 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
 
     spec = ModelSpec.orthogonal_factors(n_assets, strengths, alpha, seed=seed)
     n_assets, n_steps, seed = spec.n_assets, _integer(n_steps, "n_steps"), spec.seed
-    curves = eigencurves_from_model(spec, n_steps, taus, top_k=len(strengths),
-                                    kind="correlation")
+    curves = eigencurves_from_model(spec, n_steps, taus, top_k=len(strengths))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_curves(curves, out_dir / "curves.json", n_assets=n_assets)

@@ -238,9 +238,8 @@ def factor_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     return _slice_spectrum(loadings.rho, floor=1.0)
 
 
-def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,
-                      rank: int = 1) -> EigenCurve:
-    """Predicted eigenvalue-versus-scale curve for one factor:
+def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus) -> EigenCurve:
+    """Predicted rank-1 eigenvalue-versus-scale curve for one factor:
     n_assets * strength / attenuation(alpha, tau) on the given grid.
 
     Strictly increasing in tau for alpha > 0, flat at n_assets * strength for
@@ -249,7 +248,7 @@ def factor_eigencurve(n_assets: int, strength: float, alpha: float, taus,
     strength = _positive(strength, "strength")
     taus = _tau_grid(taus, "taus")
     values = _integer(n_assets, "n_assets") * strength / _attenuation_array(_alpha(alpha), taus)
-    return EigenCurve(taus, values, rank=rank)
+    return EigenCurve(taus, values)
 
 
 def dense_eigenvalues(matrix: ScaleMatrix) -> Spectrum:

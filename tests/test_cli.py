@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from leadlag import (ModelSpec, dense_eigenvalues, eigencurves_from_panel,
+from leadlag import (EigenCurve, ModelSpec, dense_eigenvalues, eigencurves_from_panel,
                      factor_eigencurve, load_curves, load_fits, load_panel,
                      sample_correlation, save_curves, simulate_panel)
 from leadlag.cli import main
@@ -16,6 +16,12 @@ DYADIC = "1,2,4,8,16,32,64,128"
 
 def run(*argv):
     return main(list(argv))
+
+
+def ranked_curve(n_assets, strength, alpha, taus, rank):
+    # factor_eigencurve's curve under another rank
+    curve = factor_eigencurve(n_assets, strength, alpha, taus)
+    return EigenCurve(curve.taus, curve.values, rank=rank)
 
 
 class TestSimulate:
@@ -178,7 +184,7 @@ class TestSpectrum:
 class TestFitAndPlot:
     def write_reference_curves(self, tmp_path):
         curves = [
-            factor_eigencurve(533, g, a, (1, 2, 4, 8, 16, 32, 64, 128), rank=r + 1)
+            ranked_curve(533, g, a, (1, 2, 4, 8, 16, 32, 64, 128), r + 1)
             for r, (g, a) in enumerate([(0.17, 0.16), (0.03, 0.25),
                                         (0.02, 0.18), (0.01, 0.26)])
         ]
@@ -216,8 +222,8 @@ class TestFitAndPlot:
 
     def test_fit_short_curves_skip_but_continue(self, tmp_path, capsys):
         curves = [
-            factor_eigencurve(100, 0.1, 0.2, (1, 2, 4, 8), rank=1),
-            factor_eigencurve(100, 0.05, 0.2, (1, 2), rank=2),  # too short to fit
+            factor_eigencurve(100, 0.1, 0.2, (1, 2, 4, 8)),
+            ranked_curve(100, 0.05, 0.2, (1, 2), 2),  # too short to fit
         ]
         curves_path = tmp_path / "curves.json"
         save_curves(curves, curves_path, n_assets=100)
@@ -228,7 +234,7 @@ class TestFitAndPlot:
         assert [rank for rank, _ in fits] == [1]
 
     def test_fit_all_short_is_exit_4(self, tmp_path):
-        curves = [factor_eigencurve(100, 0.1, 0.2, (1, 2), rank=1)]
+        curves = [factor_eigencurve(100, 0.1, 0.2, (1, 2))]
         curves_path = tmp_path / "curves.json"
         save_curves(curves, curves_path, n_assets=100)
         assert run("fit", "--in", str(curves_path),
@@ -377,6 +383,16 @@ class TestMalformedInput:
         path.write_text(json.dumps({"schema": 1, "kind": "curves", "n_assets": 3,
                                     "curves": [{"rank": 1, "values": [1.0, 2.0]}]}))
         self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+
+    @pytest.mark.parametrize("command", ["fit", "plot"])
+    def test_curves_repeated_rank(self, tmp_path, capsys, command):
+        # the second rank-1 curve would take the first's fit and overwrite its plot
+        entry = {"rank": 1, "taus": [1, 2, 4, 8], "values": [1.0, 2.0, 3.0, 4.0]}
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "curves", "n_assets": 3,
+                                    "curves": [entry, entry]}))
+        self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+        assert not (tmp_path / "fits.json").exists() and not (tmp_path / "plots").exists()
 
     @pytest.mark.parametrize("field", ["n_assets", "base_scale_minutes"])
     def test_curves_metadata_not_a_number(self, tmp_path, capsys, field):

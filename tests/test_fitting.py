@@ -109,7 +109,11 @@ class TestFitEigencurve:
         # scaled to max 1, its profiled RSS has two local minima: alpha ~0.682
         # (RSS 0.5508) and ~0.9945 (RSS 0.4725); a coarse alpha grid picks the first
         np.exp(np.random.default_rng(1).normal(size=(215, 8))[214]),
-    ], ids=["noisy-market", "two-minima"])
+        # scaled to max 1, its profiled RSS has local minima at alpha ~0.18
+        # (RSS 0.8158) and at the bound 1 - 1e-6 (RSS 0.8168); grids of 3, 5
+        # and 9 nodes pick the bound, where the slope points out of the box
+        np.exp(np.random.default_rng(1204).normal(size=8)),
+    ], ids=["noisy-market", "two-minima", "minimum-beside-the-bound"])
     def test_reported_rss_is_global_minimum(self, values):
         curve = EigenCurve(np.array(DYADIC), values)
         fit = fit_eigencurve(curve, 150)

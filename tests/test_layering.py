@@ -1,6 +1,7 @@
 """The package's import graph, read from its source, has no cycle, every
 name a module exports exists and has a caller beyond the unit tests, so does
-every public attribute of an exported dataclass, and the runtime needs numpy
+every public attribute of an exported dataclass, every defaulted parameter of
+an exported callable is passed beyond them, and the runtime needs numpy
 alone."""
 
 import ast
@@ -117,36 +118,54 @@ def test_exported_names_exist(name):
     assert not missing, f"{name}.__all__ names missing attributes: {missing}"
 
 
-def referenced_names(path, with_imports):
-    # names a file reads, bare or as an attribute of anything but `self`, and
-    # (with_imports) imports
-    found = set()
+def foreign_owner(node):
+    # an attribute read off `self`, off `args` (the argparse namespace) or off
+    # a numpy `.dtype`, none of which is an exported type's attribute
+    owner = node.value
+    return ((isinstance(owner, ast.Name) and owner.id in ("self", "args"))
+            or (isinstance(owner, ast.Attribute) and owner.attr == "dtype"))
+
+
+def referenced_names(path):
+    # what a file reads: (bare names, attributes of anything but a foreign
+    # owner, and imported names)
+    names, attributes, imports = set(), set(), set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            found.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            if not (isinstance(node.value, ast.Name) and node.value.id == "self"):
-                found.add(node.attr)
-        elif with_imports and isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.update(alias.name.split(".")[-1] for alias in node.names)
-    return found
+            if not foreign_owner(node):
+                attributes.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.update(alias.name.split(".")[-1] for alias in node.names)
+    return names, attributes, imports
+
+
+def package_files():
+    return sorted((ROOT / "src" / "leadlag").glob("*.py"))
+
+
+def outside_files():
+    # the public API is what the package, the benchmark, the scripts or the
+    # acceptance tests use; what only the unit tests use is dead surface
+    return [*(ROOT / "benchmark").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
+            ROOT / "tests" / "test_acceptance.py"]
 
 
 def names_read_outside_unit_tests():
-    # the public API is what the package, the benchmark, the scripts or the
-    # acceptance tests use; a name only the unit tests read is dead surface
-    used = set()
-    for path in sorted((ROOT / "src" / "leadlag").glob("*.py")):
-        used |= referenced_names(path, with_imports=False)
-    outside = [*(ROOT / "benchmark").glob("*.py"), *(ROOT / "scripts").glob("*.py"),
-               ROOT / "tests" / "test_acceptance.py"]
-    for path in outside:
-        used |= referenced_names(path, with_imports=True)
-    return used
+    # (every name read bare or as an attribute, or imported by a file outside
+    # the package, and the attributes read alone)
+    package = package_files()
+    used, attributes = set(), set()
+    for path in [*package, *outside_files()]:
+        names, read, imports = referenced_names(path)
+        used |= names | read | (set() if path in package else imports)
+        attributes |= read
+    return used, attributes
 
 
 def test_every_export_has_a_caller():
-    used = names_read_outside_unit_tests()
+    used, _ = names_read_outside_unit_tests()
     unused = [n for n in leadlag.__all__ if n != "__version__" and n not in used]
     assert not unused, f"exported but called only by the unit tests: {unused}"
 
@@ -154,9 +173,9 @@ def test_every_export_has_a_caller():
 def test_every_public_attribute_has_a_reader():
     # every field, property and method of an exported dataclass is read as
     # x.attr somewhere outside the unit tests.  The match is by name alone, so
-    # an attribute whose name another type or a variable also uses (n_assets)
-    # passes unread.
-    used = names_read_outside_unit_tests()
+    # an attribute whose name another type also uses (n_assets) passes unread;
+    # a bare variable of that name (kind) does not count.
+    _, attributes = names_read_outside_unit_tests()
     unread = []
     for cls in (getattr(leadlag, n) for n in leadlag.__all__):
         if not (isinstance(cls, type) and dataclasses.is_dataclass(cls)):
@@ -166,5 +185,61 @@ def test_every_public_attribute_has_a_reader():
             if isinstance(value, (property, classmethod, staticmethod))
             or inspect.isfunction(value)}
         unread += [f"{cls.__name__}.{name}" for name in sorted(members)
-                   if not name.startswith("_") and name not in used]
+                   if not name.startswith("_") and name not in attributes]
     assert not unread, f"read only by the unit tests: {unread}"
+
+
+def calls_outside_unit_tests():
+    # (callee name, call) for every call outside the unit tests: the bare name
+    # or the last attribute of what is called; `cls(...)` in a class body is
+    # named after that class
+    for path in [*package_files(), *outside_files()]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls in [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]:
+            for node in ast.walk(cls):
+                if isinstance(node, ast.Name) and node.id == "cls":
+                    node.id = cls.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                yield getattr(node.func, "id", None) or getattr(node.func, "attr", None), node
+
+
+def passed_parameters(call, signature):
+    # the parameters a call passes: by position, by keyword, or through * or **
+    params = list(signature.parameters.values())
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        passed = set(positional)
+    else:
+        passed = set(positional[:len(call.args)])
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            passed |= {p.name for p in params if p.kind != p.POSITIONAL_ONLY}
+        else:
+            passed.add(keyword.arg)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a parameter with a default that no call outside the unit tests passes is
+    # a setting nobody sets: the exported functions, the constructors of the
+    # exported dataclasses and the classmethods of the exported classes.  The
+    # match is by callee name alone, as for attributes.
+    targets = []
+    for name in leadlag.__all__:
+        obj = getattr(leadlag, name)
+        if inspect.isfunction(obj) or dataclasses.is_dataclass(obj):
+            targets.append((name, obj))
+        if isinstance(obj, type):
+            targets += [(attr, getattr(obj, attr)) for attr, value in vars(obj).items()
+                        if isinstance(value, classmethod)]
+    calls = list(calls_outside_unit_tests())
+    unpassed = []
+    for name, target in targets:
+        signature = inspect.signature(target)
+        passed = set().union(*(passed_parameters(call, signature)
+                               for callee, call in calls if callee == name))
+        unpassed += [f"{name}({p.name})" for p in signature.parameters.values()
+                     if p.default is not p.empty and p.name not in passed]
+    assert not unpassed, f"defaulted parameters only the unit tests pass: {unpassed}"

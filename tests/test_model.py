@@ -144,7 +144,7 @@ class TestSimulatePanel:
         # The 320 MB panel is streamed into the estimator in blocks.
         spec = one_factor(n=10, gamma=0.25, alpha=0.3, seed=23)
         n_obs = 4_000_000
-        blocks = _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha, 1e-15), 1 << 16)
+        blocks = _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha), 1 << 16)
         sample = _scale_covariances(blocks, (1,))[0]
         theory = theoretical_covariance(spec, 1).values
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n_obs)
@@ -199,7 +199,7 @@ class TestSimulatePanel:
             spec = ModelSpec(3, n_factors, alpha, [1.0, 0.5, 2.0],
                              [1.5, 0.7, 0.3, 2.2][:n_factors], beta, seed=31)
             n_steps = extra_chunks * chunk + 123
-            burn = stationary_burn_in(spec.alpha, 1e-15)
+            burn = stationary_burn_in(spec.alpha)
             sizes = [min(chunk, burn + n_steps - start)
                      for start in range(0, burn + n_steps, chunk)]
             idio = (np.vstack([np.random.Generator(np.random.Philox(key=31 + ((3 + i) << 64)))
@@ -213,15 +213,17 @@ class TestSimulatePanel:
             assert np.array_equal(simulate_panel(spec, n_steps).returns, expected)
 
     @pytest.mark.parametrize("n_factors", [1, 4, 9])
-    def test_block_length_is_invisible(self, n_factors):
+    def test_block_length_is_invisible(self, n_factors, monkeypatch):
         # blocks of 7 and of 997 steps, whose edges fall beside the factor
         # chunks' (the burn-in is 69,061 steps), and of 100,000 steps, which
         # span three chunks, give simulate_panel's bytes.  Nine factors are
         # wider than an 8-lane unroll, so a sum over f reordered by the
-        # block's width would show
+        # block's width would show.  One part: with more, every 7-step block
+        # pays a thread handoff, and test_parts_are_invisible covers the parts
+        force_cpus(monkeypatch, 1)
         spec = five_assets(n_factors)
         n_steps = 2 * (1 << 16) + 123
-        burn = stationary_burn_in(spec.alpha, 1e-15)
+        burn = stationary_burn_in(spec.alpha)
         expected = simulate_panel(spec, n_steps).returns
         for length in (7, 997, 100_000):
             blocks = [block.copy() for block in _emitted_blocks(spec, n_steps, burn, length)]
@@ -237,7 +239,7 @@ class TestSimulatePanel:
         # the parts.  Every block hands work to each part, so the 7-step
         # blocks cover 7,003 steps, not the 131,195 of the longer blocks
         spec = five_assets(n_factors)
-        burn = stationary_burn_in(spec.alpha, 1e-15)
+        burn = stationary_burn_in(spec.alpha)
         long = 2 * (1 << 16) + 123
         steps = {7: 7003, 997: long, 100_000: long}
         force_cpus(monkeypatch, 1)
@@ -360,6 +362,10 @@ class TestReturnPanel:
 class TestStationaryBurnIn:
     def test_zero_alpha(self):
         assert stationary_burn_in(0.0, 1e-12) == 0
+
+    def test_default_tolerance(self):
+        # 0.5**50 < 1e-15 <= 0.5**49: the simulators' default burn-in
+        assert stationary_burn_in(0.5) == 50
 
     def test_hand_example(self):
         # 0.5**3 = 0.125 < 0.25 while 0.5**2 = 0.25 is not

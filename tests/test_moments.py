@@ -239,16 +239,4 @@ class TestSampleMoments:
 class TestScaleMatrix:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            ScaleMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]), "covariance")
-
-    def test_rejects_bad_correlation_diagonal(self):
-        with pytest.raises(ValidationError, match="diagonal"):
-            ScaleMatrix(np.array([[1.1, 0.0], [0.0, 1.0]]), "correlation")
-
-    def test_rejects_out_of_range_correlation(self):
-        with pytest.raises(ValidationError, match="correlation entries"):
-            ScaleMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]), "correlation")
-
-    def test_rejects_bad_kind(self):
-        with pytest.raises(ValidationError, match="kind"):
-            ScaleMatrix(np.eye(2), "corr")
+            ScaleMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))

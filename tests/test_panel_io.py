@@ -218,6 +218,15 @@ class TestPanelLabels:
             save_panel(self.panel((label, "plain")), path)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("labels, message", [
+        (("A", "A"), "duplicate asset label 'A' in header"),
+        (("", "B"), "asset labels must be non-empty")], ids=["duplicate", "empty"])
+    def test_labels_load_panel_refuses_are_refused_at_save(self, tmp_path, labels, message):
+        path = tmp_path / "p.csv"
+        with pytest.raises(DataError, match=message):
+            save_panel(self.panel(labels), path)
+        assert not list(tmp_path.iterdir())
+
     def test_hand_written_spaced_header_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", "time, A, B\n0,0.1,0.2\n1,0.3,0.4\n")
         assert load_panel(path).asset_labels == ("A", "B")
@@ -290,6 +299,29 @@ class TestResultsJson:
         save = save_curves if kind == "curves" else save_fits
         with pytest.raises(DataError, match=field):
             save([], path, **meta)
+        assert not list(tmp_path.iterdir())
+
+    def test_repeated_rank_rejected_on_load(self, tmp_path):
+        path = tmp_path / "curves.json"
+        save_curves(self.curves(), path, n_assets=9)
+        doc = json.loads(path.read_text())
+        doc["curves"][2]["rank"] = 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="repeated rank 2"):
+            load_curves(path)
+
+    @pytest.mark.parametrize("kind", ["curves", "fits"])
+    def test_writers_refuse_repeated_rank(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.json"
+        if kind == "curves":
+            a, b = self.curves()[:2]
+            entries = [a, EigenCurve(b.taus, b.values, rank=1)]
+            save = save_curves
+        else:
+            fit = FitResult(0.16, 90.61, 0.17, 0.5456787137181701, 1.25e-9, 17, True)
+            entries, save = [(1, fit), (1, fit)], save_fits
+        with pytest.raises(DataError, match="repeated rank 1"):
+            save(entries, path, n_assets=3)
         assert not list(tmp_path.iterdir())
 
     def test_schema_is_versioned_and_checked(self, tmp_path):

@@ -341,12 +341,12 @@ class TestFactorEigencurve:
 
 class TestDenseEigenvalues:
     def test_identity(self):
-        spectrum = dense_eigenvalues(ScaleMatrix(np.eye(9), "correlation"))
+        spectrum = dense_eigenvalues(ScaleMatrix(np.eye(9)))
         assert np.array_equal(spectrum.eigenvalues, np.ones(9))
 
     def test_matches_equicorrelation_closed_form(self):
         matrix = assemble_one_factor(np.full(15, 0.55))
-        spectrum = dense_eigenvalues(ScaleMatrix(matrix, "correlation"))
+        spectrum = dense_eigenvalues(ScaleMatrix(matrix))
         closed = equicorrelation_eigenvalues(15, 0.55**2)
         assert np.max(np.abs(spectrum.eigenvalues - closed)) < 1e-10
 
@@ -354,7 +354,7 @@ class TestDenseEigenvalues:
         rng = np.random.default_rng(23)
         raw = rng.normal(size=(8, 8))
         sym = 0.5 * (raw + raw.T)
-        spectrum = dense_eigenvalues(ScaleMatrix(sym, "covariance"))
+        spectrum = dense_eigenvalues(ScaleMatrix(sym))
         assert spectrum.trace == pytest.approx(np.trace(sym), abs=1e-10)
         # LU-based determinant is independent of the symmetric eigensolver
         det_lu = np.linalg.det(sym)
@@ -362,4 +362,4 @@ class TestDenseEigenvalues:
 
     def test_asymmetric_input_rejected_at_type_boundary(self):
         with pytest.raises(ValidationError, match="symmetric"):
-            ScaleMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]), "covariance")
+            ScaleMatrix(np.array([[1.0, 2.0], [1.0, 1.0]]))

@@ -44,7 +44,8 @@ def test_log_axis_spaces_dyadic_points_evenly():
 
 
 def test_caption_names_rank_and_fit():
-    curve = factor_eigencurve(100, 0.2, 0.3, DYADIC, rank=2)
+    rank1 = factor_eigencurve(100, 0.2, 0.3, DYADIC)
+    curve = EigenCurve(rank1.taus, rank1.values, rank=2)
     svg = render_eigencurve(curve, FitResult(0.3, 20.0, 0.2, 0.83, 0.0, 5, True))
     assert "rank 2" in svg
     assert "alpha=0.3000" in svg
