@@ -85,6 +85,8 @@ def _atomic_write_text(path, text: str) -> None:
 
 def _check_labels(labels) -> None:
     # the rule for a panel file's asset labels, alike on writing and reading
+    if not labels:
+        raise DataError("a panel file needs at least one asset")
     if not all(labels):
         raise DataError("asset labels must be non-empty")
     if len(set(labels)) != len(labels):

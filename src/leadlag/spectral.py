@@ -9,13 +9,20 @@ d_i, Haynsworth inertia additivity gives
     #eig(C) > lam  =  #{d_i > lam}  +  #eig(phi(lam)) > 1,
     phi(lam) = sum_i rho_i rho_i^T / (lam - d_i)   (F x F).
 
-The count is monotone in lam, so bisecting on it finds every eigenvalue with
-its multiplicity (the LAPACK dstebz scheme): all wanted indices are bisected
-together on (floor, max d + sum |rho_i|^2], a step counts every midpoint with
-one gemm and one batched F x F eigvalsh, and the bisection stops at a width
-of 2 eps max(1, top), about 52 steps for any N, F or root size.  Assets with
-zero loadings enter only the pole count #{d_i > lam}.  Tied loadings follow
-identical bisection paths, so tied eigenvalues come out bit-identical.
+The count is monotone in lam and is the arbiter of every bracket (the LAPACK
+dstebz scheme), so roots come with their multiplicity.  The root of rank k
+starts from its Weyl bracket [p_k, p_{k-F}] (the d_i descending, p_j = top =
+max d + sum |rho_i|^2 for j <= 0, clipped to the floor) if the counts at its
+ends agree, else from (floor, top].  All roots are probed together with one
+gemm and one batched F x F eigh.  A root alone in a pole-free bracket takes
+Newton steps on mu(phi(lam)) = 1, mu the eigenvalue of phi crossing 1; an
+iterate outside the bracket becomes its midpoint.  Other roots bisect.  A root
+ends when its Newton step is below width/4 or its bracket below width =
+2 eps max(1, top), and Newton-steps only while its probes left (twice the
+bisection steps from (floor, top]) can still bisect it to width.  Zero-loading
+assets enter only the pole count.  Roots tied by tied loadings share their
+start and are never isolated, so they bisect on identical paths and come out
+bit-identical.
 
 For one factor phi is the secular function f(z) = sum_i rho_i^2 / (z - d_i),
 strictly decreasing between poles; its eigenvalues above 1 are the zeros of
@@ -170,8 +177,9 @@ def secular_function(loadings: LoadingVector, z: float) -> float:
 def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     """Every eigenvalue of diag(1 - |rho_i|^2) + rho rho^T above `floor`, descending.
 
-    The inertia count and the bisection are described in the module
-    docstring.  A lam that lands exactly on some d_i moves up one ulp.
+    The inertia count, the Weyl brackets and the bisection with its Newton
+    finish are described in the module docstring.  A probe that lands exactly
+    on some d_i counts one ulp above it.
     """
     n_factors = rho.shape[1]
     row_sq = np.minimum((rho**2).sum(axis=1), 1.0)  # clip the types' <=1e-12 overshoot
@@ -181,39 +189,77 @@ def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     d_live, r = d[live], rho[live]
     outer = (r[:, :, None] * r[:, None, :]).reshape(r.shape[0], n_factors**2)
 
-    def count(lam):
+    def probe(lam, cross=0):
+        # the count at each lam and, where cross > 0, the Newton iterate on
+        # mu_cross(phi) = 1 (descending), slope -v^T phi' v by squaring inv
         below = np.searchsorted(poles, lam, side="right")
         lam = np.where(poles[below - 1] == lam, np.nextafter(lam, np.inf), lam)
-        shifted = np.subtract.outer(lam, d_live)
-        phi = np.reciprocal(shifted, out=shifted) @ outer
+        inv = np.subtract.outer(lam, d_live)
+        np.reciprocal(inv, out=inv)
+        phi = (inv @ outer).reshape(-1, n_factors, n_factors)
         if n_factors > 1:  # a 1 x 1 phi is its own eigenvalue
-            phi = np.linalg.eigvalsh(phi.reshape(-1, n_factors, n_factors))
-        return lam, poles.size - below + np.count_nonzero(phi > 1.0, axis=1)
+            mu, vec = np.linalg.eigh(phi)
+        else:
+            mu, vec = phi[:, 0], np.ones_like(phi)
+        counts = poles.size - below + np.count_nonzero(mu > 1.0, axis=1)
+        iterate = np.full(lam.size, np.nan)
+        newton = np.flatnonzero(cross)
+        if newton.size:
+            slope = (np.square(inv, out=inv) @ outer).reshape(phi.shape)[newton]
+            j = n_factors - cross[newton]
+            v = vec[newton, :, j]
+            slope = np.einsum("nf,nfg,ng->n", v, slope, v)
+            iterate[newton] = lam[newton] + (mu[newton, j] - 1.0) / slope
+        return counts, iterate
 
     top = poles[-1] + row_sq.sum()  # bounds every eigenvalue from above
-    wanted = int(count(np.array([floor]))[1][0]) if top > floor else 0
+    wanted = int(probe(np.array([floor]))[0][0]) if top > floor else 0
     if wanted == 0:
         return np.empty(0)
     rank = np.arange(1, wanted + 1)
-    lo, hi = np.full(wanted, float(floor)), np.full(wanted, top)
     width = 2.0 * np.finfo(float).eps * max(1.0, top)
-    # a midpoint at 0 on a pole at 0 (rho_i^2 = 1) moves to the smallest
-    # subnormal, where phi = +inf is the right limit
-    with np.errstate(over="ignore"):
-        for _ in range(math.ceil(math.log2((top - floor) / width))):
-            mid, counts = count(0.5 * (lo + hi))
+    p = np.concatenate((np.full(n_factors, top), poles[::-1]))  # p_j at j + n_factors - 1
+    lo, hi = np.maximum(p[rank - 1 + n_factors], floor), p[rank - 1]
+    roots, at = np.empty(wanted), np.arange(wanted)
+    # a probe at 0 on a pole at 0 (rho_i^2 = 1) moves to the smallest
+    # subnormal, where phi = +inf is the right limit; a zero slope gives no iterate
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        c_lo, c_hi = probe(lo)[0], probe(hi)[0]
+        weyl = (c_lo >= rank) & (c_hi < rank)  # else the root sits on its pole
+        lo, c_lo = np.where(weyl, lo, floor), np.where(weyl, c_lo, wanted)
+        hi, c_hi = np.where(weyl, hi, top), np.where(weyl, c_hi, 0)
+        x = 0.5 * (lo + hi)
+        cap = 2 * math.ceil(math.log2((top - floor) / width))
+        for step in range(cap):
+            # Newton where (lo, hi] holds one eigenvalue and no pole inside, phi
+            # crosses 1 there (the root does not sit on a pole at hi), and the
+            # probes left can still bisect to width
+            above = poles.size - np.searchsorted(poles, lo, side="right")
+            isolated = ((c_lo - c_hi == 1) & (rank > above)
+                        & (np.searchsorted(poles, hi, side="left") == poles.size - above)
+                        & (np.log2((hi - lo) / width) <= cap - step - 1))
+            counts, iterate = probe(x, np.where(isolated, rank - above, 0))
             up = counts >= rank
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-    return np.sort(0.5 * (lo + hi))[::-1]
+            lo, c_lo = np.where(up, x, lo), np.where(up, counts, c_lo)
+            hi, c_hi = np.where(up, hi, x), np.where(up, c_hi, counts)
+            converged = (lo <= iterate) & (iterate <= hi) & (np.abs(iterate - x) < 0.25 * width)
+            done = converged | (hi - lo < width)
+            roots[at[done]] = np.where(converged, iterate, 0.5 * (lo + hi))[done]
+            x = np.where((lo < iterate) & (iterate < hi), iterate, 0.5 * (lo + hi))
+            at, rank, lo, hi, c_lo, c_hi, x = (a[~done] for a in (at, rank, lo, hi, c_lo, c_hi, x))
+            if not at.size:
+                break
+        roots[at] = 0.5 * (lo + hi)
+    return np.sort(roots)[::-1]
 
 
 def secular_eigenvalues(loadings: LoadingVector) -> Spectrum:
     """Exact spectrum of the one-factor correlation matrix diag(1 - rho_i^2) + rho rho^T.
 
     All N eigenvalues come from the inertia-counting slicer with a floor below
-    every 1 - rho_i^2, to an absolute width of 2 eps max(1, top).  Tied
-    loadings give bit-identical eigenvalues; zero loadings give eigenvalue 1.
+    every 1 - rho_i^2; each starts from its interlacing interval and ends with
+    Newton steps on the secular function, to an absolute width of 2 eps max(1, top).
+    Tied loadings give bit-identical eigenvalues; zero loadings give eigenvalue 1.
     """
     return Spectrum(_slice_spectrum(loadings.rho[:, None], floor=-1.0))
 
@@ -232,8 +278,9 @@ def factor_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:
     """Correlation eigenvalues strictly above 1, descending, with multiplicity.
 
     These are the zeros of the reduced determinant above 1, found by the
-    inertia-counting slicer with floor 1: tied and near-tied factor roots are
-    returned once per multiplicity, to an absolute width of 2 eps max(1, top).
+    inertia-counting slicer with floor 1 (bisection, then Newton once a root is
+    isolated): tied and near-tied factor roots are returned once per
+    multiplicity, to an absolute width of 2 eps max(1, top).
     """
     return _slice_spectrum(loadings.rho, floor=1.0)
 

@@ -4,13 +4,14 @@ Everything here deliberately avoids the closed forms implemented in the
 package: truncated lag sums are evaluated term by term (with prefix sums for
 speed), covariances are assembled from the raw double sum over block
 offsets, and loading spectra come from the explicitly built matrix, the
-equal-loading closed form or an LU determinant.  These stay the reference side
-of every dual-route check.  The one-piece panel assembly reuses the package's
+equal-loading closed form, an LU determinant or mpmath at 40-50 digits.
+These stay the reference side of every dual-route check.  The one-piece panel assembly reuses the package's
 factor recursion, which its own test pins to scipy's lfilter bit for bit, and
 sums its factor terms by an explicit multiply-add over the factors, with no
 BLAS call, no einsum and none of the simulator's blocks.
 """
 
+import mpmath
 import numpy as np
 
 from leadlag import ValidationError
@@ -127,3 +128,39 @@ def reduced_determinant(rho, lam: float) -> float:
     rho = rho[live]
     phi = rho.T @ (rho / (lam - 1.0 + row_sq[live])[:, None])
     return float(np.linalg.det(np.eye(rho.shape[1]) - phi))
+
+
+def _float_diagonal_loadings(rho):
+    # the matrix a float solver holds: diagonal d_i = 1 - |rho_i|^2 as rounded
+    # in float64, loadings rho exactly, everything after in mpmath
+    rho = np.asarray(rho, dtype=np.float64).reshape(len(rho), -1)
+    d = 1.0 - (rho**2).sum(axis=1)
+    return mpmath.matrix(rho.tolist()), [mpmath.mpf(float(x)) for x in d]
+
+
+def mp_loading_spectrum(rho, digits: int = 50) -> np.ndarray:
+    """Descending eigenvalues of diag(1 - |rho_i|^2) + rho rho^T by mpmath's
+    Jacobi eigensolver at `digits` digits, rounded to float64.
+
+    rho is a vector (one factor) or an (n_assets, n_factors) matrix.
+    """
+    with mpmath.workdps(digits):
+        r, d = _float_diagonal_loadings(rho)
+        matrix = r * r.T
+        for i, di in enumerate(d):
+            matrix[i, i] += di
+        values = mpmath.eigsy(matrix, eigvals_only=True)
+        return np.sort([float(v) for v in values])[::-1]
+
+
+def mp_eigenvalue_count(rho, lam: float, digits: int = 40) -> int:
+    """#eig > lam of diag(1 - rho_i^2) + rho rho^T (one factor) at `digits`
+    digits: #{d_i > lam} + [sum_i rho_i^2 / (lam - d_i) > 1] (Haynsworth).
+
+    lam must not sit on a pole d_i of a nonzero loading.
+    """
+    with mpmath.workdps(digits):
+        r, d = _float_diagonal_loadings(rho)
+        lam = mpmath.mpf(float(lam))
+        secular = mpmath.fsum(x**2 / (lam - di) for x, di in zip(r, d) if x != 0)
+        return sum(di > lam for di in d) + int(secular > 1)

@@ -227,6 +227,12 @@ class TestPanelLabels:
             save_panel(self.panel(labels), path)
         assert not list(tmp_path.iterdir())
 
+    def test_panel_of_no_assets_is_refused_at_save(self, tmp_path):
+        # load_panel refuses the header 'time' alone, so no such file is written
+        with pytest.raises(DataError, match="at least one asset"):
+            save_panel(ReturnPanel(np.empty((0, 3))), tmp_path / "p.csv")
+        assert not list(tmp_path.iterdir())
+
     def test_hand_written_spaced_header_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", "time, A, B\n0,0.1,0.2\n1,0.3,0.4\n")
         assert load_panel(path).asset_labels == ("A", "B")

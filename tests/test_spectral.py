@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
@@ -13,7 +13,7 @@ from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
                      theoretical_correlation)
 
 from oracles import (dense_loading_spectrum, equicorrelation_eigenvalues,
-                     reduced_determinant)
+                     mp_eigenvalue_count, mp_loading_spectrum, reduced_determinant)
 
 
 def assemble_one_factor(rho):
@@ -272,6 +272,8 @@ class TestSpectrumSlicer:
         assert np.max(np.abs(roots - 25.5)) < 1e-5
         dense = dense_loading_spectrum(lm.rho)
         assert np.max(np.abs(roots - dense[:2])) < 1e-9
+        if perturbation == 0.0:
+            assert roots[0] == roots[1]
 
     def test_all_zero_loadings(self):
         values = secular_eigenvalues(LoadingVector(np.zeros(6))).eigenvalues
@@ -280,6 +282,8 @@ class TestSpectrumSlicer:
         assert factor_eigenvalues(LoadingMatrix(np.zeros((6, 3)))).size == 0
 
     @given(loading_rows())
+    @example(np.array([[0.0], [0.1640625]]))  # both eigenvalues 1, one on the dead pole 1
+    @example(np.array([[1.0]]))               # a pole at 0
     def test_property_matches_dense_oracle(self, rho):
         dense = dense_loading_spectrum(rho)
         if rho.shape[1] == 1:
@@ -289,6 +293,83 @@ class TestSpectrumSlicer:
         assert np.all(roots > 1.0)
         assert np.all(np.abs(roots - dense[:roots.size]) < 1e-9)
         assert np.all(dense[roots.size:] <= 1.0 + 1e-9)
+
+
+def slicer_width(rho):
+    """2 eps max(1, top): the width every slicer root is found to."""
+    rho = np.asarray(rho).reshape(len(rho), -1)
+    row_sq = np.minimum((rho**2).sum(axis=1), 1.0)
+    return 2.0 * np.finfo(float).eps * max(1.0, np.max(1.0 - row_sq) + row_sq.sum())
+
+
+class TestSlicerEdgeCases:
+    """Inputs on which a Newton finish can go wrong, each against an oracle."""
+
+    @pytest.mark.parametrize("rho", [
+        [0.0, 0.1640625],                   # a root on the dead pole at 1, tied with another
+        [1.0],                              # a pole at 0
+        [math.sqrt(1.0 - 1e-9), 0.6, 0.2],  # a pole at 1e-9
+    ], ids=["root-on-dead-pole", "pole-at-zero", "pole-near-zero"])
+    def test_one_factor_matches_dense(self, rho):
+        rho = np.array(rho)
+        dense = dense_loading_spectrum(rho)
+        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        assert np.max(np.abs(spectrum - dense)) < 1e-14
+        roots = factor_eigenvalues(LoadingMatrix(rho[:, None]))
+        assert roots.size == np.count_nonzero(dense > 1.0 + 1e-14)
+        assert np.max(np.abs(roots - dense[:roots.size]), initial=0.0) < 1e-14
+
+    def test_root_within_ulps_of_its_pole(self):
+        # a loading of 1e-7 puts the top pole at 1 - 1e-14, and root 2 just
+        # below it, within about 1e-14 (the secular function's other terms
+        # sum to about 49 there)
+        rho = np.random.default_rng(30).uniform(0.1, 0.9, 50)
+        rho[17] = 1e-7
+        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        assert np.max(np.abs(spectrum - dense_loading_spectrum(rho))) < 1e-13
+        pole, width = 1.0 - rho[17] ** 2, slicer_width(rho)
+        assert abs(spectrum[1] - pole) < 1e-14
+        assert mp_eigenvalue_count(rho, spectrum[1] - width) >= 2
+        assert mp_eigenvalue_count(rho, spectrum[1] + width) < 2
+
+    def test_clustered_roots_match_mpmath(self):
+        # poles 1e-9 and 1e-12 apart: every root within width of a 50-digit oracle
+        rho = np.array([0.6, 0.6 + 1e-9, 0.6 + 2e-9, 0.6 - 1e-12, 0.3, 0.3 + 1e-10,
+                        0.95, 0.1, 1e-7])
+        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        assert np.all(np.abs(spectrum - mp_loading_spectrum(rho)) <= slicer_width(rho))
+
+    def test_roots_isolated_late_end_within_width(self):
+        # two tied rows of norm 4e-8 put poles 2e-15 below 1 and root 2 at
+        # 1 + 1.4e-14: Newton steps crawl there, so the root must stop taking
+        # them while the probes it has left can still bisect it to width
+        rho = np.array([[-9.8876953806771484e-01, -1.4944832079805320e-01],
+                        [4.4641195536478495e-01, -8.9482756221933013e-01],
+                        [-9.8876953806761592e-01, -1.4944832079803824e-01],
+                        [9.9687014419697484e-01, -7.9056407764978312e-02],
+                        [0.0, 0.0],
+                        [2.4594227001676726e-08, 3.4973120610590546e-08],
+                        [2.4594227001676726e-08, 3.4973120610590546e-08]])
+        roots = factor_eigenvalues(LoadingMatrix(rho))
+        exact = mp_loading_spectrum(rho)
+        assert roots.size == np.count_nonzero(exact > 1.0)
+        assert np.all(np.abs(roots - exact[:roots.size]) <= slicer_width(rho))
+
+    def test_roots_stay_in_their_interlacing_intervals(self):
+        # distinct poles p_1 > p_2 > ...: root k lies in [p_k, p_{k-1}] (p_0 =
+        # top), within width of where the exact count drops below k
+        rng = np.random.default_rng(31)
+        for _ in range(25):
+            n = int(rng.integers(2, 30))
+            rho = rng.uniform(0.05, 0.99, n) * rng.choice([-1.0, 1.0], n)
+            roots = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+            poles = np.sort(1.0 - rho**2)[::-1]
+            upper = np.concatenate(([poles[0] + np.sum(rho**2)], poles[:-1]))
+            assert np.all((poles <= roots) & (roots <= upper))
+            width = slicer_width(rho)
+            for k, root in enumerate(roots, start=1):
+                assert mp_eigenvalue_count(rho, root - width) >= k
+                assert mp_eigenvalue_count(rho, root + width) < k
 
 
 class TestGramEigenvalues:
