@@ -13,15 +13,13 @@ Two scalar functions carry the whole scale dependence:
   tau -> inf, and every eigenvalue formula in this package depends on the
   scale only through it.
 
-With those, the covariance of tau-aggregated returns is
-
-    C[i, j] = tau * sigma_i^2 * delta_ij
-              + factor_variance_sum / (1 - alpha)^2
-                * sum_f factor_sigma_f^2 * beta[i, f] * beta[j, f],
-
-and the correlation matrix is that covariance normalized to unit diagonal;
-its off-diagonal entries equal sum_f rho[i, f] * rho[j, f] for the loadings
-of `spectral.loading_matrix`.
+As factor_variance_sum / (1 - alpha)^2 = tau / attenuation, every closed
+form weighs the factors through the scaled loadings K = B / sqrt(attenuation),
+B[i, f] = factor_sigma_f * beta[i, f].  The covariance of tau-aggregated
+returns is C = tau * (K K^T + diag(sigma^2)), and the correlation matrix is
+that covariance normalized to unit diagonal; its off-diagonal entries equal
+sum_f rho[i, f] * rho[j, f] for the loadings
+rho[i, f] = K[i, f] / sqrt(|K_i|^2 + sigma_i^2) of `spectral.loading_matrix`.
 """
 
 from __future__ import annotations
@@ -111,24 +109,25 @@ def _attenuation_array(alpha: float, taus) -> np.ndarray:
     return taus * (1.0 - alpha) ** 2 / _accumulation(alpha, taus)
 
 
-def _factor_gram(spec: ModelSpec) -> np.ndarray:
-    # sum_f factor_sigma_f^2 * beta[:, f] outer beta[:, f]
-    scaled = spec.beta * spec.factor_sigma[None, :]
-    return scaled @ scaled.T
+def _scale_loadings(spec: ModelSpec, tau: int) -> np.ndarray:
+    # K = B / sqrt(attenuation(alpha, tau)), B[i, f] = factor_sigma_f * beta[i, f]:
+    # the only place the closed forms turn (alpha, tau) into a factor weight
+    eta = attenuation(spec.alpha, _integer(tau, "tau"))
+    return spec.beta * (spec.factor_sigma / math.sqrt(eta))[None, :]
 
 
 def theoretical_covariance(spec: ModelSpec, tau: int) -> ScaleMatrix:
-    """Model covariance of tau-aggregated returns.
+    """Model covariance of tau-aggregated returns, tau * (K K^T + diag(sigma^2))
+    for the scaled loadings K = B / sqrt(attenuation(alpha, tau)).
 
-    The factor block carries the accumulated smoothing variance
-    factor_variance_sum(alpha, tau) / (1 - alpha)^2; the diagonal adds the
-    diffusive idiosyncratic part tau * sigma_i^2.
+    tau K K^T is the factor block with its accumulated smoothing variance
+    factor_variance_sum(alpha, tau) / (1 - alpha)^2; tau * sigma_i^2 is the
+    diffusive idiosyncratic part.
     """
-    tau = _integer(tau, "tau")
-    weight = factor_variance_sum(spec.alpha, tau) / (1.0 - spec.alpha) ** 2
-    cov = weight * _factor_gram(spec)
-    cov[np.diag_indices_from(cov)] += tau * spec.sigma**2
-    return ScaleMatrix(cov)
+    scaled = _scale_loadings(spec, tau)
+    cov = scaled @ scaled.T
+    cov[np.diag_indices_from(cov)] += spec.sigma**2
+    return ScaleMatrix(tau * cov)
 
 
 def _normalize(cov: np.ndarray) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Ingestion and persistence for panels, curves and fits.
 
-Panel CSV format (UTF-8, LF or CRLF):
+Panel CSV format (UTF-8, a leading byte-order mark ignored; LF or CRLF):
 
     time,AAPL,MSFT,...
     0,0.001,-0.0002,...
@@ -49,9 +49,9 @@ SCHEMA_VERSION = 1
 
 
 def _read_text(path, what: str = "") -> str:
-    # the whole file as UTF-8 text; `what` names the file in error messages
+    # the whole file as UTF-8 text less any byte-order mark; `what` names the file
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DataError(f"cannot read {what}{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -99,7 +99,8 @@ def save_panel(panel: ReturnPanel, path) -> None:
 
     Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
     a line break, or with leading or trailing whitespace (which load_panel
-    strips), is rejected, as are labels load_panel refuses.
+    strips), is rejected, as are labels load_panel refuses, and a panel whose
+    last time index exceeds the int64 range load_panel reads.
     """
     for lbl in panel.asset_labels:
         if "".join(lbl.splitlines()) != lbl:
@@ -107,6 +108,9 @@ def save_panel(panel: ReturnPanel, path) -> None:
         if lbl.strip() != lbl:
             raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
     _check_labels(panel.asset_labels)
+    last = (panel.n_steps - 1) * panel.base_scale
+    if last > np.iinfo(np.int64).max:
+        raise DataError(f"last time index {last} exceeds the int64 range")
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(("time", *panel.asset_labels))
     rows = (f"{i * panel.base_scale}," + ",".join(map(repr, row.tolist())) + "\n"

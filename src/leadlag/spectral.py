@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ValidationError, _alpha, _integer, _positive, _tau_grid
 from .fitting import EigenCurve
 from .model import ModelSpec
-from .moments import ScaleMatrix, _attenuation_array, attenuation
+from .moments import ScaleMatrix, _attenuation_array, _scale_loadings, attenuation
 
 __all__ = [
     "LoadingVector",
@@ -136,21 +136,14 @@ def correlation_loading(gamma: float, alpha: float, tau) -> float:
 def loading_matrix(spec: ModelSpec, tau: int) -> LoadingMatrix:
     """Per-factor loadings of the model at scale tau.
 
-    beta_i^2 = sum_f factor_sigma_f^2 beta[i,f]^2 sets the per-asset
-    signal-to-noise gamma_i = beta_i^2 / sigma_i^2, and
-    rho[i, f] = factor_sigma_f * beta[i, f] / beta_i * rho_i(tau).
+    rho[i, f] = K[i, f] / sqrt(|K_i|^2 + sigma_i^2) for the scaled loadings
+    K = B / sqrt(attenuation(alpha, tau)), B[i, f] = factor_sigma_f * beta[i, f]:
+    the covariance tau * (K K^T + diag(sigma^2)) normalized to unit diagonal.
     Assets with beta_i = 0 get zero loadings.
     """
-    tau = _integer(tau, "tau")
-    eta = attenuation(spec.alpha, tau)
-    scaled = spec.beta * spec.factor_sigma[None, :]
-    beta_sq = (scaled**2).sum(axis=1)
-    gamma = beta_sq / spec.sigma**2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho_i = np.sqrt(gamma / (gamma + eta))
-        direction = scaled / np.sqrt(beta_sq)[:, None]
-    rho = np.where(beta_sq[:, None] > 0.0, direction * rho_i[:, None], 0.0)
-    return LoadingMatrix(rho, scale=tau)
+    scaled = _scale_loadings(spec, tau)
+    norms = np.sqrt((scaled**2).sum(axis=1) + spec.sigma**2)
+    return LoadingMatrix(scaled / norms[:, None], scale=tau)
 
 
 def loading_vector(spec: ModelSpec, tau: int) -> LoadingVector:

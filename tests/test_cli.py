@@ -132,6 +132,14 @@ class TestSpectrum:
         assert code == 2
         assert "--taus expects a comma-separated list" in capsys.readouterr().err
 
+    def test_non_integer_taus_is_exit_2(self, tmp_path, capsys):
+        panel_path = self.make_panel(tmp_path, steps=100)
+        code = run("spectrum", "--in", str(panel_path), "--taus", "1,x",
+                   "--out", str(tmp_path / "c.json"))
+        assert code == 2
+        assert ("--taus expects a comma-separated list of integers"
+                in capsys.readouterr().err)
+
     def test_covariance_mode_file_path(self, tmp_path):
         panel_path = self.make_panel(tmp_path, steps=2000)
         curves_path = tmp_path / "cov.json"
@@ -284,6 +292,14 @@ class TestFitAndPlot:
         assert "alpha" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_plot_out_dir_naming_a_file_is_exit_3(self, tmp_path, capsys):
+        curves_path = self.write_reference_curves(tmp_path)
+        out_dir = tmp_path / "taken"
+        out_dir.write_text("")
+        code = run("plot", "--curves", str(curves_path), "--out-dir", str(out_dir))
+        assert code == 3
+        assert capsys.readouterr().err.startswith("i/o error:")
+
 
 class TestReproduce:
     def test_small_smoke_report(self, tmp_path):
@@ -347,6 +363,7 @@ class TestMalformedInput:
         assert run(*argv) == 3
         err = capsys.readouterr().err
         assert err.startswith("data error:") and "Traceback" not in err
+        return err
 
     def curves_argv(self, command, path, tmp_path):
         if command == "fit":
@@ -370,6 +387,12 @@ class TestMalformedInput:
         path = tmp_path / "curves.json"
         path.write_bytes(b'{"schema": 1, "kind": "curves\xff"}')
         self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
+
+    def test_curves_not_json(self, tmp_path, capsys):
+        path = tmp_path / "curves.json"
+        path.write_text("curves")
+        err = self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
+        assert "invalid JSON" in err
 
     @pytest.mark.parametrize("command", ["fit", "plot"])
     def test_curves_top_level_list(self, tmp_path, capsys, command):

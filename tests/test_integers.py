@@ -66,6 +66,13 @@ def test_api_refuses_non_integers(field, call):
         call()
 
 
+@pytest.mark.parametrize("taus", [np.array([], dtype=np.int64), np.array([[1, 2], [4, 8]])],
+                         ids=["empty", "2-D"])
+def test_tau_grid_must_be_a_nonempty_vector(taus):
+    with pytest.raises(ValidationError, match="tau grid must be a nonempty vector of integers"):
+        eigencurves_from_panel(PANEL, taus)
+
+
 def rewrite(path, edit):
     document = json.loads(path.read_text())
     edit(document)

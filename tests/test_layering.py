@@ -1,13 +1,14 @@
 """The package's import graph, read from its source, has no cycle, every
 name a module exports exists and has a caller beyond the unit tests, so does
 every public attribute of an exported dataclass, every defaulted parameter of
-an exported callable is passed beyond them, and the runtime needs numpy
-alone."""
+an exported callable is passed beyond them, the runtime needs numpy alone,
+and every name the benchmark's tracer wraps is still bound."""
 
 import ast
 import dataclasses
 import graphlib
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -106,6 +107,19 @@ def test_runtime_loads_no_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
+
+
+def test_traced_names_stay_bound():
+    # the benchmark's tracer wraps these names where the pipeline and the CLI
+    # look them up; a name the code no longer binds would go untraced
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "benchmark" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    from leadlag import cli, pipeline
+
+    for module, names in ((pipeline, tracing.PIPELINE_NAMES), (cli, tracing.CLI_NAMES)):
+        missing = [name for name in names if not hasattr(module, name)]
+        assert not missing, f"{module.__name__} no longer binds {missing}"
 
 
 # __main__ runs the command line when imported

@@ -78,6 +78,19 @@ class TestModelSpecValidation:
         with pytest.raises(ValidationError, match="must be (a number|numbers)"):
             build()
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ModelSpec(3, 1, 0.2, [1.0, 1.0], 1.0, 0.5),
+         "sigma must be a scalar or a vector of length 3"),
+        (lambda: ModelSpec.orthogonal_factors(3, [], 0.3), "gammas must be a nonempty vector"),
+        (lambda: ModelSpec.orthogonal_factors(3, [0.1, -0.1], 0.3),
+         "gammas must be nonnegative"),
+        (lambda: ModelSpec.orthogonal_factors(2, [0.3, 0.2, 0.1], 0.3),
+         "cannot build more orthogonal factors than assets"),
+    ], ids=["sigma-length", "gammas-empty", "gammas-negative", "more-factors-than-assets"])
+    def test_refusals(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
+
     def test_scalar_broadcast(self):
         spec = ModelSpec(4, 2, 0.1, 0.5, 2.0, 0.25)
         assert spec.sigma.shape == (4,)
@@ -354,6 +367,16 @@ class TestReturnPanel:
         returns[-1, -1] = value
         with pytest.raises(ValidationError, match="panel entries must all be finite"):
             ReturnPanel(returns)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ReturnPanel(np.ones(4)), r"returns must be a 2-D \(assets x steps\) array"),
+        (lambda: ReturnPanel(np.empty((2, 0))), "panel must contain at least one time step"),
+        (lambda: ReturnPanel(np.ones((2, 3)), asset_labels=("A",)),
+         "asset_labels count must equal the number of rows"),
+    ], ids=["1-D", "no-steps", "label-count"])
+    def test_refusals(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
     def test_accepts_panel_of_no_assets(self):
         assert ReturnPanel(np.empty((0, 5))).n_steps == 5

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -138,14 +139,21 @@ class TestTheoreticalMoments:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_correlation_is_normalized_covariance(self, seed):
-        # the normalized covariance against the loading route rho rho^T
+        # the normalized covariance against the loading route rho rho^T, also
+        # with asset `seed` moved by no factor, whose loadings are exactly 0
         spec = random_spec(6, 2, seed)
+        beta = spec.beta.copy()
+        beta[seed] = 0.0
+        no_factor = dataclasses.replace(spec, beta=beta)
+        for model in (spec, no_factor):
+            for tau in (1, 4, 32):
+                rho = loading_matrix(model, tau).rho
+                loadings = rho @ rho.T
+                np.fill_diagonal(loadings, 1.0)
+                corr = theoretical_correlation(model, tau).values
+                assert np.max(np.abs(corr - loadings)) < 1e-12
         for tau in (1, 4, 32):
-            rho = loading_matrix(spec, tau).rho
-            loadings = rho @ rho.T
-            np.fill_diagonal(loadings, 1.0)
-            corr = theoretical_correlation(spec, tau).values
-            assert np.max(np.abs(corr - loadings)) < 1e-12
+            assert np.array_equal(loading_matrix(no_factor, tau).rho[seed], [0.0, 0.0])
 
     def test_correlation_unit_diagonal_exact(self):
         spec = random_spec(7, 3, seed=9)
@@ -237,6 +245,10 @@ class TestSampleMoments:
 
 
 class TestScaleMatrix:
+    def test_rejects_non_square(self):
+        with pytest.raises(ValidationError, match="matrix must be square"):
+            ScaleMatrix(np.ones((2, 3)))
+
     def test_rejects_asymmetric(self):
         with pytest.raises(ValidationError, match="symmetric"):
             ScaleMatrix(np.array([[1.0, 0.2], [0.3, 1.0]]))

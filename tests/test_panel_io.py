@@ -71,6 +71,14 @@ class TestPanelCsv:
         panel = load_panel(path)
         assert panel.returns.shape == (1, 2)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # Excel's "CSV UTF-8" opens the file with U+FEFF
+        text = "time,A,B\n0,0.1,0.2\n1,0.3,0.4\n"
+        plain = load_panel(write(tmp_path, "plain.csv", text))
+        marked = load_panel(write(tmp_path, "bom.csv", "\ufeff" + text))
+        assert marked.asset_labels == plain.asset_labels == ("A", "B")
+        assert np.array_equal(marked.returns, plain.returns)
+
     def test_ragged_row_names_line(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A,B\n0,0.1,0.2\n1,0.3\n")
         with pytest.raises(DataError, match="line 3"):
@@ -233,6 +241,17 @@ class TestPanelLabels:
             save_panel(ReturnPanel(np.empty((0, 3))), tmp_path / "p.csv")
         assert not list(tmp_path.iterdir())
 
+    def test_time_index_beyond_int64_is_refused_at_save(self, tmp_path):
+        # load_panel reads int64 time indices, so 2**62 * 2 would not load back
+        with pytest.raises(DataError, match="last time index 9223372036854775808 exceeds"):
+            save_panel(ReturnPanel(np.ones((1, 3)), base_scale=2**62), tmp_path / "p.csv")
+        assert not list(tmp_path.iterdir())
+
+    def test_largest_int64_time_index_round_trips(self, tmp_path):
+        panel = ReturnPanel(np.ones((1, 2)), base_scale=2**63 - 1)
+        save_panel(panel, tmp_path / "p.csv")
+        assert load_panel(tmp_path / "p.csv").base_scale == panel.base_scale
+
     def test_hand_written_spaced_header_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", "time, A, B\n0,0.1,0.2\n1,0.3,0.4\n")
         assert load_panel(path).asset_labels == ("A", "B")
@@ -268,6 +287,13 @@ class TestResultsJson:
         save_curves([], path, n_assets=5)
         back, meta = load_curves(path)
         assert back == [] and meta["n_assets"] == 5
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        path = tmp_path / "curves.json"
+        save_curves(self.curves(), path, n_assets=50)
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        back, _ = load_curves(path)
+        assert [c.rank for c in back] == [1, 2, 3]
 
     def test_fits_round_trip_exact(self, tmp_path):
         fits = [

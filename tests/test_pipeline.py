@@ -11,13 +11,18 @@ them.  The model's curves must equal the curves of its simulated panel bit for
 bit.
 """
 
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
+from leadlag import (DataError, ModelSpec, ReturnPanel, ValidationError, aggregate_returns,
                      dense_eigenvalues, eigencurves_from_panel, moments,
                      sample_correlation, sample_covariance, simulate_panel)
 from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
@@ -81,6 +86,11 @@ def test_zero_variance_asset_is_named(monkeypatch):
     assert "'DEAD'" in str(streamed.value)
 
 
+def test_unknown_kind_is_refused():
+    with pytest.raises(ValidationError, match="kind must be 'correlation' or 'covariance'"):
+        eigencurves_from_panel(ReturnPanel(np.ones((2, 8))), (1, 2), kind="spectrum")
+
+
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
 def test_single_chunk_base_sums_are_bit_exact(kind):
     # 2, 3, 5 and 11 are each summed straight from the base steps, as in the
@@ -130,3 +140,26 @@ def test_model_curves_peak_memory_is_a_fraction_of_the_panel():
     finally:
         tracemalloc.stop()
     assert peak < REFERENCE_N_ASSETS * REPRODUCE_STEPS * 8 / 4
+
+
+_CURVES_RUN = """
+import json
+from leadlag import ModelSpec
+from leadlag.pipeline import eigencurves_from_model
+curves = eigencurves_from_model(ModelSpec.single_factor(100, 0.2, 0.2, seed=0), 1 << 15, top_k=2)
+print(json.dumps([curve.values.tolist() for curve in curves]))
+"""
+
+
+def test_curves_agree_across_blas_thread_counts():
+    # bytes hold for one machine and BLAS thread count; across thread counts
+    # LAPACK's eigensolve may move the last bits, so values agree to 1e-13
+    runs = [subprocess.run([sys.executable, "-c", _CURVES_RUN], capture_output=True, text=True,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                "PYTHONPATH": str(Path(moments.__file__).parents[1])},
+                           timeout=120)
+            for threads in ("1", "2")]
+    assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
+    one, two = (np.array(json.loads(run.stdout)) for run in runs)
+    assert one.shape == (2, 8)
+    np.testing.assert_allclose(two, one, rtol=1e-13, atol=0)

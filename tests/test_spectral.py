@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
-                     ValidationError, attenuation, correlation_loading,
+                     Spectrum, ValidationError, attenuation, correlation_loading,
                      dense_eigenvalues, factor_eigencurve, factor_eigenvalues,
                      gram_eigenvalues, loading_matrix, loading_vector,
                      secular_eigenvalues, secular_function,
@@ -124,6 +124,27 @@ class TestSecularEigenvalues:
     def test_rejects_invalid_loadings(self):
         with pytest.raises(ValidationError, match="not a valid correlation structure"):
             LoadingVector(np.array([0.5, 1.2]))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: LoadingVector(np.empty(0)), "rho must be a nonempty vector"),
+        (lambda: LoadingVector(np.full((2, 1), 0.5)), "rho must be a nonempty vector"),
+        (lambda: LoadingVector([0.5, math.nan]), "loadings must be finite"),
+        (lambda: LoadingMatrix([0.5, 0.2]), r"rho must be an \(n_assets, n_factors\) matrix"),
+        (lambda: LoadingMatrix(np.empty((0, 2))), r"rho must be an \(n_assets, n_factors\) matrix"),
+        (lambda: LoadingMatrix([[0.5, math.inf]]), "loadings must be finite"),
+        (lambda: LoadingMatrix([[0.8, 0.7]]),
+         "not a valid correlation structure: row norm exceeds 1"),
+        (lambda: Spectrum(np.ones((2, 2))), "eigenvalues must be a vector"),
+        (lambda: Spectrum([2.0, math.nan]), "eigenvalues must be finite"),
+        (lambda: Spectrum([1.0, 2.0]), "eigenvalues must be in descending order"),
+        (lambda: loading_vector(ModelSpec.orthogonal_factors(4, [0.2, 0.1], 0.2), 2),
+         "loading_vector requires a one-factor spec"),
+    ], ids=["vector-empty", "vector-2d", "vector-nan", "matrix-1d", "matrix-empty",
+            "matrix-inf", "matrix-row-norm", "spectrum-2d", "spectrum-nan",
+            "spectrum-ascending", "loading-vector-two-factors"])
+    def test_value_types_refuse(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
     def test_trace_conservation(self):
         rng = np.random.default_rng(3)

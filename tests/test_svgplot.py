@@ -28,6 +28,12 @@ def test_flat_curve_renders_horizontal_polyline():
     assert len(ys) == 1
 
 
+def test_one_scale_curve_sits_on_the_left_edge():
+    # a lone scale has no x range, so the axis spans one unit from it
+    svg = render_eigencurve(EigenCurve(np.array([4]), np.array([2.5])))
+    assert polyline_points(svg) == [(70.0, 235.0)]
+
+
 def test_fit_overlay_adds_second_polyline():
     curve = factor_eigencurve(100, 0.2, 0.3, DYADIC)
     without = render_eigencurve(curve)
