@@ -24,9 +24,11 @@ import numpy as np
 from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
-from .panel_io import (load_curves, load_fits, load_panel, save_curves,
-                       save_fits, save_panel, _atomic_write_text, _read_json_object,
-                       _read_text)
+from .moments import _chunk_length
+from .panel_io import (load_curves, load_fits, save_curves, save_fits, save_panel,
+                       _atomic_write_text, _panel_batches, _read_json_object, _read_text)
+# not called here; benchmark/tracing.py wraps this name in this module
+from .panel_io import load_panel  # noqa: F401
 from .svgplot import render_eigencurve
 
 __all__ = ["main", "entrypoint"]
@@ -110,13 +112,33 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    panel = load_panel(getattr(args, "in"), compounding=args.compounding)
-    taus = _parse_list(args.taus, "taus", int)
+    # rows go from the file to the engine through one reused buffer, in the
+    # layout of eigencurves_from_panel's chunks: its bytes, with no panel held
+    batches = _panel_batches(getattr(args, "in"), args.compounding)
+    labels = next(batches)
     kind = "correlation" if args.kind == "corr" else "covariance"
-    curves = pipeline.eigencurves_from_panel(panel, taus, top_k=args.top_k, kind=kind)
-    save_curves(curves, args.out, n_assets=panel.n_assets,
-                base_scale_minutes=float(panel.base_scale))
-    print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {taus} "
+    taus, top_k = pipeline._checked_request(_parse_list(args.taus, "taus", int), args.top_k,
+                                            len(labels))
+    buffer, scale = np.empty((_chunk_length(len(labels), taus), len(labels))), 1
+
+    def chunks():
+        nonlocal scale
+        steps = filled = 0
+        for returns, scale in batches:
+            steps += len(returns)
+            while len(returns):
+                take = min(len(buffer) - filled, len(returns))
+                buffer[filled:filled + take], returns = returns[:take], returns[take:]
+                filled = (filled + take) % len(buffer)
+                if not filled:
+                    yield buffer.T
+        if filled:
+            yield buffer[:filled].T
+        pipeline._check_length(taus, steps)  # before the engine's last step
+
+    curves = pipeline._eigencurves(chunks(), taus, top_k, kind, labels)
+    save_curves(curves, args.out, n_assets=len(labels), base_scale_minutes=float(scale))
+    print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {list(taus)} "
           f"({kind}) -> {args.out}")
     return 0
 

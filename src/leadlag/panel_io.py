@@ -11,7 +11,11 @@ decimal, quoted or not (no comments; empty lines are skipped).  Time indices
 must strictly increase; uniformly strided ones give the bar length in base
 units, so aggregated panels round-trip their scale, and gappy ones give 1.
 Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
-'.' as the decimal separator whatever the locale.
+'.' as the decimal separator whatever the locale.  Panel CSVs stream:
+save_panel writes each row as it formats it, and the reader parses and checks
+the lines of each ~1 MiB block as one batch, so a file with several faults is
+refused at the first in file order.  load_panel holds the batches and the
+panel; `leadlag spectrum` copies the batches into one engine chunk.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -32,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, ValidationError, _alpha, _integer, _positive
+from .errors import DataError, _alpha, _integer, _positive
 from .fitting import EigenCurve, FitResult, _check_run
 from .model import ReturnPanel
 
@@ -46,6 +51,8 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
+
+_READ_CHARS = 1 << 20  # characters per read block of a panel CSV
 
 
 def _read_text(path, what: str = "") -> str:
@@ -68,13 +75,14 @@ def _read_json_object(path, what: str = "") -> dict:
     return document
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write_text(path, text) -> None:
+    # `text` is a string or an iterable of string pieces, written as they come
     path = Path(path)
     try:
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-                handle.write(text)
+                handle.writelines((text,) if isinstance(text, str) else text)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -115,7 +123,7 @@ def save_panel(panel: ReturnPanel, path) -> None:
     csv.writer(header, lineterminator="\n").writerow(("time", *panel.asset_labels))
     rows = (f"{i * panel.base_scale}," + ",".join(map(repr, row.tolist())) + "\n"
             for i, row in enumerate(panel.returns.T))
-    _atomic_write_text(path, header.getvalue() + "".join(rows))
+    _atomic_write_text(path, itertools.chain((header.getvalue(),), rows))
 
 
 def _parse_rows(lines, n_assets: int) -> np.ndarray:
@@ -124,27 +132,10 @@ def _parse_rows(lines, n_assets: int) -> np.ndarray:
                       delimiter=",", comments=None, quotechar='"', ndmin=1)
 
 
-def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
-    """Read a panel CSV.
-
-    compounding="geometric" converts simple returns r into log-gross returns
-    ln(1 + r) on load, so that downstream arithmetic block sums compound
-    multiplicatively; the default leaves values untouched.
-    """
-    if compounding not in ("arithmetic", "geometric"):
-        raise ValidationError("compounding must be 'arithmetic' or 'geometric'")
-    path = Path(path)
-    lines = _read_text(path).splitlines()
-    header = next(csv.reader(lines[:1]), [])  # an empty file has an empty header
-    if len(header) < 2 or header[0].strip().lower() != "time":
-        raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
-    labels = tuple(lbl.strip() for lbl in header[1:])
-    _check_labels(labels)
-
-    line_numbers = [ln for ln, line in enumerate(lines[1:], start=2) if line]
-    body = [line for line in lines[1:] if line]
-    if not body:
-        raise DataError(f"{path}: no data rows")
+def _checked_rows(path, body, numbers, labels, compounding: str, last):
+    # the (returns, times) of the non-empty lines `body` on physical lines
+    # `numbers`, after the time index `last` (none before the first row):
+    # returns C-ordered, log-gross when geometric.  DataError at the first fault.
     try:
         table = _parse_rows(body, len(labels))
     except ValueError as exc:
@@ -161,7 +152,9 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
         try:
             _parse_rows(body[lo:hi], len(labels))
         except ValueError as line_exc:
-            raise DataError(f"{path}: line {line_numbers[lo]}: bad time index or return "
+            if lo:  # a fault in the lines before it comes first
+                _checked_rows(path, body[:lo], numbers, labels, compounding, last)
+            raise DataError(f"{path}: line {numbers[lo]}: bad time index or return "
                             f"value ({line_exc})") from line_exc
         raise DataError(f"{path}: {exc}") from exc
 
@@ -169,21 +162,70 @@ def load_panel(path, compounding: str = "arithmetic") -> ReturnPanel:
     bad = ~np.isfinite(returns)
     if compounding == "geometric":
         bad |= returns <= -1.0
-    if bad.any():
-        row, j = divmod(int(bad.argmax()), len(labels))
+    times = np.concatenate((last, table["time"]))
+    backwards = times[1:] <= times[:-1]  # neighbours compared, never subtracted
+    row = int(bad.argmax()) // len(labels) if bad.any() else len(body)
+    k = int(backwards.argmax()) if backwards.any() else len(times)
+    if k + 1 - len(last) < row:
+        raise DataError(f"{path}: line {numbers[k + 1 - len(last)]}: time index "
+                        f"{times[k + 1]} does not exceed the previous one ({times[k]})")
+    if row < len(body):
+        j = int(bad[row].argmax())
         reason = ("non-finite return" if not math.isfinite(returns[row, j])
                   else "return <= -100% cannot be compounded geometrically")
-        raise DataError(f"{path}: line {line_numbers[row]}: asset {labels[j]!r}: {reason}")
-    arr = returns.T
+        raise DataError(f"{path}: line {numbers[row]}: asset {labels[j]!r}: {reason}")
     if compounding == "geometric":
-        arr = np.log1p(arr)
-    strides = np.diff(table["time"])
-    if np.any(strides <= 0):
-        row = int(np.argmax(strides <= 0)) + 1
-        raise DataError(f"{path}: line {line_numbers[row]}: time index {table['time'][row]} "
-                        f"does not exceed the previous one ({table['time'][row - 1]})")
-    uniform = strides.size and np.all(strides == strides[0])
-    return ReturnPanel(arr, base_scale=strides[0] if uniform else 1, asset_labels=labels)
+        np.log1p(returns, out=returns)
+    return returns, times
+
+
+def _panel_batches(path, compounding: str):
+    # a panel CSV's labels, then per batch (its _checked_rows returns, the bar
+    # length so far).  A batch is the lines a block of _READ_CHARS characters
+    # completes: the block's last piece, which may end inside a line or a CRLF,
+    # opens the next block, so lines split as in the whole text.
+    path = Path(path)
+    labels, number, held, block = None, 1, "", True
+    last, stride, uniform = np.empty(0, np.int64), 0, True
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            while block:
+                block = handle.read(_READ_CHARS)
+                text = held + block
+                held = text.splitlines(keepends=True)[-1] if block else ""
+                lines = text[:len(text) - len(held)].splitlines()
+                if labels is None and (lines or not block):
+                    header = next(csv.reader(lines[:1]), [])  # an empty file has none
+                    if len(header) < 2 or header[0].strip().lower() != "time":
+                        raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
+                    labels = tuple(lbl.strip() for lbl in header[1:])
+                    _check_labels(labels)
+                    yield labels
+                    lines, number = lines[1:], 2
+                numbers = [n for n, line in enumerate(lines, number) if line]
+                number += len(lines)
+                if numbers:
+                    returns, times = _checked_rows(path, [line for line in lines if line],
+                                                   numbers, labels, compounding, last)
+                    strides = np.diff(times.view(np.uint64))  # exact, as times increase
+                    stride = stride or (int(strides[0]) if strides.size else 0)
+                    uniform = uniform and bool(np.all(strides == stride))
+                    last = times[-1:]
+                    yield returns, stride if uniform and stride else 1
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not last.size:
+        raise DataError(f"{path}: no data rows")
+
+
+def load_panel(path) -> ReturnPanel:
+    """Read a panel CSV: the concatenated batches of its streamed reader."""
+    batches = _panel_batches(path, "arithmetic")
+    labels = next(batches)
+    returns, scales = zip(*batches)
+    return ReturnPanel(np.concatenate(returns).T, base_scale=scales[-1], asset_labels=labels)
 
 
 def _dump(document: dict) -> str:

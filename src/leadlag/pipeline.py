@@ -41,21 +41,21 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _checked_request(taus, top_k, kind, n_assets: int, n_steps: int):
-    # the validated (taus, top_k) of curves from an (n_assets, n_steps) panel
+def _checked_request(taus, top_k, n_assets: int):
+    # the validated (taus, top_k) of curves from a panel of n_assets
     taus = tuple(_tau_grid(taus, "tau grid").tolist())
-    if kind not in ("correlation", "covariance"):
-        raise ValidationError("kind must be 'correlation' or 'covariance'")
     top_k = _integer(top_k, "top_k")
     if top_k > n_assets:
         raise ValidationError("top_k must lie between 1 and the number of assets")
+    return taus, top_k
+
+
+def _check_length(taus, n_steps: int) -> None:
+    # every scale of the grid must leave at least two blocks of n_steps
     too_long = [t for t in taus if n_steps // t < 2]
     if too_long:
-        raise DataError(
-            "aggregation scale(s) exceed usable series length: "
-            + ", ".join(str(t) for t in too_long)
-        )
-    return taus, top_k
+        raise DataError("aggregation scale(s) exceed usable series length: "
+                        + ", ".join(str(t) for t in too_long))
 
 
 def _eigencurves(chunks, taus, top_k: int, kind: str, labels) -> list[EigenCurve]:
@@ -73,16 +73,16 @@ def _eigencurves(chunks, taus, top_k: int, kind: str, labels) -> list[EigenCurve
     ]
 
 
-def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4,
-                           kind: str = "correlation") -> list[EigenCurve]:
-    """Top-k eigenvalue curves of the sample correlation (or covariance)
-    matrix across the aggregation-scale grid.
+def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4) -> list[EigenCurve]:
+    """Top-k eigenvalue curves of the sample correlation matrix across the
+    aggregation-scale grid.
 
     Raises DataError listing any grid scales that leave fewer than two
     aggregated observations.
     """
-    taus, top_k = _checked_request(taus, top_k, kind, panel.n_assets, panel.n_steps)
-    return _eigencurves(_panel_chunks(panel.returns, taus), taus, top_k, kind,
+    taus, top_k = _checked_request(taus, top_k, panel.n_assets)
+    _check_length(taus, panel.n_steps)
+    return _eigencurves(_panel_chunks(panel.returns, taus), taus, top_k, "correlation",
                         panel.asset_labels)
 
 
@@ -95,7 +95,8 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     memory is a few chunks (16 MiB each), whatever n_steps is.
     """
     n_steps = _integer(n_steps, "n_steps")
-    taus, top_k = _checked_request(taus, top_k, "correlation", spec.n_assets, n_steps)
+    taus, top_k = _checked_request(taus, top_k, spec.n_assets)
+    _check_length(taus, n_steps)
     chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha),
                              _chunk_length(spec.n_assets, taus))
     return _eigencurves(chunks, taus, top_k, "correlation", _default_labels(spec.n_assets))

@@ -1,14 +1,17 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from leadlag import (EigenCurve, ModelSpec, dense_eigenvalues, eigencurves_from_panel,
-                     factor_eigencurve, load_curves, load_fits, load_panel,
-                     sample_correlation, save_curves, simulate_panel)
+from leadlag import (DataError, EigenCurve, ModelSpec, ReturnPanel, dense_eigenvalues,
+                     eigencurves_from_panel, factor_eigencurve, load_curves, load_fits,
+                     load_panel, moments, panel_io, pipeline, sample_correlation,
+                     save_curves, save_panel, simulate_panel)
 from leadlag.cli import main
 
 DYADIC = "1,2,4,8,16,32,64,128"
@@ -112,8 +115,9 @@ class TestSpectrum:
         # same code path the CLI drives, at the documented panel length
         spec = ModelSpec(8, 1, 0.0, 1.0, 1.0, 0.0, seed=13)
         panel = simulate_panel(spec, 1_000_000)
-        curves = eigencurves_from_panel(panel, (1, 2, 4, 8, 16, 32, 64, 128),
-                                        top_k=4, kind="covariance")
+        taus = (1, 2, 4, 8, 16, 32, 64, 128)
+        curves = pipeline._eigencurves(moments._panel_chunks(panel.returns, taus), taus, 4,
+                                       "covariance", panel.asset_labels)
         for curve in curves:
             assert np.all(np.abs(curve.values / curve.taus - 1.0) < 0.10)
 
@@ -187,6 +191,167 @@ class TestSpectrum:
             rho_sq = correlation_loading(0.3, 0.25, int(tau)) ** 2
             expected = 1 + 39 * rho_sq
             assert abs(value - expected) / expected < 0.05
+
+
+class TestStreamedSpectrum:
+    """`leadlag spectrum` streams the CSV's rows into the engine: its curves
+    are the bytes of eigencurves_from_panel on the loaded panel, and it
+    refuses a bad file with load_panel's message, wherever the fault lies."""
+
+    def write_csv(self, tmp_path, compounding):
+        # CRLF rows with blank lines between some, after a byte-order mark; bar length 2
+        returns = simulate_panel(ModelSpec.single_factor(3, 0.3, 0.4, seed=4), 301).returns
+        panel = ReturnPanel(returns * 0.01 if compounding == "geometric" else returns,
+                            base_scale=2, asset_labels=("A", "B", "C"))
+        save_panel(panel, tmp_path / "lf.csv")
+        lines = (tmp_path / "lf.csv").read_text(encoding="utf-8").splitlines()
+        text = "\r\n".join(line + "\r\n" * (i % 7 == 3) for i, line in enumerate(lines))
+        path = tmp_path / "p.csv"
+        path.write_text("\ufeff" + text + "\r\n", encoding="utf-8", newline="")
+        return path, text + "\r\n"
+
+    @pytest.mark.parametrize("compounding", ["arithmetic", "geometric"])
+    @pytest.mark.parametrize("boundary", ["crlf", "line_break"])
+    def test_curves_match_the_loaded_panel_bit_for_bit(self, tmp_path, monkeypatch, capsys,
+                                                       compounding, boundary):
+        path, text = self.write_csv(tmp_path, compounding)
+        # the first block ends between a CR and its LF, or right after a line
+        chars = text.index("\r\n", 200) + (1 if boundary == "crlf" else 2)
+        assert text[chars - 1] == ("\r" if boundary == "crlf" else "\n")
+        monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
+        taus = (1, 2, 4, 8)
+        monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * 3 * 44)  # 40-step chunks
+        assert moments._chunk_length(3, taus) == 40 and len(text) > 8 * chars
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(path), "--taus", "1,2,4,8", "--top-k", "3",
+                   "--compounding", compounding, "--out", str(out)) == 0
+        assert "curve(s) over taus [1, 2, 4, 8] (correlation)" in capsys.readouterr().out
+        curves, meta = load_curves(out)
+
+        panel = load_panel(path)
+        if compounding == "geometric":
+            panel = ReturnPanel(np.log1p(panel.returns), base_scale=panel.base_scale)
+        expected = eigencurves_from_panel(panel, taus, top_k=3)
+        assert [c.values.tobytes() for c in curves] == [c.values.tobytes() for c in expected]
+        assert meta == {"n_assets": 3, "base_scale_minutes": 2.0}
+
+    def test_covariance_curves_match_the_loaded_panel(self, tmp_path, monkeypatch):
+        path, _ = self.write_csv(tmp_path, "arithmetic")
+        monkeypatch.setattr(panel_io, "_READ_CHARS", 500)
+        monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * 3 * 44)
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(path), "--taus", "1,3,6", "--top-k", "2",
+                   "--kind", "cov", "--out", str(out)) == 0
+        panel = load_panel(path)
+        expected = pipeline._eigencurves(moments._panel_chunks(panel.returns, (1, 3, 6)),
+                                         (1, 3, 6), 2, "covariance", panel.asset_labels)
+        assert [c.values.tobytes() for c in load_curves(out)[0]] == [
+            c.values.tobytes() for c in expected]
+
+    # the refusals of test_panel_io's TestPanelCsv: (labels, body, line, compounding)
+    REFUSALS = {
+        "repeated_time": ("A", "5,0.1\n5,0.2\n3,0.3\n", 3, "arithmetic"),
+        "descending_time": ("A", "0,0.1\n2,0.2\n\n1,0.3\n", 5, "arithmetic"),
+        "ragged": ("A,B", "0,0.1,0.2\n1,0.3\n", 3, "arithmetic"),
+        "nan": ("A,B", "0,0.1,nan\n", 2, "arithmetic"),
+        "inf": ("A", "0,inf\n", 2, "arithmetic"),
+        "bad_time_index": ("A", "x,0.1\n", 2, "arithmetic"),
+        "after_blank_line": ("A", "0,0.1\n\n1,x\n", 4, "arithmetic"),
+        "bisection": ("A,B", "".join(f"{i},0.1,{'x' if i == 1234 else '0.2'}\n"
+                                     for i in range(4096)), 1236, "arithmetic"),
+        "comment": ("A", "0,0.1 # note\n", 2, "arithmetic"),
+        "digit_separator": ("A", "0,1_000\n", 2, "arithmetic"),
+        "time_separator": ("A", "1_0,0.1\n", 2, "arithmetic"),
+        "arabic_digit": ("A", "0,\u0661\n", 2, "arithmetic"),
+        "time_beyond_int64": ("A", "99999999999999999999,0.1\n", 2, "arithmetic"),
+        "total_loss": ("A", "0,-1.0\n", 2, "geometric"),
+        "first_bad_cell_geometric": ("A,B", "0,0.1,-1.5\n\n1,nan,0.2\n", 2, "geometric"),
+        "first_bad_cell": ("A,B", "0,0.1,-1.5\n\n1,nan,0.2\n", 4, "arithmetic"),
+    }
+
+    @staticmethod
+    def refusal(path, compounding):
+        # load_panel's message, or under geometric compounding that of its reader
+        with pytest.raises(DataError) as caught:
+            if compounding == "arithmetic":
+                load_panel(path)
+            else:
+                list(panel_io._panel_batches(path, compounding))
+        return str(caught.value)
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_past_the_first_block(self, tmp_path, monkeypatch, capsys, name):
+        labels, body, line, compounding = self.REFUSALS[name]
+        header = f"time,{labels}\n"
+        alone = tmp_path / "alone.csv"
+        alone.write_text(header + body, encoding="utf-8")
+        message = self.refusal(alone, compounding)
+        assert f"{alone}: line {line}: " in message
+
+        # 40 rows of times -40..-1 ahead of the body, past the first 64-character block
+        monkeypatch.setattr(panel_io, "_READ_CHARS", 64)
+        cells = ",0.5" * len(labels.split(","))
+        prefix = "".join(f"{t}{cells}\n" for t in range(-40, 0))
+        shifted = tmp_path / "shifted.csv"
+        shifted.write_text(header + prefix + body, encoding="utf-8")
+        expected = message.replace(f"{alone}: line {line}: ", f"{shifted}: line {line + 40}: ")
+        assert self.refusal(shifted, compounding) == expected
+
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(shifted), "--taus", "1", "--top-k", "1",
+                   "--compounding", compounding, "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {expected}\n"
+        assert not out.exists()
+
+    def test_scale_refusal_comes_after_the_rows(self, tmp_path, monkeypatch, capsys):
+        # the bar count is known only at the end of the file, as is a bad row
+        monkeypatch.setattr(panel_io, "_READ_CHARS", 16)
+        path = tmp_path / "p.csv"
+        path.write_text("time,A\n" + "".join(f"{t},0.{t}\n" for t in range(9)), encoding="utf-8")
+        assert run("spectrum", "--in", str(path), "--taus", "1,4,8", "--top-k", "1",
+                   "--out", str(tmp_path / "c.json")) == 3
+        assert capsys.readouterr().err == ("data error: aggregation scale(s) exceed usable "
+                                           "series length: 8\n")
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("9,x\n")
+        assert run("spectrum", "--in", str(path), "--taus", "1,4,8", "--top-k", "1",
+                   "--out", str(tmp_path / "c.json")) == 3
+        assert "line 11: bad time index" in capsys.readouterr().err
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+    def test_memory_stays_below_the_panel(self, tmp_path):
+        # 64 x 131,072 returns (a 64 MiB panel) as 38 MB of short tokens: the
+        # process's peak resident set rises by less than the panel over its
+        # imports.  One BLAS thread, so that the core count does not matter.
+        # The peak is VmHWM, not ru_maxrss, which a child also takes from the
+        # process that started it: from pytest's peak it hid most of the rise.
+        n_assets, n_steps = 64, 131_072
+        rng = np.random.default_rng(11)
+        rows = [",".join(f"{v:.1f}" for v in rng.normal(size=n_assets)) for _ in range(97)]
+        path = tmp_path / "p.csv"
+        with path.open("w", encoding="utf-8") as handle:
+            handle.write("time," + ",".join(f"a{j}" for j in range(n_assets)) + "\n")
+            handle.writelines(f"{t},{rows[t % 97]}\n" for t in range(n_steps))
+        script = (
+            "import sys\n"
+            "from leadlag.cli import main\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(status.read().split('VmHWM:')[1].split()[0])\n"
+            "before = peak()\n"
+            "code = main(['spectrum', '--in', sys.argv[1], '--taus', '1,2', '--top-k', '1',\n"
+            "             '--out', sys.argv[2]])\n"
+            "print(code, peak() - before)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(path), str(tmp_path / "c.json")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        assert result.returncode == 0, result.stderr
+        code, rise_kib = map(int, result.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert rise_kib * 1024 < n_assets * n_steps * 8, f"rise {rise_kib / 1024:.1f} MiB"
 
 
 class TestFitAndPlot:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel,
-                     ValidationError, aggregate_returns, load_curves, load_fits,
+                     aggregate_returns, load_curves, load_fits,
                      load_panel, panel_io, sample_correlation, save_curves,
                      save_fits, save_panel)
 
@@ -16,6 +16,14 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def load_geometric(path):
+    # the panel `leadlag spectrum --compounding geometric` streams from `path`
+    batches = panel_io._panel_batches(path, "geometric")
+    labels = next(batches)
+    returns, scales = zip(*batches)
+    return ReturnPanel(np.concatenate(returns).T, base_scale=scales[-1], asset_labels=labels)
 
 
 class TestPanelCsv:
@@ -161,7 +169,7 @@ class TestPanelCsv:
 
     def test_geometric_compounding_loads_log_gross(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A\n0,0.1\n1,-0.05\n")
-        panel = load_panel(path, compounding="geometric")
+        panel = load_geometric(path)
         assert panel.returns[0, 0] == pytest.approx(math.log1p(0.1), rel=1e-15)
         # arithmetic block sums of log-gross returns compound multiplicatively
         agg = aggregate_returns(panel, 2)
@@ -170,19 +178,14 @@ class TestPanelCsv:
     def test_geometric_rejects_total_loss(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A\n0,-1.0\n")
         with pytest.raises(DataError, match="geometric"):
-            load_panel(path, compounding="geometric")
+            load_geometric(path)
 
     def test_first_bad_cell_in_file_order_is_named(self, tmp_path):
         path = write(tmp_path, "p.csv", "time,A,B\n0,0.1,-1.5\n\n1,nan,0.2\n")
         with pytest.raises(DataError, match="line 2.*'B'.*geometric"):
-            load_panel(path, compounding="geometric")
+            load_geometric(path)
         with pytest.raises(DataError, match="line 4.*'A'"):
             load_panel(path)
-
-    def test_unknown_compounding(self, tmp_path):
-        path = write(tmp_path, "p.csv", "time,A\n0,0.1\n")
-        with pytest.raises(ValidationError, match="compounding"):
-            load_panel(path, compounding="product")
 
     @given(values=st.lists(st.floats(min_value=-0.5, max_value=0.5,
                                      allow_nan=False, allow_infinity=False),
@@ -194,6 +197,62 @@ class TestPanelCsv:
         path = tmp / "p.csv"
         save_panel(panel, path)
         assert np.array_equal(load_panel(path).returns, panel.returns)
+
+
+class TestPanelStreams:
+    """The reader takes the file in blocks of _READ_CHARS characters and checks
+    each block's lines as one batch; the writer writes rows as it formats them."""
+
+    @pytest.mark.parametrize("chars", [None, *range(1, 50)])
+    def test_time_indices_more_than_int64_apart(self, tmp_path, monkeypatch, chars):
+        # neighbours are compared, never subtracted in int64, within a batch
+        # and across two
+        if chars is not None:
+            monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
+        lo, hi = -(2**63 - 1), 2**63 - 1
+        path = write(tmp_path, "p.csv", f"time,A\n{lo},0.1\n{hi},0.2\n")
+        assert load_panel(path).base_scale == 2**64 - 2
+        path = write(tmp_path, "p.csv", f"time,A\n{lo},0.1\n{hi - 1},0.2\n{hi},0.3\n")
+        assert load_panel(path).base_scale == 1
+        path = write(tmp_path, "p.csv", f"time,A\n{hi},0.1\n{lo - 1},0.2\n")
+        with pytest.raises(DataError, match=rf"line 3: time index {lo - 1} does not exceed "
+                                            rf"the previous one \({hi}\)"):
+            load_panel(path)
+
+    @pytest.mark.parametrize("chars", [1, 2, 3, 7, 8, 9, 64])
+    def test_batches_concatenate_to_the_whole_file(self, tmp_path, monkeypatch, chars):
+        # blocks that end inside a CRLF, on a line break, inside a number or a
+        # label, with blank lines, a byte-order mark and a uniform stride of 3
+        text = "\ufefftime,AA,B\r\n0,0.1,-0.2\r\n\r\n3,1e-3,5\n6,0.5,0.25\r\n\n9,-1,2"
+        whole = load_panel(write(tmp_path, "p.csv", text))
+        monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
+        panel = load_panel(tmp_path / "p.csv")
+        assert panel.returns.tobytes() == whole.returns.tobytes()
+        assert panel.returns.strides == whole.returns.strides
+        assert (panel.asset_labels, panel.base_scale) == (("AA", "B"), 3) == (
+            whole.asset_labels, whole.base_scale)
+        assert whole.returns.tolist() == [[0.1, 1e-3, 0.5, -1], [-0.2, 5, 0.25, 2]]
+
+    def test_writer_failing_mid_stream_keeps_the_destination(self, tmp_path):
+        path = write(tmp_path, "p.csv", "time,A\n0,0.1\n")
+
+        def pieces():
+            yield "time,B\n"
+            yield "0,0.2\n"
+            raise RuntimeError("formatting failed")
+
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            panel_io._atomic_write_text(path, pieces())
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "time,A\n0,0.1\n"
+
+    def test_save_panel_bytes(self, tmp_path):
+        # the rows as repr formats them, one line each, after a CSV header
+        panel = ReturnPanel(np.array([[0.1, -2.5e-07, 3.0], [1 / 3, 0.0, -1e300]]),
+                            base_scale=7, asset_labels=("A", "b,c"))
+        save_panel(panel, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == (
+            b'time,A,"b,c"\n0,0.1,0.3333333333333333\n7,-2.5e-07,0.0\n14,3.0,-1e+300\n')
 
 
 class TestPanelLabels:

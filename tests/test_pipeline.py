@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from leadlag import (DataError, ModelSpec, ReturnPanel, ValidationError, aggregate_returns,
-                     dense_eigenvalues, eigencurves_from_panel, moments,
+from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
+                     dense_eigenvalues, eigencurves_from_panel, moments, pipeline,
                      sample_correlation, sample_covariance, simulate_panel)
 from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
                               eigencurves_from_model)
@@ -39,7 +39,13 @@ def dense_curves(panel, taus, top_k, kind):
 
 
 def streamed_curves(panel, taus, top_k, kind):
-    curves = eigencurves_from_panel(panel, taus, top_k=top_k, kind=kind)
+    # covariance curves come from the engine eigencurves_from_panel drives, as
+    # `leadlag spectrum --kind cov` takes them
+    if kind == "correlation":
+        curves = eigencurves_from_panel(panel, taus, top_k=top_k)
+    else:
+        curves = pipeline._eigencurves(moments._panel_chunks(panel.returns, taus), tuple(taus),
+                                       top_k, kind, panel.asset_labels)
     return np.column_stack([curve.values for curve in curves])
 
 
@@ -84,11 +90,6 @@ def test_zero_variance_asset_is_named(monkeypatch):
         eigencurves_from_panel(panel, DYADIC, top_k=1)
     assert str(streamed.value) == str(dense.value)
     assert "'DEAD'" in str(streamed.value)
-
-
-def test_unknown_kind_is_refused():
-    with pytest.raises(ValidationError, match="kind must be 'correlation' or 'covariance'"):
-        eigencurves_from_panel(ReturnPanel(np.ones((2, 8))), (1, 2), kind="spectrum")
 
 
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
