@@ -24,7 +24,6 @@ import numpy as np
 from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
-from .moments import _chunk_length
 from .panel_io import (load_curves, load_fits, save_curves, save_fits, save_panel,
                        _atomic_write_text, _panel_batches, _read_json_object, _read_text)
 # not called here; benchmark/tracing.py wraps this name in this module
@@ -117,26 +116,22 @@ def _cmd_spectrum(args) -> int:
     batches = _panel_batches(getattr(args, "in"), args.compounding)
     labels = next(batches)
     kind = "correlation" if args.kind == "corr" else "covariance"
-    taus, top_k = pipeline._checked_request(_parse_list(args.taus, "taus", int), args.top_k,
-                                            len(labels))
-    buffer, scale = np.empty((_chunk_length(len(labels), taus), len(labels))), 1
+    taus, scale = _parse_list(args.taus, "taus", int), 1
 
-    def chunks():
+    def chunks(length):
         nonlocal scale
-        steps = filled = 0
+        buffer, filled = np.empty((length, len(labels))), 0
         for returns, scale in batches:
-            steps += len(returns)
             while len(returns):
-                take = min(len(buffer) - filled, len(returns))
+                take = min(length - filled, len(returns))
                 buffer[filled:filled + take], returns = returns[:take], returns[take:]
-                filled = (filled + take) % len(buffer)
+                filled = (filled + take) % length
                 if not filled:
                     yield buffer.T
         if filled:
             yield buffer[:filled].T
-        pipeline._check_length(taus, steps)  # before the engine's last step
 
-    curves = pipeline._eigencurves(chunks(), taus, top_k, kind, labels)
+    curves = pipeline._eigencurves(chunks, labels, taus, args.top_k, kind)
     save_curves(curves, args.out, n_assets=len(labels), base_scale_minutes=float(scale))
     print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {list(taus)} "
           f"({kind}) -> {args.out}")

@@ -230,19 +230,19 @@ def _block_sums(x: np.ndarray, ratio: int) -> np.ndarray:
     return sums
 
 
-def _panel_chunks(returns: np.ndarray, taus) -> Iterator[np.ndarray]:
-    # the engine's chunks of a panel in memory: views of _chunk_length columns
-    length = _chunk_length(returns.shape[0], taus)
+def _panel_chunks(returns: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    # the engine's chunks of a panel in memory: views of `length` columns
     return (returns[:, start:start + length] for start in range(0, returns.shape[1], length))
 
 
-def _scale_covariances(chunks: Iterable[np.ndarray], taus) -> list[np.ndarray]:
+def _scale_covariances(chunks: Iterable[np.ndarray], taus, min_blocks: int) -> list[np.ndarray]:
     """Sample covariance of the tau-aggregated rows of a panel for each tau
     of the ascending grid `taus`, in one pass over `chunks`, the panel's
     consecutive (N, <= _chunk_length) column blocks.
 
     Equals sample_covariance(aggregate_returns(panel, tau)) to rounding, and
-    every tau must leave at least two blocks.  Within a chunk a scale's block
+    refuses short scales: after the pass, DataError lists every tau that left
+    fewer than `min_blocks` (>= 2) blocks.  Within a chunk a scale's block
     sums are summed from those of the largest earlier grid scale dividing it
     (the dyadic cascade on the dyadic ladder), and are dropped once the last
     scale summed from them is done.  Blocks start at multiples of tau, so
@@ -286,4 +286,7 @@ def _scale_covariances(chunks: Iterable[np.ndarray], taus) -> list[np.ndarray]:
             total_cross += cross
             total_cross += (delta @ delta.T) * (count * blocks / merged)
             states[tau] = (merged, total_mean + delta * (blocks / merged), total_cross)
+    short = [str(tau) for tau in taus if states[tau] is None or states[tau][0] < min_blocks]
+    if short:
+        raise DataError("aggregation scale(s) exceed usable series length: " + ", ".join(short))
     return [_covariance(states[tau][2], states[tau][0]) for tau in taus]

@@ -14,13 +14,14 @@ Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
 '.' as the decimal separator whatever the locale.  Panel CSVs stream:
 save_panel writes each row as it formats it, and the reader parses and checks
 the lines of each ~1 MiB block as one batch, so a file with several faults is
-refused at the first in file order.  load_panel holds the batches and the
-panel; `leadlag spectrum` copies the batches into one engine chunk.
+refused at the first in file order.  load_panel holds the panel and one
+batch; `leadlag spectrum` copies the batches into one engine chunk.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
 precision, so save/load is value-exact.  Writes go to a temporary file in the
-destination directory followed by an atomic rename.
+destination directory followed by an atomic rename; a written file has mode
+0666 less the umask, as open() gives.
 """
 
 from __future__ import annotations
@@ -76,13 +77,17 @@ def _read_json_object(path, what: str = "") -> dict:
 
 
 def _atomic_write_text(path, text) -> None:
-    # `text` is a string or an iterable of string pieces, written as they come
+    # `text` is a string or an iterable of string pieces, written as they come.
+    # mkstemp makes its file 0600; the result gets open()'s mode, 0666 less the umask
     path = Path(path)
+    umask = os.umask(0o022)
+    os.umask(umask)
     try:
         fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
         try:
             with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines((text,) if isinstance(text, str) else text)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -221,11 +226,16 @@ def _panel_batches(path, compounding: str):
 
 
 def load_panel(path) -> ReturnPanel:
-    """Read a panel CSV: the concatenated batches of its streamed reader."""
+    """Read a panel CSV: the batches of its streamed reader, each copied onto
+    the end of one (rows, N) array grown in place, so the panel is held once."""
     batches = _panel_batches(path, "arithmetic")
     labels = next(batches)
-    returns, scales = zip(*batches)
-    return ReturnPanel(np.concatenate(returns).T, base_scale=scales[-1], asset_labels=labels)
+    rows = np.empty((0, len(labels)))
+    for returns, scale in batches:
+        start = len(rows)
+        rows.resize((start + len(returns), len(labels)), refcheck=False)  # a realloc
+        rows[start:] = returns
+    return ReturnPanel(rows.T, base_scale=scale, asset_labels=labels)
 
 
 def _dump(document: dict) -> str:

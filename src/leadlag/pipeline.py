@@ -41,31 +41,26 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _checked_request(taus, top_k, n_assets: int):
-    # the validated (taus, top_k) of curves from a panel of n_assets
+def _eigencurves(source, labels, taus, top_k: int, kind: str) -> list[EigenCurve]:
+    # the top-k curves of a panel of len(labels) assets, from the leading
+    # eigenvalues at every scale, which one pass over source(length), its
+    # consecutive (N, <= length) column chunks, gives.  Every scale must leave
+    # top_k + 1 blocks: m blocks give a matrix of rank m - 1 at most.
     taus = tuple(_tau_grid(taus, "tau grid").tolist())
     top_k = _integer(top_k, "top_k")
-    if top_k > n_assets:
+    if top_k > len(labels):
         raise ValidationError("top_k must lie between 1 and the number of assets")
-    return taus, top_k
-
-
-def _check_length(taus, n_steps: int) -> None:
-    # every scale of the grid must leave at least two blocks of n_steps
-    too_long = [t for t in taus if n_steps // t < 2]
-    if too_long:
-        raise DataError("aggregation scale(s) exceed usable series length: "
-                        + ", ".join(str(t) for t in too_long))
-
-
-def _eigencurves(chunks, taus, top_k: int, kind: str, labels) -> list[EigenCurve]:
-    # the top-k curves, from the leading eigenvalues at every scale, which one
-    # pass over the panel's column chunks gives
+    chunks = source(_chunk_length(len(labels), taus))
     rows = []
-    for cov in _scale_covariances(chunks, taus):
+    for tau, cov in zip(taus, _scale_covariances(chunks, taus, top_k + 1)):
         if kind == "correlation":
             cov = _correlation(cov, labels)
-        rows.append(dense_eigenvalues(ScaleMatrix(cov)).eigenvalues[:top_k])
+        values = dense_eigenvalues(ScaleMatrix(cov)).eigenvalues[:top_k]
+        zero = values <= len(labels) * np.finfo(float).eps * values[0]  # matrix_rank's floor
+        if zero.any():
+            raise DataError(f"eigenvalue {int(zero.argmax()) + 1} at tau={tau} is zero to "
+                            "rounding: some assets are collinear")
+        rows.append(values)
     stacked = np.vstack(rows)
     return [
         EigenCurve(np.asarray(taus, dtype=np.int64), stacked[:, r], rank=r + 1)
@@ -77,13 +72,12 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4) -> list[Eige
     """Top-k eigenvalue curves of the sample correlation matrix across the
     aggregation-scale grid.
 
-    Raises DataError listing any grid scales that leave fewer than two
-    aggregated observations.
+    Raises DataError listing any grid scales that leave fewer than top_k + 1
+    aggregated observations, and DataError naming the first scale and rank
+    whose eigenvalue is zero to rounding (collinear assets).
     """
-    taus, top_k = _checked_request(taus, top_k, panel.n_assets)
-    _check_length(taus, panel.n_steps)
-    return _eigencurves(_panel_chunks(panel.returns, taus), taus, top_k, "correlation",
-                        panel.asset_labels)
+    return _eigencurves(lambda length: _panel_chunks(panel.returns, length),
+                        panel.asset_labels, taus, top_k, "correlation")
 
 
 def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
@@ -94,12 +88,9 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     The simulator emits the panel's steps chunk by chunk into the engine, so
     memory is a few chunks (16 MiB each), whatever n_steps is.
     """
-    n_steps = _integer(n_steps, "n_steps")
-    taus, top_k = _checked_request(taus, top_k, spec.n_assets)
-    _check_length(taus, n_steps)
-    chunks = _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha),
-                             _chunk_length(spec.n_assets, taus))
-    return _eigencurves(chunks, taus, top_k, "correlation", _default_labels(spec.n_assets))
+    n_steps, burn_in = _integer(n_steps, "n_steps"), stationary_burn_in(spec.alpha)
+    return _eigencurves(lambda length: _emitted_blocks(spec, n_steps, burn_in, length),
+                        _default_labels(spec.n_assets), taus, top_k, "correlation")
 
 
 def fit_curves(curves, n_assets: int,

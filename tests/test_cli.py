@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +117,8 @@ class TestSpectrum:
         spec = ModelSpec(8, 1, 0.0, 1.0, 1.0, 0.0, seed=13)
         panel = simulate_panel(spec, 1_000_000)
         taus = (1, 2, 4, 8, 16, 32, 64, 128)
-        curves = pipeline._eigencurves(moments._panel_chunks(panel.returns, taus), taus, 4,
-                                       "covariance", panel.asset_labels)
+        curves = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
+                                       panel.asset_labels, taus, 4, "covariance")
         for curve in curves:
             assert np.all(np.abs(curve.values / curve.taus - 1.0) < 0.10)
 
@@ -128,6 +129,28 @@ class TestSpectrum:
         assert code == 3
         err = capsys.readouterr().err
         assert "64" in err and "128" in err
+
+    @pytest.mark.parametrize("top_k", [4, 8])
+    def test_scales_with_too_few_blocks_for_top_k_are_refused(self, tmp_path, capsys, top_k):
+        # m blocks give a sample matrix of rank m - 1 at most: tau = 64 and 128
+        # leave 4 and 2 blocks of 256 steps, too few for 4 nonzero eigenvalues
+        panel_path = self.make_panel(tmp_path, steps=256, assets=8)
+        code = run("spectrum", "--in", str(panel_path), "--top-k", str(top_k),
+                   "--out", str(tmp_path / "c.json"))
+        assert code == 3
+        assert capsys.readouterr().err.rstrip().endswith(
+            "aggregation scale(s) exceed usable series length: "
+            + ("64, 128" if top_k == 4 else "32, 64, 128"))
+        assert not (tmp_path / "c.json").exists()
+
+    def test_collinear_assets_are_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(4, 4096))
+        save_panel(ReturnPanel(np.vstack([x, x.sum(axis=0)])), tmp_path / "p.csv")
+        code = run("spectrum", "--in", str(tmp_path / "p.csv"), "--top-k", "5",
+                   "--out", str(tmp_path / "c.json"))
+        assert code == 3
+        assert "eigenvalue 5 at tau=1 is zero to rounding" in capsys.readouterr().err
 
     def test_empty_taus_is_exit_2(self, tmp_path, capsys):
         panel_path = self.make_panel(tmp_path, steps=100)
@@ -243,8 +266,8 @@ class TestStreamedSpectrum:
         assert run("spectrum", "--in", str(path), "--taus", "1,3,6", "--top-k", "2",
                    "--kind", "cov", "--out", str(out)) == 0
         panel = load_panel(path)
-        expected = pipeline._eigencurves(moments._panel_chunks(panel.returns, (1, 3, 6)),
-                                         (1, 3, 6), 2, "covariance", panel.asset_labels)
+        expected = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
+                                         panel.asset_labels, (1, 3, 6), 2, "covariance")
         assert [c.values.tobytes() for c in load_curves(out)[0]] == [
             c.values.tobytes() for c in expected]
 

@@ -2,7 +2,8 @@
 name a module exports exists and has a caller beyond the unit tests, so does
 every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
-and every name the benchmark's tracer wraps is still bound."""
+every name the benchmark's tracer wraps is still bound, and only the engine
+picks the length of the chunks its sources yield."""
 
 import ast
 import dataclasses
@@ -76,6 +77,30 @@ def test_only_panel_io_imports_csv():
 def test_no_module_imports_scipy():
     users = {path.stem for path in PACKAGE.glob("*.py") if "scipy" in absolute_imports(path)}
     assert not users
+
+
+def identifiers(path):
+    # every name a file's code defines, reads, writes or imports (not its comments)
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+    return found
+
+
+def test_only_the_engine_picks_the_chunk_length():
+    # a chunk source is a callable `length -> chunks`: moments owns the length
+    # rule and the pipeline's engine alone applies it, so the CLI, which only
+    # yields chunks, needs nothing of moments
+    users = {path.stem for path in PACKAGE.glob("*.py") if "_chunk_length" in identifiers(path)}
+    assert users == {"moments", "pipeline"}
+    assert "moments" not in import_graph()["cli"]
 
 
 # a tiny run of every subcommand, in one fresh interpreter

@@ -158,7 +158,7 @@ class TestSimulatePanel:
         spec = one_factor(n=10, gamma=0.25, alpha=0.3, seed=23)
         n_obs = 4_000_000
         blocks = _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha), 1 << 16)
-        sample = _scale_covariances(blocks, (1,))[0]
+        sample = _scale_covariances(blocks, (1,), 2)[0]
         theory = theoretical_covariance(spec, 1).values
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n_obs)
         upper = np.triu_indices(spec.n_assets)

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +250,51 @@ class TestPanelStreams:
             panel_io._atomic_write_text(path, pieces())
         assert list(tmp_path.iterdir()) == [path]
         assert path.read_text(encoding="utf-8") == "time,A\n0,0.1\n"
+
+    @pytest.mark.skipif(os.name != "posix", reason="needs POSIX file modes")
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_get_the_umask_mode(self, tmp_path, umask, mode):
+        # as open() would make them, not mkstemp's 0600
+        old = os.umask(umask)
+        try:
+            panel_io._atomic_write_text(tmp_path / "new.txt", "x")
+            save_curves([], tmp_path / "c.json", n_assets=1)
+        finally:
+            os.umask(old)
+        for name in ("new.txt", "c.json"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+    def test_load_panel_holds_the_panel_once(self, tmp_path):
+        # 64 x 131,072 returns (a 64 MiB panel) as 38 MB of short tokens: the
+        # process's peak resident set rises by less than 1.5 panels over its
+        # imports (concatenated batches took 2.1).  The peak is VmHWM, as in
+        # test_cli's TestSpectrum.test_memory_stays_below_the_panel.
+        n_assets, n_steps = 64, 131_072
+        rng = np.random.default_rng(11)
+        rows = [",".join(f"{v:.1f}" for v in rng.normal(size=n_assets)) for _ in range(97)]
+        path = tmp_path / "p.csv"
+        with path.open("w", encoding="utf-8") as handle:
+            handle.write("time," + ",".join(f"a{j}" for j in range(n_assets)) + "\n")
+            handle.writelines(f"{t},{rows[t % 97]}\n" for t in range(n_steps))
+        script = (
+            "import sys\n"
+            "from leadlag import load_panel\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(status.read().split('VmHWM:')[1].split()[0])\n"
+            "before = peak()\n"
+            "panel = load_panel(sys.argv[1])\n"
+            "print(panel.returns.shape[1], peak() - before)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run([sys.executable, "-c", script, str(path)],
+                                capture_output=True, text=True, timeout=120,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 0, result.stderr
+        steps, rise_kib = map(int, result.stdout.splitlines()[-1].split())
+        assert steps == n_steps
+        panel_bytes = n_assets * n_steps * 8
+        assert rise_kib * 1024 < 1.5 * panel_bytes, f"rise {rise_kib / 1024:.1f} MiB"
 
     def test_save_panel_bytes(self, tmp_path):
         # the rows as repr formats them, one line each, after a CSV header

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -44,8 +45,8 @@ def streamed_curves(panel, taus, top_k, kind):
     if kind == "correlation":
         curves = eigencurves_from_panel(panel, taus, top_k=top_k)
     else:
-        curves = pipeline._eigencurves(moments._panel_chunks(panel.returns, taus), tuple(taus),
-                                       top_k, kind, panel.asset_labels)
+        curves = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
+                                       panel.asset_labels, tuple(taus), top_k, kind)
     return np.column_stack([curve.values for curve in curves])
 
 
@@ -92,6 +93,18 @@ def test_zero_variance_asset_is_named(monkeypatch):
     assert "'DEAD'" in str(streamed.value)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["correlation", "covariance"])
+def test_collinear_assets_are_a_data_error(seed, kind):
+    # four random assets and their sum: the fifth eigenvalue is zero to
+    # rounding at every scale, on either side of zero, and refused at the first
+    x = np.random.default_rng(seed).normal(size=(4, 4096))
+    panel = ReturnPanel(np.vstack([x, x.sum(axis=0)]))
+    assert len(streamed_curves(panel, (1, 2, 4, 8), 4, kind)) == 4
+    with pytest.raises(DataError, match=r"^eigenvalue 5 at tau=1 is zero to rounding"):
+        streamed_curves(panel, (1, 2, 4, 8), 5, kind)
+
+
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
 def test_single_chunk_base_sums_are_bit_exact(kind):
     # 2, 3, 5 and 11 are each summed straight from the base steps, as in the
@@ -130,6 +143,17 @@ def test_model_curves_are_the_panel_curves_bit_for_bit():
     for a, b in zip(streamed, from_panel):
         assert a.taus.tobytes() == b.taus.tobytes()
         assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_model_and_panel_refuse_the_same_short_scales():
+    # 256 steps leave 4 blocks at tau = 64, too few for a rank-4 eigenvalue
+    spec = ModelSpec.single_factor(8, 0.3, 0.2, seed=0)
+    message = r"^aggregation scale\(s\) exceed usable series length: 64, 128$"
+    with pytest.raises(DataError, match=message):
+        eigencurves_from_model(spec, 256, top_k=4)
+    with pytest.raises(DataError, match=message):
+        eigencurves_from_panel(simulate_panel(spec, 256), top_k=4)
+    assert len(eigencurves_from_model(spec, 256, top_k=1)) == 1
 
 
 def test_model_curves_peak_memory_is_a_fraction_of_the_panel():
