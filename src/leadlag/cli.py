@@ -52,7 +52,8 @@ def _scalar_or_vector(text: str, name: str):
 
 
 def _read_beta_file(path) -> np.ndarray:
-    lines = _read_text(path, "beta file ").splitlines()
+    # _read_text makes CR and CRLF into LF; other line separators are data
+    lines = _read_text(path, "beta file ").split("\n")
     if not any(lines):
         raise DataError(f"beta file {path}: no data")
     try:

@@ -1,6 +1,7 @@
 """Ingestion and persistence for panels, curves and fits.
 
-Panel CSV format (UTF-8, a leading byte-order mark ignored; LF or CRLF):
+Panel CSV format (UTF-8, a leading byte-order mark ignored; LF, CRLF or CR;
+other Unicode line separators are data, so a number containing one is refused):
 
     time,AAPL,MSFT,...
     0,0.001,-0.0002,...
@@ -12,10 +13,11 @@ must strictly increase; uniformly strided ones give the bar length in base
 units, so aggregated panels round-trip their scale, and gappy ones give 1.
 Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
 '.' as the decimal separator whatever the locale.  Panel CSVs stream:
-save_panel writes each row as it formats it, and the reader parses and checks
-the lines of each ~1 MiB block as one batch, so a file with several faults is
-refused at the first in file order.  load_panel holds the panel and one
-batch; `leadlag spectrum` copies the batches into one engine chunk.
+save_panel writes each row as it formats it, and the reader reads batches of
+whole lines of about 1 MiB and parses and checks each at once, so a file with
+several faults is refused at the first in file order.  load_panel holds the
+panel and one batch; `leadlag spectrum` copies the batches into one engine
+chunk.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -53,7 +55,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_READ_CHARS = 1 << 20  # characters per read block of a panel CSV
+_READ_CHARS = 1 << 20  # a panel CSV's readlines hint: characters per batch of lines
 
 
 def _read_text(path, what: str = "") -> str:
@@ -138,7 +140,7 @@ def _parse_rows(lines, n_assets: int) -> np.ndarray:
 
 
 def _checked_rows(path, body, numbers, labels, compounding: str, last):
-    # the (returns, times) of the non-empty lines `body` on physical lines
+    # the (returns, times) of the non-blank lines `body` on physical lines
     # `numbers`, after the time index `last` (none before the first row):
     # returns C-ordered, log-gross when geometric.  DataError at the first fault.
     try:
@@ -186,32 +188,26 @@ def _checked_rows(path, body, numbers, labels, compounding: str, last):
 
 def _panel_batches(path, compounding: str):
     # a panel CSV's labels, then per batch (its _checked_rows returns, the bar
-    # length so far).  A batch is the lines a block of _READ_CHARS characters
-    # completes: the block's last piece, which may end inside a line or a CRLF,
-    # opens the next block, so lines split as in the whole text.
+    # length so far).  A batch is the whole lines readlines(_READ_CHARS) gives,
+    # about 1 MiB, broken only at LF, CRLF or CR, as open(newline="") breaks them.
     path = Path(path)
-    labels, number, held, block = None, 1, "", True
-    last, stride, uniform = np.empty(0, np.int64), 0, True
+    number, last, stride, uniform = 2, np.empty(0, np.int64), 0, True
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            while block:
-                block = handle.read(_READ_CHARS)
-                text = held + block
-                held = text.splitlines(keepends=True)[-1] if block else ""
-                lines = text[:len(text) - len(held)].splitlines()
-                if labels is None and (lines or not block):
-                    header = next(csv.reader(lines[:1]), [])  # an empty file has none
-                    if len(header) < 2 or header[0].strip().lower() != "time":
-                        raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
-                    labels = tuple(lbl.strip() for lbl in header[1:])
-                    _check_labels(labels)
-                    yield labels
-                    lines, number = lines[1:], 2
-                numbers = [n for n, line in enumerate(lines, number) if line]
+            header = next(csv.reader([handle.readline()]), [])  # an empty file has none
+            if len(header) < 2 or header[0].strip().lower() != "time":
+                raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
+            labels = tuple(lbl.strip() for lbl in header[1:])
+            _check_labels(labels)
+            yield labels
+            while lines := handle.readlines(_READ_CHARS):
+                numbers = [n for n, line in enumerate(lines, number)
+                           if line not in ("\n", "\r\n", "\r")]  # blank lines are skipped
+                body = [lines[n - number] for n in numbers]
                 number += len(lines)
-                if numbers:
-                    returns, times = _checked_rows(path, [line for line in lines if line],
-                                                   numbers, labels, compounding, last)
+                if body:
+                    returns, times = _checked_rows(path, body, numbers, labels,
+                                                   compounding, last)
                     strides = np.diff(times.view(np.uint64))  # exact, as times increase
                     stride = stride or (int(strides[0]) if strides.size else 0)
                     uniform = uniform and bool(np.all(strides == stride))

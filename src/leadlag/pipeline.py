@@ -138,7 +138,8 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
         raise ValidationError("strengths must be given in descending order")
 
     spec = ModelSpec.orthogonal_factors(n_assets, strengths, alpha, seed=seed)
-    n_assets, n_steps, seed = spec.n_assets, _integer(n_steps, "n_steps"), spec.seed
+    n_assets, alpha, seed = spec.n_assets, spec.alpha, spec.seed
+    n_steps = _integer(n_steps, "n_steps")
     curves = eigencurves_from_model(spec, n_steps, taus, top_k=len(strengths))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -182,7 +183,7 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
         "config": {
             "n_assets": n_assets,
             "strengths": list(strengths),
-            "alpha": float(alpha),
+            "alpha": alpha,
             "n_steps": n_steps,
             "seed": seed,
             "taus": list(taus),
@@ -190,7 +191,7 @@ def reproduce_report(out_dir, *, n_assets: int = REFERENCE_N_ASSETS,
         "counterfactual": {
             "amplitude_alpha0": amplitude_alpha0,
             "limit_with_memory": limit_with_memory,
-            "alpha": float(alpha),
+            "alpha": alpha,
         },
         "recovery": recovery,
     }

@@ -16,6 +16,8 @@ from leadlag import (DataError, EigenCurve, ModelSpec, ReturnPanel, dense_eigenv
 from leadlag.cli import main
 
 DYADIC = "1,2,4,8,16,32,64,128"
+# line separators of str.splitlines that files break no line at: only LF, CRLF and CR do
+DATA_SEPARATORS = list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def run(*argv):
@@ -77,6 +79,16 @@ class TestSimulate:
                    "--beta-file", str(beta), "--steps", "64", "--seed", "5",
                    "--out", str(out)) == 0
         spec = ModelSpec(3, 2, 0.2, 1.0, 1.0, [[0.5, 0.1], [0.4, 0.2], [0.3, 0.3]], seed=5)
+        assert np.array_equal(load_panel(out).returns, simulate_panel(spec, 64).returns)
+
+    @pytest.mark.parametrize("newline", ["\r", "\r\n"], ids=["cr", "crlf"])
+    def test_beta_file_rows_break_at_cr_and_crlf(self, tmp_path, newline):
+        beta = tmp_path / "beta.csv"
+        beta.write_bytes(newline.join(["0.5", "0.7", "0.9", ""]).encode())
+        out = tmp_path / "p.csv"
+        assert run("simulate", "--assets", "3", "--alpha", "0.2", "--beta-file", str(beta),
+                   "--steps", "64", "--seed", "5", "--out", str(out)) == 0
+        spec = ModelSpec(3, 1, 0.2, 1.0, 1.0, [0.5, 0.7, 0.9], seed=5)
         assert np.array_equal(load_panel(out).returns, simulate_panel(spec, 64).returns)
 
     def test_spec_file(self, tmp_path):
@@ -326,6 +338,20 @@ class TestStreamedSpectrum:
         assert capsys.readouterr().err == f"data error: {expected}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("separator", DATA_SEPARATORS)
+    def test_row_holding_another_line_separator_is_refused(self, tmp_path, capsys,
+                                                           separator):
+        path = tmp_path / "p.csv"
+        path.write_text(f"time,A,B\n0,0.1,0.2\n1,0.3,0.4{separator}2,0.5,0.6\n3,0.7,0.8\n",
+                        encoding="utf-8")
+        message = self.refusal(path, "arithmetic")
+        assert message.startswith(f"{path}: line 3: bad time index or return value")
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(path), "--taus", "1", "--top-k", "1",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
     def test_scale_refusal_comes_after_the_rows(self, tmp_path, monkeypatch, capsys):
         # the bar count is known only at the end of the file, as is a bad row
         monkeypatch.setattr(panel_io, "_READ_CHARS", 16)
@@ -537,6 +563,18 @@ class TestReproduce:
         assert run("reproduce", "--out-dir", str(out), *flags) != 0
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", [np.float32(0.16), 0], ids=["float32", "int"])
+    def test_report_writes_the_checked_alpha(self, tmp_path, alpha):
+        # the model's float everywhere: config, counterfactual, recovery and report.txt
+        from leadlag import reproduce_report
+        report = reproduce_report(tmp_path, n_assets=8, strengths=(0.3,), alpha=alpha,
+                                  n_steps=512, taus=(1, 2, 4, 8))
+        for document in (report, json.loads((tmp_path / "report.json").read_text())):
+            written = [document["config"]["alpha"], document["counterfactual"]["alpha"],
+                       *(entry["generating"]["alpha"] for entry in document["recovery"])]
+            assert [(type(a), a) for a in written] == [(float, float(alpha))] * 3
+        assert f"alpha={float(alpha)}, " in (tmp_path / "report.txt").read_text()
+
     @pytest.mark.parametrize("strengths", [("0.5",), (True, 0.5)], ids=["string", "bool"])
     def test_strengths_refuse_bools_and_strings(self, tmp_path, strengths):
         from leadlag import ValidationError, reproduce_report
@@ -649,6 +687,17 @@ class TestMalformedInput:
         self.assert_data_error(capsys, "simulate", "--assets", "3", "--factors", "2",
                                "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
                                "--out", str(tmp_path / "p.csv"))
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("separator", DATA_SEPARATORS)
+    def test_beta_file_row_holding_another_line_separator(self, tmp_path, capsys, separator):
+        # three lines by str.splitlines, two rows of which one is malformed by csv's rule
+        beta = tmp_path / "beta.csv"
+        beta.write_text(f"0.5{separator}0.7\n0.9\n", encoding="utf-8")
+        err = self.assert_data_error(capsys, "simulate", "--assets", "3", "--alpha", "0.2",
+                                     "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert "could not convert" in err
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("text", ["", "\n\n"])

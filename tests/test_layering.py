@@ -2,8 +2,9 @@
 name a module exports exists and has a caller beyond the unit tests, so does
 every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
-every name the benchmark's tracer wraps is still bound, and only the engine
-picks the length of the chunks its sources yield."""
+every name the benchmark's tracer wraps is still bound, only the engine
+picks the length of the chunks its sources yield, and no file text is split
+at str.splitlines' wider set of line separators."""
 
 import ast
 import dataclasses
@@ -101,6 +102,25 @@ def test_only_the_engine_picks_the_chunk_length():
     users = {path.stem for path in PACKAGE.glob("*.py") if "_chunk_length" in identifiers(path)}
     assert users == {"moments", "pipeline"}
     assert "moments" not in import_graph()["cli"]
+
+
+def splitlines_reads(tree):
+    return sum(isinstance(node, ast.Attribute) and node.attr == "splitlines"
+               for node in ast.walk(tree))
+
+
+def test_only_the_label_check_calls_splitlines():
+    # file text breaks only at LF, CRLF or CR, where open() breaks it;
+    # str.splitlines breaks at eight more separators, which save_panel's label
+    # check refuses and every reader takes as data
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert {path.name: n for path, tree in trees.items()
+            if (n := splitlines_reads(tree))} == {"panel_io.py": 1}
+    panel_io = trees[ROOT / "src" / "leadlag" / "panel_io.py"]
+    save_panel = next(node for node in ast.walk(panel_io)
+                      if isinstance(node, ast.FunctionDef) and node.name == "save_panel")
+    assert splitlines_reads(save_panel) == 1
 
 
 # a tiny run of every subcommand, in one fresh interpreter

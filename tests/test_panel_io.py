@@ -153,6 +153,17 @@ class TestPanelCsv:
         with pytest.raises(DataError, match="line 2"):
             load_panel(path)
 
+    @pytest.mark.parametrize("separator", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_rows_break_only_at_lf_crlf_or_cr(self, tmp_path, separator):
+        # as csv reads the file: another Unicode line separator is data, so the
+        # row holding one is refused under its physical line number
+        path = write(tmp_path, "p.csv",
+                     f"time,A,B\r0,0.1,0.2\r\n1,0.3,0.4{separator}2,0.5,0.6\n3,0.7,0.8\n")
+        with pytest.raises(DataError, match="p.csv: line 3: bad time index or return value"):
+            load_panel(path)
+        whole = path.read_text(encoding="utf-8").replace(separator, "\n")
+        assert load_panel(write(tmp_path, "q.csv", whole)).returns.shape == (2, 4)
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "0,0.1\n1,0.2\n")
         with pytest.raises(DataError, match="header"):
@@ -205,8 +216,9 @@ class TestPanelCsv:
 
 
 class TestPanelStreams:
-    """The reader takes the file in blocks of _READ_CHARS characters and checks
-    each block's lines as one batch; the writer writes rows as it formats them."""
+    """The reader takes the file in batches of whole lines, as many as
+    readlines(_READ_CHARS) gives and at least one, and checks each batch at
+    once; the writer writes rows as it formats them."""
 
     @pytest.mark.parametrize("chars", [None, *range(1, 50)])
     def test_time_indices_more_than_int64_apart(self, tmp_path, monkeypatch, chars):
