@@ -38,10 +38,10 @@ def _integer(value, name: str, minimum: int = 1, maximum: float = math.inf) -> i
 
 
 def _tau_grid(values, name: str) -> np.ndarray:
-    """`values`, an array of integer dtype, as a nonempty, strictly ascending
-    int64 vector of integers >= 1."""
+    """`values`, an array of integer dtype with no bool entry, as a nonempty,
+    strictly ascending int64 vector of integers >= 1."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iu":
+    if arr.dtype.kind not in "iu" or _holds_non_number(values):
         raise ValidationError(f"{name} must be integers, got {values!r}")
     grid = arr.astype(np.int64)  # a uint64 beyond the int64 range changes here
     if np.any(grid != arr):
@@ -56,6 +56,11 @@ def _tau_grid(values, name: str) -> np.ndarray:
 _NOT_REAL = (bool, np.bool_, str)
 
 
+def _holds_non_number(values) -> bool:
+    # a dtype hides a bool: np.asarray([0.3, True]) is float64, [True, 2] int64
+    return any(isinstance(v, _NOT_REAL) for v in np.asarray(values, dtype=object).flat)
+
+
 def _real(value, name: str) -> float:
     """`value` as a float; a bool or a string is refused, never converted."""
     if isinstance(value, _NOT_REAL):
@@ -66,8 +71,7 @@ def _real(value, name: str) -> float:
 def _reals(values, name: str) -> np.ndarray:
     """`values`, a number or an array-like of numbers, as a float64 array; a
     bool or a string anywhere in it is refused, never converted."""
-    # np.asarray([0.3, True]) is float64, so its dtype hides the bool
-    if any(isinstance(v, _NOT_REAL) for v in np.asarray(values, dtype=object).flat):
+    if _holds_non_number(values):
         raise ValidationError(f"{name} must be numbers, got {values!r}")
     return np.asarray(values, dtype=np.float64)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _integer, _positive, _real, _tau_grid
+from .errors import ValidationError, _integer, _positive, _real, _reals, _tau_grid
 from .moments import _attenuation_array
 
 __all__ = ["EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time"]
@@ -55,7 +55,7 @@ class EigenCurve:
 
     def __post_init__(self):
         taus = _tau_grid(self.taus, "taus")
-        values = np.asarray(self.values, dtype=np.float64)
+        values = _reals(self.values, "values")
         if values.shape != taus.shape:
             raise ValidationError("taus and values must be equal-length vectors")
         if not np.all(np.isfinite(values)) or np.any(values <= 0.0):

@@ -247,34 +247,31 @@ def _add_noise(block, assets, sigma, rows, scratch):
             row[lo:lo + piece.size] += piece
 
 
-def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
-                    out: np.ndarray | None = None):
-    """Yield the (N, <= length) blocks of the n_steps emitted steps, in order.
+def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int):
+    """Yield the (N, <= length) blocks of the n_steps emitted steps, in order,
+    each a view of one buffer, which the next block overwrites.
 
-    With `out`, the (N, n_steps) panel, each block is a view of it; without,
-    every block is a view of one buffer, which the next block overwrites.
     Asset i draws its noise from its own keyed stream from the first emitted
     step on.  The factor shocks are drawn in _CHUNK-step chunks from the first
     burn-in step on.  Each factor term is an elementwise sum over f of
     beta[i, f] * S_f(t), with no BLAS call, so no cell depends on `length`.
 
-    The noise goes in P = min(CPUs, N, width) parts of contiguous rows, at
-    once: part 0 in the calling thread, the others on one executor's
-    threads for the call, waited for before the block is yielded, so an
-    exception in any part reaches the caller.  Part k draws into slice k
-    of the one scratch row, in pieces of its length.  A row's noise is its
-    stream's next draws in order, so neither P nor the slices move a byte.
+    The noise goes in P = min(CPUs, N, scratch length) parts of contiguous
+    rows at once: part 0 in the calling thread, the others on one executor's
+    threads, waited for before the block is yielded, so an exception in any
+    part reaches the caller.  Part k draws into slice k of the one scratch
+    row (at most _CHUNK steps), in pieces of its length.  A row's noise is
+    its stream's next draws in order, so neither P nor the slices move a byte.
     """
     # only simulation needs the executor, which slows `import leadlag` by ~3%
     from concurrent.futures import ThreadPoolExecutor
     assets = [_keyed_rng(spec.seed, _ASSET_STREAM + i) for i in range(spec.n_assets)]
     rng_factor = _keyed_rng(spec.seed, _FACTOR_STREAM)
-    width = min(length, n_steps)
-    buffer = np.empty((spec.n_assets, width)) if out is None else None
-    draws = np.empty(width)
+    buffer = np.empty((spec.n_assets, min(length, n_steps)))
+    draws = np.empty(min(length, n_steps, _CHUNK))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    n_parts = min(cpus or 1, spec.n_assets, width)
-    cuts = [(spec.n_assets * k // n_parts, width * k // n_parts) for k in range(n_parts + 1)]
+    n_parts = min(cpus or 1, spec.n_assets, draws.size)
+    cuts = [(spec.n_assets * k // n_parts, draws.size * k // n_parts) for k in range(n_parts + 1)]
     parts = [(assets[a:b], spec.sigma[a:b], slice(a, b), draws[c:d])
              for (a, c), (b, d) in zip(cuts, cuts[1:])]
     state = np.zeros((spec.n_factors, 1))
@@ -284,7 +281,7 @@ def _emitted_blocks(spec: ModelSpec, n_steps: int, burn_in: int, length: int,
     with ThreadPoolExecutor(max(n_parts - 1, 1)) as pool:
         for lo in range(0, n_steps, length):
             hi = min(lo + length, n_steps)
-            block = buffer[:, :hi - lo] if out is None else out[:, lo:hi]
+            block = buffer[:, :hi - lo]
             start = lo
             while start < hi:
                 if start >= end:
@@ -312,18 +309,16 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     """Simulate a stationary (N, n_steps) return panel from the model.
 
     Deterministic given (spec, n_steps, burn_in).  `burn_in` defaults to
-    stationary_burn_in(alpha).  Generation runs in blocks of time
-    steps written straight into the output panel: beyond the panel, the only
-    memory it takes is F + 2 rows of a chunk: its F factor rows, one row of
-    draws and the factor recursion's one-row output.  The noise is drawn on
-    one thread per CPU, each into its own slice of that row of draws, and
-    each asset from its own stream, so the CPU count changes no byte.
+    stationary_burn_in(alpha).  The panel is the simulator's one block,
+    written in place; beyond it, the only memory it takes is F + 2 rows of a
+    factor chunk: its F factor rows, one scratch row of draws and the
+    recursion's one-row output.  The noise goes in P = min(CPUs, N, scratch
+    length) parts, each drawn into its own slice of that row and each asset
+    from its own stream, so the CPU count changes no byte.
     """
     n_steps = _integer(n_steps, "n_steps")
     if burn_in is None:
         burn_in = stationary_burn_in(spec.alpha)
     burn_in = _integer(burn_in, "burn_in", minimum=0)
-    out = np.empty((spec.n_assets, n_steps))
-    for _ in _emitted_blocks(spec, n_steps, burn_in, _CHUNK, out):
-        pass
-    return ReturnPanel(out, base_scale=1)
+    (panel,) = _emitted_blocks(spec, n_steps, burn_in, n_steps)
+    return ReturnPanel(panel)

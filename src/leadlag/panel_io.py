@@ -104,6 +104,9 @@ def _check_labels(labels) -> None:
         raise DataError("a panel file needs at least one asset")
     if not all(labels):
         raise DataError("asset labels must be non-empty")
+    for lbl in labels:  # not even a break that only str.splitlines knows
+        if "".join(lbl.splitlines()) != lbl:
+            raise DataError(f"asset label {lbl!r} contains a line break")
     if len(set(labels)) != len(labels):
         dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
         raise DataError(f"duplicate asset label {dup!r} in header")
@@ -113,16 +116,14 @@ def save_panel(panel: ReturnPanel, path) -> None:
     """Write a panel as CSV; the time stride encodes the base scale.
 
     Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
-    a line break, or with leading or trailing whitespace (which load_panel
-    strips), is rejected, as are labels load_panel refuses, and a panel whose
-    last time index exceeds the int64 range load_panel reads.
+    leading or trailing whitespace (which load_panel strips) is rejected, as
+    are labels load_panel refuses (empty, repeated or holding a line break)
+    and a panel whose last time index exceeds the int64 range load_panel reads.
     """
+    _check_labels(panel.asset_labels)
     for lbl in panel.asset_labels:
-        if "".join(lbl.splitlines()) != lbl:
-            raise DataError(f"asset label {lbl!r} contains a line break")
         if lbl.strip() != lbl:
             raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
-    _check_labels(panel.asset_labels)
     last = (panel.n_steps - 1) * panel.base_scale
     if last > np.iinfo(np.int64).max:
         raise DataError(f"last time index {last} exceeds the int64 range")

@@ -250,7 +250,8 @@ class TestStreamedSpectrum:
     def test_curves_match_the_loaded_panel_bit_for_bit(self, tmp_path, monkeypatch, capsys,
                                                        compounding, boundary):
         path, text = self.write_csv(tmp_path, compounding)
-        # the first block ends between a CR and its LF, or right after a line
+        # a readlines hint that ends between a CR and its LF, or right after
+        # the LF, ends the first several-line batch after that same whole line
         chars = text.index("\r\n", 200) + (1 if boundary == "crlf" else 2)
         assert text[chars - 1] == ("\r" if boundary == "crlf" else "\n")
         monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
@@ -350,6 +351,21 @@ class TestStreamedSpectrum:
         assert run("spectrum", "--in", str(path), "--taus", "1", "--top-k", "1",
                    "--out", str(out)) == 3
         assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", DATA_SEPARATORS)
+    def test_label_holding_another_line_separator_is_refused(self, tmp_path, capsys,
+                                                             separator):
+        # save_panel refuses such a label, so no panel loads that cannot be written back
+        path = tmp_path / "p.csv"
+        path.write_text(f"time,A{separator}B,C\n0,0.1,0.2\n1,0.3,0.4\n2,0.5,0.6\n3,0.7,0.8\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError, match="contains a line break") as caught:
+            load_panel(path)
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(path), "--taus", "1", "--top-k", "1",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {caught.value}\n"
         assert not out.exists()
 
     def test_scale_refusal_comes_after_the_rows(self, tmp_path, monkeypatch, capsys):
@@ -642,6 +658,20 @@ class TestMalformedInput:
                                     "curves": [entry, entry]}))
         self.assert_data_error(capsys, *self.curves_argv(command, path, tmp_path))
         assert not (tmp_path / "fits.json").exists() and not (tmp_path / "plots").exists()
+
+    @pytest.mark.parametrize("values", [["1.5", True, 2, 3.0], [1.5, 2.0, True, 3.0],
+                                        ["1.5", "2", "2.5", "3"]])
+    def test_curve_values_refuse_bools_and_strings(self, tmp_path, capsys, values):
+        # refused, as the API refuses them, never read as 1 or parsed
+        entry = {"rank": 1, "taus": [1, 2, 4, 8], "values": values}
+        path = tmp_path / "curves.json"
+        path.write_text(json.dumps({"schema": 1, "kind": "curves", "n_assets": 3,
+                                    "curves": [entry]}))
+        with pytest.raises(DataError, match="malformed curves .*values must be numbers"):
+            load_curves(path)
+        err = self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
+        assert "values must be numbers" in err
+        assert not (tmp_path / "fits.json").exists()
 
     @pytest.mark.parametrize("field", ["n_assets", "base_scale_minutes"])
     def test_curves_metadata_not_a_number(self, tmp_path, capsys, field):

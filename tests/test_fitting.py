@@ -334,3 +334,10 @@ class TestEigenCurveValidation:
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             EigenCurve(np.array([1, 2, 4]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("values", [["1", "2", "3"], [1.5, True, 3.0]],
+                             ids=["strings", "bool"])
+    def test_values_refuse_bools_and_strings(self, values):
+        # as every real vector of the API: refused, never read as 1 or parsed
+        with pytest.raises(ValidationError, match="values must be numbers"):
+            EigenCurve([1, 2, 3], values)

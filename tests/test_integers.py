@@ -66,6 +66,17 @@ def test_api_refuses_non_integers(field, call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: EigenCurve([True, 2, 4], VALUES),
+    lambda: factor_eigencurve(4, 0.2, 0.2, [True, 2, 4]),
+    lambda: eigencurves_from_panel(PANEL, [True, 2]),
+], ids=["EigenCurve", "factor_eigencurve", "eigencurves_from_panel"])
+def test_tau_grids_refuse_a_bool_entry(call):
+    # np.asarray([True, 2]) is int64, so its dtype would read the bool as 1
+    with pytest.raises(ValidationError, match="must be integers"):
+        call()
+
+
 @pytest.mark.parametrize("taus", [np.array([], dtype=np.int64), np.array([[1, 2], [4, 8]])],
                          ids=["empty", "2-D"])
 def test_tau_grid_must_be_a_nonempty_vector(taus):
@@ -97,6 +108,7 @@ def fits_file(tmp_path, edit):
     ("curves", lambda doc: doc["curves"][0].update(rank=1.5)),
     ("curves", lambda doc: doc["curves"][0].update(taus=[1, 2.5, 4, 8])),
     ("curves", lambda doc: doc["curves"][0].update(taus=[1.0, 2.0, 4.0, 8.0])),
+    ("curves", lambda doc: doc["curves"][0].update(taus=[True, 2, 4, 8])),
     ("fits", lambda doc: doc["fits"][0].update(iterations=2.7)),
     ("fits", lambda doc: doc["fits"][0].update(rank=1.5)),
 ])

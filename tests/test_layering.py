@@ -3,8 +3,9 @@ name a module exports exists and has a caller beyond the unit tests, so does
 every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
-picks the length of the chunks its sources yield, and no file text is split
-at str.splitlines' wider set of line separators."""
+picks the length of the chunks its sources yield, a simulated panel is the
+simulator's one block, and no file text is split at str.splitlines' wider
+set of line separators."""
 
 import ast
 import dataclasses
@@ -104,6 +105,20 @@ def test_only_the_engine_picks_the_chunk_length():
     assert "moments" not in import_graph()["cli"]
 
 
+def test_a_simulated_panel_is_the_simulators_one_block():
+    # _emitted_blocks yields views of one reused buffer, and simulate_panel
+    # takes its panel as the one block of that buffer: no output panel is
+    # passed in, and simulate_panel runs no loop of its own
+    tree = ast.parse((PACKAGE / "model.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    args = functions["_emitted_blocks"].args
+    assert [arg.arg for arg in args.posonlyargs + args.args] == [
+        "spec", "n_steps", "burn_in", "length"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+    assert not [node for node in ast.walk(functions["simulate_panel"])
+                if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
 def splitlines_reads(tree):
     return sum(isinstance(node, ast.Attribute) and node.attr == "splitlines"
                for node in ast.walk(tree))
@@ -111,16 +126,16 @@ def splitlines_reads(tree):
 
 def test_only_the_label_check_calls_splitlines():
     # file text breaks only at LF, CRLF or CR, where open() breaks it;
-    # str.splitlines breaks at eight more separators, which save_panel's label
-    # check refuses and every reader takes as data
+    # str.splitlines breaks at eight more separators, which the label check
+    # refuses on writing and reading, and every other reader takes as data
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((ROOT / "src").rglob("*.py"))}
     assert {path.name: n for path, tree in trees.items()
             if (n := splitlines_reads(tree))} == {"panel_io.py": 1}
     panel_io = trees[ROOT / "src" / "leadlag" / "panel_io.py"]
-    save_panel = next(node for node in ast.walk(panel_io)
-                      if isinstance(node, ast.FunctionDef) and node.name == "save_panel")
-    assert splitlines_reads(save_panel) == 1
+    check = next(node for node in ast.walk(panel_io)
+                 if isinstance(node, ast.FunctionDef) and node.name == "_check_labels")
+    assert splitlines_reads(check) == 1
 
 
 # a tiny run of every subcommand, in one fresh interpreter

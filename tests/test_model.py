@@ -228,8 +228,9 @@ class TestSimulatePanel:
     @pytest.mark.parametrize("n_factors", [1, 4, 9])
     def test_block_length_is_invisible(self, n_factors, monkeypatch):
         # blocks of 7 and of 997 steps, whose edges fall beside the factor
-        # chunks' (the burn-in is 69,061 steps), and of 100,000 steps, which
-        # span three chunks, give simulate_panel's bytes.  Nine factors are
+        # chunks' (the burn-in is 69,061 steps), of 65,536 steps, the blocks
+        # simulate_panel once cut its panel into, and of 100,000 steps, which
+        # span three chunks, give the one-block panel's bytes.  Nine factors are
         # wider than an 8-lane unroll, so a sum over f reordered by the
         # block's width would show.  One part: with more, every 7-step block
         # pays a thread handoff, and test_parts_are_invisible covers the parts
@@ -238,7 +239,7 @@ class TestSimulatePanel:
         n_steps = 2 * (1 << 16) + 123
         burn = stationary_burn_in(spec.alpha)
         expected = simulate_panel(spec, n_steps).returns
-        for length in (7, 997, 100_000):
+        for length in (7, 997, 1 << 16, 100_000):
             blocks = [block.copy() for block in _emitted_blocks(spec, n_steps, burn, length)]
             assert {block.shape[1] for block in blocks[:-1]} == {length}
             assert np.array_equal(np.hstack(blocks), expected)

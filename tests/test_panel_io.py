@@ -238,8 +238,9 @@ class TestPanelStreams:
 
     @pytest.mark.parametrize("chars", [1, 2, 3, 7, 8, 9, 64])
     def test_batches_concatenate_to_the_whole_file(self, tmp_path, monkeypatch, chars):
-        # blocks that end inside a CRLF, on a line break, inside a number or a
-        # label, with blank lines, a byte-order mark and a uniform stride of 3
+        # readlines hints of 1 to 9 characters give batches of one line, or of
+        # a blank line and the next, and 64 gives one batch of several lines;
+        # with blank lines, a byte-order mark and a uniform stride of 3
         text = "\ufefftime,AA,B\r\n0,0.1,-0.2\r\n\r\n3,1e-3,5\n6,0.5,0.25\r\n\n9,-1,2"
         whole = load_panel(write(tmp_path, "p.csv", text))
         monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
