@@ -25,7 +25,7 @@ rho[i, f] = K[i, f] / sqrt(|K_i|^2 + sigma_i^2) of `spectral.loading_matrix`.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,12 +171,6 @@ def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, centered @ centered.T
 
 
-def _covariance(cross: np.ndarray, count: int) -> np.ndarray:
-    # the centered cross-product of `count` observations over count - 1
-    cov = cross / (count - 1)
-    return 0.5 * (cov + cov.T)  # kill rounding asymmetry from BLAS
-
-
 def _correlation(cov: np.ndarray, labels) -> np.ndarray:
     # the normalized covariance; DataError names the first asset with zero variance
     dead = np.flatnonzero(np.diag(cov) <= 0.0)
@@ -190,8 +184,7 @@ def sample_covariance(panel: ReturnPanel) -> ScaleMatrix:
     t = panel.n_steps
     if t < 2:
         raise DataError("at least two observations are required")
-    cov = _covariance(_centered_moments(panel.returns)[1], t)
-    return ScaleMatrix(cov)
+    return ScaleMatrix(_centered_moments(panel.returns)[1] / (t - 1))
 
 
 def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
@@ -235,58 +228,61 @@ def _panel_chunks(returns: np.ndarray, length: int) -> Iterator[np.ndarray]:
     return (returns[:, start:start + length] for start in range(0, returns.shape[1], length))
 
 
-def _scale_covariances(chunks: Iterable[np.ndarray], taus, min_blocks: int) -> list[np.ndarray]:
+class _ScaleMoments:
     """Sample covariance of the tau-aggregated rows of a panel for each tau
-    of the ascending grid `taus`, in one pass over `chunks`, the panel's
-    consecutive (N, <= _chunk_length) column blocks.
+    of the ascending grid `taus`, in one pass: `add` takes the panel's
+    consecutive (N, <= _chunk_length) column blocks in order.
 
-    Equals sample_covariance(aggregate_returns(panel, tau)) to rounding, and
-    refuses short scales: after the pass, DataError lists every tau that left
-    fewer than `min_blocks` (>= 2) blocks.  Within a chunk a scale's block
-    sums are summed from those of the largest earlier grid scale dividing it
-    (the dyadic cascade on the dyadic ladder), and are dropped once the last
-    scale summed from them is done.  Blocks start at multiples of tau, so
-    floor(T / tau) of them survive: chunks of _chunk_length steps are
-    multiples of lcm(taus) where that fits the budget, and otherwise each tau
-    carries the few source sums that end a chunk into the next one.  Across
-    chunks the count, means and centered cross-products merge by the pairwise
-    update of Chan, Golub and LeVeque (1979).  A panel that fits in one chunk
-    gets the dense path's bytes at tau = 1 and at every tau summed straight
-    from the base steps.  Nothing here keeps a view of a chunk, so its memory
-    may be reused for the next one.
+    covariances(min_blocks) equals sample_covariance(aggregate_returns(panel,
+    tau)) to rounding, and refuses short scales: DataError lists every tau
+    that left fewer than `min_blocks` (>= 2) blocks.  Within a chunk a
+    scale's block sums are summed from those of the largest earlier grid
+    scale dividing it (the dyadic cascade on the dyadic ladder), and are
+    dropped once the last scale summed from them is done.  Blocks start at
+    multiples of tau, so floor(T / tau) of them survive: chunks of
+    _chunk_length steps are multiples of lcm(taus) where that fits the
+    budget, and otherwise each tau carries the few source sums that end a
+    chunk into the next one.  Each tau's (count, mean, centered
+    cross-product) starts empty, (0, 0.0, 0.0), and takes every chunk that
+    yields blocks by the pairwise update of Chan, Golub and LeVeque (1979),
+    so a panel that fits in one chunk gets the dense path's bytes at tau = 1
+    and at every tau summed straight from the base steps.  Nothing here keeps
+    a view of a chunk, so its memory may be reused for the next one.
     """
-    sources = {tau: max(s for s in (1, *taus[:i]) if tau % s == 0)
-               for i, tau in enumerate(taus)}
-    last_use = {source: tau for tau, source in sources.items()}
-    tails = {}  # tau -> its source's sums left over at the end of the last chunk
-    states = {tau: None for tau in taus}  # (count, mean, cross-product)
-    for chunk in chunks:
+
+    def __init__(self, taus):
+        self.sources = {tau: max(s for s in (1, *taus[:i]) if tau % s == 0)
+                        for i, tau in enumerate(taus)}
+        self.last_use = {source: tau for tau, source in self.sources.items()}
+        self.tails = {}  # tau -> its source's sums left over at the end of the last chunk
+        self.states = {tau: (0, 0.0, 0.0) for tau in taus}  # (count, mean, cross-product)
+
+    def add(self, chunk: np.ndarray) -> None:
         sums = {1: chunk}
-        for tau in taus:
-            source = sources[tau]
-            x = sums.pop(source) if last_use[source] == tau else sums[source]
-            if tau in tails:
-                x = np.concatenate((tails.pop(tau), x), axis=1)
+        for tau, source in self.sources.items():
+            x = sums.pop(source) if self.last_use[source] == tau else sums[source]
+            if tau in self.tails:
+                x = np.concatenate((self.tails.pop(tau), x), axis=1)
             ratio = tau // source
             if x.shape[1] % ratio:
-                tails[tau] = x[:, x.shape[1] // ratio * ratio:].copy()
+                self.tails[tau] = x[:, x.shape[1] // ratio * ratio:].copy()
             x = _block_sums(x, ratio)
-            if tau in last_use:
+            if tau in self.last_use:
                 sums[tau] = x
             blocks = x.shape[1]
             if not blocks:
                 continue
             mean, cross = _centered_moments(x)
-            if states[tau] is None:
-                states[tau] = (blocks, mean, cross)
-                continue
-            count, total_mean, total_cross = states[tau]
+            count, total_mean, total_cross = self.states[tau]
             merged = count + blocks
             delta = mean - total_mean
             total_cross += cross
             total_cross += (delta @ delta.T) * (count * blocks / merged)
-            states[tau] = (merged, total_mean + delta * (blocks / merged), total_cross)
-    short = [str(tau) for tau in taus if states[tau] is None or states[tau][0] < min_blocks]
-    if short:
-        raise DataError("aggregation scale(s) exceed usable series length: " + ", ".join(short))
-    return [_covariance(states[tau][2], states[tau][0]) for tau in taus]
+            self.states[tau] = (merged, total_mean + delta * (blocks / merged), total_cross)
+
+    def covariances(self, min_blocks: int) -> list[np.ndarray]:
+        short = [str(tau) for tau, (count, _, _) in self.states.items() if count < min_blocks]
+        if short:
+            raise DataError("aggregation scale(s) exceed usable series length: "
+                            + ", ".join(short))
+        return [cross / (count - 1) for count, _, cross in self.states.values()]

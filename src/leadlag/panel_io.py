@@ -98,18 +98,19 @@ def _atomic_write_text(path, text) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_labels(labels) -> None:
-    # the rule for a panel file's asset labels, alike on writing and reading
+def _check_labels(labels, where: str = "") -> None:
+    # the rule for a panel file's asset labels, alike on writing and reading;
+    # each refusal starts with `where`, the reader's "<path>: line 1: "
     if not labels:
-        raise DataError("a panel file needs at least one asset")
+        raise DataError(f"{where}a panel file needs at least one asset")
     if not all(labels):
-        raise DataError("asset labels must be non-empty")
+        raise DataError(f"{where}asset labels must be non-empty")
     for lbl in labels:  # not even a break that only str.splitlines knows
         if "".join(lbl.splitlines()) != lbl:
-            raise DataError(f"asset label {lbl!r} contains a line break")
+            raise DataError(f"{where}asset label {lbl!r} contains a line break")
     if len(set(labels)) != len(labels):
         dup = next(lbl for i, lbl in enumerate(labels) if lbl in labels[:i])
-        raise DataError(f"duplicate asset label {dup!r} in header")
+        raise DataError(f"{where}duplicate asset label {dup!r} in header")
 
 
 def save_panel(panel: ReturnPanel, path) -> None:
@@ -199,7 +200,7 @@ def _panel_batches(path, compounding: str):
             if len(header) < 2 or header[0].strip().lower() != "time":
                 raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
             labels = tuple(lbl.strip() for lbl in header[1:])
-            _check_labels(labels)
+            _check_labels(labels, f"{path}: line 1: ")
             yield labels
             while lines := handle.readlines(_READ_CHARS):
                 numbers = [n for n, line in enumerate(lines, number)

@@ -14,8 +14,7 @@ import numpy as np
 from .errors import DataError, ValidationError, _integer, _real, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
 from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
-from .moments import (ScaleMatrix, _chunk_length, _correlation, _panel_chunks,
-                      _scale_covariances)
+from .moments import ScaleMatrix, _ScaleMoments, _chunk_length, _correlation, _panel_chunks
 # not called here; benchmark/tracing.py wraps these names in this module
 from .model import simulate_panel  # noqa: F401
 from .moments import aggregate_returns, sample_correlation  # noqa: F401
@@ -50,9 +49,11 @@ def _eigencurves(source, labels, taus, top_k: int, kind: str) -> list[EigenCurve
     top_k = _integer(top_k, "top_k")
     if top_k > len(labels):
         raise ValidationError("top_k must lie between 1 and the number of assets")
-    chunks = source(_chunk_length(len(labels), taus))
+    scales = _ScaleMoments(taus)
+    for chunk in source(_chunk_length(len(labels), taus)):
+        scales.add(chunk)
     rows = []
-    for tau, cov in zip(taus, _scale_covariances(chunks, taus, top_k + 1)):
+    for tau, cov in zip(taus, scales.covariances(top_k + 1)):
         if kind == "correlation":
             cov = _correlation(cov, labels)
         values = dense_eigenvalues(ScaleMatrix(cov)).eigenvalues[:top_k]

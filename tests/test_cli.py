@@ -368,6 +368,24 @@ class TestStreamedSpectrum:
         assert capsys.readouterr().err == f"data error: {caught.value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("labels, reason", [
+        ("A,A", "duplicate asset label 'A' in header"),
+        ("A,", "asset labels must be non-empty"),
+        ("A\u2028B,C", "asset label 'A\\u2028B' contains a line break"),
+    ], ids=["duplicate", "empty", "line_separator"])
+    def test_label_refusal_names_the_file(self, tmp_path, capsys, labels, reason):
+        # as every other refusal of a panel CSV does, under the header's line
+        path = tmp_path / "p.csv"
+        path.write_text(f"time,{labels}\n0,0.1,0.2\n1,0.3,0.4\n", encoding="utf-8")
+        with pytest.raises(DataError) as caught:
+            load_panel(path)
+        assert str(caught.value) == f"{path}: line 1: {reason}"
+        out = tmp_path / "curves.json"
+        assert run("spectrum", "--in", str(path), "--taus", "1", "--top-k", "1",
+                   "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {path}: line 1: {reason}\n"
+        assert not out.exists()
+
     def test_scale_refusal_comes_after_the_rows(self, tmp_path, monkeypatch, capsys):
         # the bar count is known only at the end of the file, as is a bad row
         monkeypatch.setattr(panel_io, "_READ_CHARS", 16)

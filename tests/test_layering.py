@@ -3,9 +3,9 @@ name a module exports exists and has a caller beyond the unit tests, so does
 every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
-picks the length of the chunks its sources yield, a simulated panel is the
-simulator's one block, and no file text is split at str.splitlines' wider
-set of line separators."""
+picks the length of the chunks its sources yield, the engine's state is one
+accumulator, a simulated panel is the simulator's one block, and no file
+text is split at str.splitlines' wider set of line separators."""
 
 import ast
 import dataclasses
@@ -103,6 +103,17 @@ def test_only_the_engine_picks_the_chunk_length():
     users = {path.stem for path in PACKAGE.glob("*.py") if "_chunk_length" in identifiers(path)}
     assert users == {"moments", "pipeline"}
     assert "moments" not in import_graph()["cli"]
+
+
+def test_the_engine_is_one_accumulator():
+    # every scale's state lives in moments._ScaleMoments, which the pipeline's
+    # engine alone drives; the loop it replaced and the symmetrizing divide
+    # after it are gone
+    named = {path.stem: identifiers(path) for path in PACKAGE.glob("*.py")}
+    assert not [stem for stem, found in named.items()
+                if found & {"_scale_covariances", "_covariance"}]
+    assert {stem for stem, found in named.items() if "_ScaleMoments" in found} == {
+        "moments", "pipeline"}
 
 
 def test_a_simulated_panel_is_the_simulators_one_block():

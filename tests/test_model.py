@@ -14,7 +14,7 @@ from leadlag import (ModelSpec, ReturnPanel, ValidationError, sample_correlation
                      simulate_panel, stationary_burn_in, theoretical_covariance)
 from leadlag import model
 from leadlag.model import _CHUNK, _emitted_blocks, _smooth_factors
-from leadlag.moments import _scale_covariances
+from leadlag.moments import _ScaleMoments
 from leadlag.pipeline import eigencurves_from_model
 from oracles import panel_from_innovations, smallest_power_below, truncated_convolution_panel
 
@@ -157,8 +157,10 @@ class TestSimulatePanel:
         # The 320 MB panel is streamed into the estimator in blocks.
         spec = one_factor(n=10, gamma=0.25, alpha=0.3, seed=23)
         n_obs = 4_000_000
-        blocks = _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha), 1 << 16)
-        sample = _scale_covariances(blocks, (1,), 2)[0]
+        scales = _ScaleMoments((1,))
+        for block in _emitted_blocks(spec, n_obs, stationary_burn_in(spec.alpha), 1 << 16):
+            scales.add(block)
+        sample = scales.covariances(2)[0]
         theory = theoretical_covariance(spec, 1).values
         se = np.sqrt((np.outer(np.diag(theory), np.diag(theory)) + theory**2) / n_obs)
         upper = np.triu_indices(spec.n_assets)

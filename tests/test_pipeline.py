@@ -26,6 +26,7 @@ import pytest
 from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
                      dense_eigenvalues, eigencurves_from_panel, moments, pipeline,
                      sample_correlation, sample_covariance, simulate_panel)
+from leadlag.model import _emitted_blocks, stationary_burn_in
 from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
                               eigencurves_from_model)
 
@@ -114,6 +115,41 @@ def test_single_chunk_base_sums_are_bit_exact(kind):
     first = streamed_curves(panel, taus, 5, kind)
     assert np.array_equal(first, dense_curves(panel, taus, 5, kind))
     assert np.array_equal(first, streamed_curves(panel, taus, 5, kind))
+
+
+def accumulated(chunks, *grids):
+    # the covariances of one accumulator per grid, each given every chunk as it comes
+    scales = [moments._ScaleMoments(taus) for taus in grids]
+    for chunk in chunks:
+        for scale in scales:
+            scale.add(chunk)
+    return [scale.covariances(2) for scale in scales]
+
+
+def test_two_accumulators_on_one_stream_are_two_passes():
+    # both take each simulator block before the next overwrites the buffer;
+    # 1024-step chunks are a multiple of 128 but not of lcm(1..16), so the
+    # second grid carries tails across them
+    spec = ModelSpec.single_factor(6, 0.3, 0.4, seed=1)
+    blocks = partial(_emitted_blocks, spec, 5000 + 77, stationary_burn_in(spec.alpha), 1024)
+    together = accumulated(blocks(), DYADIC, ONE_TO_16)
+    apart = [accumulated(blocks(), taus)[0] for taus in (DYADIC, ONE_TO_16)]
+    assert [[cov.tobytes() for cov in covs] for covs in together] == [
+        [cov.tobytes() for cov in covs] for covs in apart]
+
+
+@pytest.mark.parametrize("taus", [DYADIC, ONE_TO_16])
+def test_engine_covariances_are_exactly_symmetric(taus):
+    # nothing symmetrizes them: each entry of x @ x.T and of the merge's
+    # delta @ delta.T comes back equal to its mirror, over several chunks of
+    # either kind of source, a panel's views and the simulator's blocks
+    spec = ModelSpec.single_factor(100, 0.3, 0.4, seed=2)
+    n_steps = 5000 + 77
+    panel = simulate_panel(spec, n_steps)
+    for chunks in (moments._panel_chunks(panel.returns, 1024),
+                   _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha), 1024)):
+        for cov in accumulated(chunks, taus)[0]:
+            assert np.array_equal(cov, cov.T)
 
 
 @pytest.mark.parametrize("taus, share", [(DYADIC, 1 / 4), (ONE_TO_16, 1 / 2)])
