@@ -19,7 +19,7 @@ from .panel_io import (load_curves, load_fits, load_panel, save_curves,
                        save_fits, save_panel)
 from .pipeline import (DYADIC_TAUS, eigencurves_from_model,
                        eigencurves_from_panel, fit_curves, reproduce_report)
-from .spectral import (LoadingMatrix, LoadingVector, Spectrum,
+from .spectral import (LoadingMatrix, Spectrum,
                        correlation_loading, dense_eigenvalues,
                        factor_eigencurve, factor_eigenvalues,
                        gram_eigenvalues, loading_matrix, loading_vector,
@@ -34,7 +34,7 @@ __all__ = [
     "ScaleMatrix", "factor_variance_sum", "attenuation",
     "theoretical_covariance", "theoretical_correlation", "aggregate_returns",
     "sample_covariance", "sample_correlation",
-    "LoadingVector", "LoadingMatrix", "Spectrum",
+    "LoadingMatrix", "Spectrum",
     "correlation_loading", "loading_vector", "loading_matrix",
     "secular_function", "secular_eigenvalues", "factor_eigenvalues",
     "gram_eigenvalues", "factor_eigencurve", "dense_eigenvalues",

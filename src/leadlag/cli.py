@@ -57,9 +57,14 @@ def _read_beta_file(path) -> np.ndarray:
     if not any(lines):
         raise DataError(f"beta file {path}: no data")
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        beta = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
         raise DataError(f"beta file {path}: {exc}") from exc
+    bad = ~np.isfinite(beta).all(axis=1)
+    if bad.any():  # row k is the k-th nonempty line, as loadtxt skips empty ones
+        line = [n for n, text in enumerate(lines, 1) if text][int(bad.argmax())]
+        raise DataError(f"beta file {path}: line {line}: beta entries must all be finite")
+    return beta
 
 
 def _spec_from_args(args) -> ModelSpec:

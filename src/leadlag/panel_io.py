@@ -196,7 +196,10 @@ def _panel_batches(path, compounding: str):
     number, last, stride, uniform = 2, np.empty(0, np.int64), 0, True
     try:
         with open(path, encoding="utf-8-sig", newline="") as handle:
-            header = next(csv.reader([handle.readline()]), [])  # an empty file has none
+            try:  # strict: a quote left open or followed by more than ',' is refused
+                header = next(csv.reader([handle.readline()], strict=True), [])  # none if empty
+            except csv.Error as exc:
+                raise DataError(f"{path}: line 1: malformed header ({exc})") from exc
             if len(header) < 2 or header[0].strip().lower() != "time":
                 raise DataError(f"{path}: line 1: header must be 'time,<label>,...'")
             labels = tuple(lbl.strip() for lbl in header[1:])
@@ -262,7 +265,7 @@ def _save_entries(path, kind: str, entries: list, n_assets, base_scale_minutes) 
 def _load_entries(path, kind: str, parse) -> tuple[list, dict]:
     # the parsed entries of a results document of this kind, and its metadata
     document = _read_json_object(path)
-    if document.get("schema") != SCHEMA_VERSION:
+    if type(document.get("schema")) is not int or document["schema"] != SCHEMA_VERSION:
         raise DataError(f"{path}: unsupported schema {document.get('schema')!r}")
     if document.get("kind") != kind:
         raise DataError(f"{path}: expected kind {kind!r}, got {document.get('kind')!r}")

@@ -24,11 +24,13 @@ assets enter only the pole count.  Roots tied by tied loadings share their
 start and are never isolated, so they bisect on identical paths and come out
 bit-identical.
 
-For one factor phi is the secular function f(z) = sum_i rho_i^2 / (z - d_i),
-strictly decreasing between poles; its eigenvalues above 1 are the zeros of
-the reduced F x F determinant det(I_F - phi(lam)).  For large eigenvalues
-they are close to the eigenvalues of the Gram matrix rho^T rho, and across
-scales they all follow n_assets * strength_f / attenuation(tau).
+One loadings type, LoadingMatrix, serves every F, and the slicer gives both
+spectra: with a floor below every d_i the full spectrum (secular_eigenvalues),
+with floor 1 the factor roots (factor_eigenvalues), the zeros of the reduced
+F x F determinant det(I_F - phi(lam)) above 1.  For one factor phi is the
+secular function f(z) = sum_i rho_i^2 / (z - d_i), strictly decreasing
+between poles.  Large eigenvalues are close to those of the Gram matrix
+rho^T rho and across scales follow n_assets * strength_f / attenuation(tau).
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .model import ModelSpec
 from .moments import ScaleMatrix, _attenuation_array, _scale_loadings, attenuation
 
 __all__ = [
-    "LoadingVector",
     "LoadingMatrix",
     "Spectrum",
     "correlation_loading",
@@ -58,26 +59,7 @@ __all__ = [
     "dense_eigenvalues",
 ]
 
-_UNIT_TOL = 1e-12  # slack on rho_i^2 <= 1
-
-
-@dataclass(frozen=True)
-class LoadingVector:
-    """Correlation loadings rho_i at one aggregation scale (one factor)."""
-
-    rho: np.ndarray
-    scale: int = 1
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, dtype=np.float64)
-        if rho.ndim != 1 or rho.size < 1:
-            raise ValidationError("rho must be a nonempty vector")
-        if not np.all(np.isfinite(rho)):
-            raise ValidationError("loadings must be finite")
-        if np.max(rho**2) > 1.0 + _UNIT_TOL:
-            raise ValidationError("not a valid correlation structure: rho_i^2 exceeds 1")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "scale", _integer(self.scale, "scale"))
+_UNIT_TOL = 1e-12  # slack on |rho_i|^2 <= 1
 
 
 @dataclass(frozen=True)
@@ -146,25 +128,22 @@ def loading_matrix(spec: ModelSpec, tau: int) -> LoadingMatrix:
     return LoadingMatrix(scaled / norms[:, None], scale=tau)
 
 
-def loading_vector(spec: ModelSpec, tau: int) -> LoadingVector:
-    """One-factor loadings of the model at scale tau (requires n_factors=1)."""
+def loading_vector(spec: ModelSpec, tau: int) -> LoadingMatrix:
+    """One-factor loadings of the model at scale tau: loading_matrix's one column
+    (requires n_factors=1)."""
     if spec.n_factors != 1:
         raise ValidationError("loading_vector requires a one-factor spec")
-    return LoadingVector(loading_matrix(spec, tau).rho[:, 0], scale=tau)
+    return loading_matrix(spec, tau)
 
 
-def _nonzero_poles(loadings: LoadingVector):
-    r2 = np.minimum(loadings.rho**2, 1.0)  # clip the <=1e-12 overshoot allowed by the type
-    nonzero = np.flatnonzero(r2 > 0.0)
-    return r2, nonzero
-
-
-def secular_function(loadings: LoadingVector, z: float) -> float:
-    """f(z) = sum over nonzero loadings of rho_i^2 / (z - (1 - rho_i^2))."""
-    r2, nonzero = _nonzero_poles(loadings)
-    poles = 1.0 - r2[nonzero]
+def secular_function(loadings: LoadingMatrix, z: float) -> float:
+    """f(z) = sum over nonzero loadings of rho_i^2 / (z - (1 - rho_i^2)), for one factor."""
+    if loadings.rho.shape[1] != 1:
+        raise ValidationError("secular_function requires one-factor loadings")
+    r2 = np.minimum(loadings.rho[:, 0] ** 2, 1.0)  # clip the <=1e-12 overshoot allowed by the type
+    r2 = r2[r2 > 0.0]
     with np.errstate(divide="ignore"):
-        return float(np.sum(r2[nonzero] / (z - poles)))
+        return float(np.sum(r2 / (z - (1.0 - r2))))
 
 
 def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
@@ -175,7 +154,7 @@ def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     on some d_i counts one ulp above it.
     """
     n_factors = rho.shape[1]
-    row_sq = np.minimum((rho**2).sum(axis=1), 1.0)  # clip the types' <=1e-12 overshoot
+    row_sq = np.minimum((rho**2).sum(axis=1), 1.0)  # clip the type's <=1e-12 overshoot
     d = 1.0 - row_sq
     poles = np.sort(d)
     live = row_sq > 0.0
@@ -246,15 +225,16 @@ def _slice_spectrum(rho: np.ndarray, floor: float) -> np.ndarray:
     return np.sort(roots)[::-1]
 
 
-def secular_eigenvalues(loadings: LoadingVector) -> Spectrum:
-    """Exact spectrum of the one-factor correlation matrix diag(1 - rho_i^2) + rho rho^T.
+def secular_eigenvalues(loadings: LoadingMatrix) -> Spectrum:
+    """Exact spectrum of the correlation matrix diag(1 - |rho_i|^2) + rho rho^T, any F.
 
     All N eigenvalues come from the inertia-counting slicer with a floor below
-    every 1 - rho_i^2; each starts from its interlacing interval and ends with
-    Newton steps on the secular function, to an absolute width of 2 eps max(1, top).
-    Tied loadings give bit-identical eigenvalues; zero loadings give eigenvalue 1.
+    every 1 - |rho_i|^2; each starts from its Weyl bracket and ends with
+    Newton steps on the eigenvalue of phi crossing 1, to an absolute width of
+    2 eps max(1, top).  Tied loadings give bit-identical eigenvalues; zero
+    loadings give eigenvalue 1.
     """
-    return Spectrum(_slice_spectrum(loadings.rho[:, None], floor=-1.0))
+    return Spectrum(_slice_spectrum(loadings.rho, floor=-1.0))
 
 
 def gram_eigenvalues(loadings: LoadingMatrix) -> np.ndarray:

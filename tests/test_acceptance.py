@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from leadlag import (LoadingVector, ModelSpec, correlation_loading,
+from leadlag import (LoadingMatrix, ModelSpec, correlation_loading,
                      dense_eigenvalues, eigencurves_from_panel,
                      factor_eigencurve,
                      factor_eigenvalues, fit_eigencurve, loading_matrix,
@@ -49,7 +49,7 @@ def test_criterion_1_closed_form_consistency():
     for _ in range(1000):
         n = int(rng.integers(2, 51))
         rho = rng.uniform(-0.999, 0.999, n)
-        secular = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        secular = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
         matrix = np.outer(rho, rho)
         np.fill_diagonal(matrix, 1.0)
         dense = np.linalg.eigvalsh(matrix)[::-1]
@@ -211,12 +211,12 @@ def test_criterion_9_invariant_suite():
     for i in range(n_secular):
         n = int(rng.integers(2, 41))
         rho = rng.uniform(0.02, 0.98, n) * rng.choice([-1.0, 1.0], n)
-        lv = LoadingVector(rho)
+        lv = LoadingMatrix(rho[:, None])
         spectrum = secular_eigenvalues(lv)
         eigs = spectrum.eigenvalues
         assert abs(spectrum.trace - n) < 1e-9 * n, "trace conservation violated"
         assert eigs[1] < 1.0, "one-factor bulk eigenvalue reached 1"
-        z = np.sort(1.0 - lv.rho**2)
+        z = np.sort(1.0 - lv.rho[:, 0]**2)
         upper = np.append(z[1:], z[-1] + np.sum(lv.rho**2))
         simple = eigs[np.min(np.abs(eigs[:, None] - z[None, :]), axis=1) > 1e-10]
         counts, _ = np.histogram(simple, bins=np.concatenate(([z[0]], upper)))
@@ -235,7 +235,7 @@ def test_criterion_9_invariant_suite():
         n = int(rng.integers(2, 21))
         rho = rng.uniform(0.1, 1.0, n)
         rho[rng.integers(0, n)] = math.sqrt(1.0 - 1e-9)
-        eigs = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        eigs = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
         assert eigs[-1] >= -1e-12, "admissible loadings produced a negative eigenvalue"
         instances += 1
     for _ in range(1000):

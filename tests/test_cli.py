@@ -372,7 +372,11 @@ class TestStreamedSpectrum:
         ("A,A", "duplicate asset label 'A' in header"),
         ("A,", "asset labels must be non-empty"),
         ("A\u2028B,C", "asset label 'A\\u2028B' contains a line break"),
-    ], ids=["duplicate", "empty", "line_separator"])
+        ('"A,C', "malformed header (unexpected end of data)"),
+        ('A,"B', "malformed header (unexpected end of data)"),
+        ('"A"x,C', "malformed header (',' expected after '\"')"),
+    ], ids=["duplicate", "empty", "line_separator", "unclosed_quote", "unclosed_last_quote",
+            "text_after_quote"])
     def test_label_refusal_names_the_file(self, tmp_path, capsys, labels, reason):
         # as every other refusal of a panel CSV does, under the header's line
         path = tmp_path / "p.csv"
@@ -691,6 +695,17 @@ class TestMalformedInput:
         assert "values must be numbers" in err
         assert not (tmp_path / "fits.json").exists()
 
+    @pytest.mark.parametrize("schema", [True, 1.0])
+    def test_curves_schema_not_the_integer_1(self, tmp_path, capsys, schema):
+        path = tmp_path / "curves.json"
+        save_curves([factor_eigencurve(5, 0.2, 0.2, (1, 2, 4, 8))], path, n_assets=5)
+        document = json.loads(path.read_text())
+        document["schema"] = schema
+        path.write_text(json.dumps(document))
+        err = self.assert_data_error(capsys, *self.curves_argv("fit", path, tmp_path))
+        assert err == f"data error: {path}: unsupported schema {schema!r}\n"
+        assert not (tmp_path / "fits.json").exists()
+
     @pytest.mark.parametrize("field", ["n_assets", "base_scale_minutes"])
     def test_curves_metadata_not_a_number(self, tmp_path, capsys, field):
         path = tmp_path / "curves.json"
@@ -747,6 +762,23 @@ class TestMalformedInput:
                                      "--out", str(tmp_path / "p.csv"))
         assert "could not convert" in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("text, factors, line", [("0.5\n\nnan\n0.2\n", "1", 3),
+                                                     ("0.5,0.1\n0.4,inf\n0.3,0.3\n", "2", 2)],
+                             ids=["nan", "inf"])
+    def test_beta_file_non_finite_names_its_line(self, tmp_path, capsys, text, factors, line):
+        # a data error in a file, as in a spec file; on the command line a usage error
+        beta = tmp_path / "beta.csv"
+        beta.write_text(text)
+        err = self.assert_data_error(capsys, "simulate", "--assets", "3", "--factors", factors,
+                                     "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert err == (f"data error: beta file {beta}: line {line}: "
+                       "beta entries must all be finite\n")
+        assert not (tmp_path / "p.csv").exists()
+        assert run("simulate", "--assets", "3", "--alpha", "0.2", "--beta", "nan",
+                   "--steps", "8", "--out", str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err == "error: beta entries must all be finite\n"
 
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_beta_file_empty(self, tmp_path, capsys, text):

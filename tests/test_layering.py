@@ -4,8 +4,9 @@ every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
 picks the length of the chunks its sources yield, the engine's state is one
-accumulator, a simulated panel is the simulator's one block, and no file
-text is split at str.splitlines' wider set of line separators."""
+accumulator, a simulated panel is the simulator's one block, one loadings
+type serves every factor count, and no file text is split at
+str.splitlines' wider set of line separators."""
 
 import ast
 import dataclasses
@@ -128,6 +129,15 @@ def test_a_simulated_panel_is_the_simulators_one_block():
     assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
     assert not [node for node in ast.walk(functions["simulate_panel"])
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_one_loadings_type():
+    # LoadingMatrix holds the loadings of any factor count, and the full
+    # spectrum and the factor roots are one slicer at two floors: no
+    # one-factor vector type sits beside it
+    assert not [path.stem for path in PACKAGE.glob("*.py")
+                if "LoadingVector" in identifiers(path)]
+    assert "LoadingVector" not in leadlag.__all__
 
 
 def splitlines_reads(tree):

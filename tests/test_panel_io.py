@@ -378,6 +378,11 @@ class TestPanelLabels:
         path = write(tmp_path, "p.csv", "time, A, B\n0,0.1,0.2\n1,0.3,0.4\n")
         assert load_panel(path).asset_labels == ("A", "B")
 
+    def test_hand_written_quoted_header_loads(self, tmp_path):
+        # strict CSV still reads a quoted ',' and a doubled '"' as label text
+        path = write(tmp_path, "p.csv", 'time,"a,b","c""d"\n0,0.1,0.2\n1,0.3,0.4\n')
+        assert load_panel(path).asset_labels == ("a,b", 'c"d')
+
 
 class TestResultsJson:
     def curves(self):
@@ -487,6 +492,18 @@ class TestResultsJson:
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="schema"):
             load_curves(path)
+
+    @pytest.mark.parametrize("schema", [True, 1.0, "1"])
+    @pytest.mark.parametrize("kind", ["curves", "fits"])
+    def test_schema_must_be_the_json_integer_1(self, tmp_path, kind, schema):
+        # as every other integer field, a bool or a float equal to 1 is refused
+        path = tmp_path / f"{kind}.json"
+        (save_curves if kind == "curves" else save_fits)([], path, n_assets=3)
+        doc = json.loads(path.read_text())
+        doc["schema"] = schema
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=f"unsupported schema {schema!r}$"):
+            (load_curves if kind == "curves" else load_fits)(path)
 
     @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
     def test_fit_converged_must_be_a_json_boolean(self, tmp_path, value):

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leadlag import (LoadingMatrix, LoadingVector, ModelSpec, ScaleMatrix,
+from leadlag import (LoadingMatrix, ModelSpec, ScaleMatrix,
                      Spectrum, ValidationError, attenuation, correlation_loading,
                      dense_eigenvalues, factor_eigencurve, factor_eigenvalues,
                      gram_eigenvalues, loading_matrix, loading_vector,
                      secular_eigenvalues, secular_function,
                      theoretical_correlation)
+from leadlag.pipeline import REFERENCE_STRENGTHS
 
 from oracles import (dense_loading_spectrum, equicorrelation_eigenvalues,
                      mp_eigenvalue_count, mp_loading_spectrum, reduced_determinant)
@@ -23,7 +24,7 @@ def assemble_one_factor(rho):
 
 
 def random_loadings(rng, n):
-    return LoadingVector(rng.uniform(-0.99, 0.99, n))
+    return LoadingMatrix(rng.uniform(-0.99, 0.99, n)[:, None])
 
 
 def blockwise_loadings(n, block_sizes, row_sq):
@@ -54,7 +55,7 @@ class TestEquicorrelation:
         # a large-eigenvalue approximation, not the equal-loading closed form.
         rho_inf_sq = correlation_loading(0.17, 0.16, math.inf) ** 2
         assert rho_inf_sq == pytest.approx(1.0 / (1.0 + (1 - 0.16) ** 2 / 0.17), rel=1e-12)
-        lv = LoadingVector(np.full(533, math.sqrt(rho_inf_sq)))
+        lv = LoadingMatrix(np.full(533, math.sqrt(rho_inf_sq))[:, None])
         top = secular_eigenvalues(lv).eigenvalues[0]
         assert top == pytest.approx(1 + 532 * rho_inf_sq, rel=1e-12)
         approx_limit = 533 * 0.17 / (1 - 0.16) ** 2
@@ -85,20 +86,22 @@ class TestCorrelationLoading:
     def test_matches_loading_vector_from_spec(self):
         spec = ModelSpec.single_factor(4, 0.3, 0.25)
         lv = loading_vector(spec, 8)
+        assert isinstance(lv, LoadingMatrix) and lv.rho.shape == (4, 1) and lv.scale == 8
+        assert np.array_equal(lv.rho, loading_matrix(spec, 8).rho)
         assert np.allclose(lv.rho, correlation_loading(0.3, 0.25, 8), rtol=1e-13)
 
 
 class TestSecularEigenvalues:
     def test_equal_loadings_match_closed_form(self):
         rho = np.full(12, 0.6)
-        sec = secular_eigenvalues(LoadingVector(rho))
+        sec = secular_eigenvalues(LoadingMatrix(rho[:, None]))
         closed = equicorrelation_eigenvalues(12, 0.36)
         assert np.max(np.abs(sec.eigenvalues - closed)) < 1e-12
         assert np.unique(sec.eigenvalues).size == 2
 
     def test_two_by_two_closed_form(self):
         a, b = 0.7, 0.2
-        sec = secular_eigenvalues(LoadingVector(np.array([a, b])))
+        sec = secular_eigenvalues(LoadingMatrix(np.array([a, b])[:, None]))
         assert np.max(np.abs(sec.eigenvalues - np.array([1 + a * b, 1 - a * b]))) < 1e-12
 
     def test_random_against_dense_oracle(self):
@@ -108,14 +111,23 @@ class TestSecularEigenvalues:
         dense = np.linalg.eigvalsh(assemble_one_factor(lv.rho))[::-1]
         assert np.max(np.abs(sec - dense)) < 1e-8
 
+    def test_four_factors_match_dense_oracle(self):
+        # the full spectrum for any F: the factor roots' slicer, floored below every pole
+        spec = ModelSpec.orthogonal_factors(200, REFERENCE_STRENGTHS, 0.16, seed=3)
+        lm = loading_matrix(spec, 8)
+        sec = secular_eigenvalues(lm).eigenvalues
+        dense = dense_loading_spectrum(lm.rho)
+        assert sec.shape == (200,)
+        assert np.max(np.abs(sec - dense)) <= 1e-12 * max(1.0, dense[0])
+
     def test_zero_loadings_contribute_unit_eigenvalue(self):
         rho = np.array([0.0, 0.5, 0.0, -0.3, 0.0])
-        sec = secular_eigenvalues(LoadingVector(rho))
+        sec = secular_eigenvalues(LoadingMatrix(rho[:, None]))
         assert np.sum(np.isclose(sec.eigenvalues, 1.0, atol=1e-14)) == 3
 
     def test_tied_group_multiplicity(self):
         rho = np.array([0.4, 0.4, -0.4, 0.8, 0.1])
-        sec = secular_eigenvalues(LoadingVector(rho))
+        sec = secular_eigenvalues(LoadingMatrix(rho[:, None]))
         tied = 1.0 - 0.16
         assert np.sum(np.isclose(sec.eigenvalues, tied, atol=1e-12)) == 2
         dense = np.linalg.eigvalsh(assemble_one_factor(rho))[::-1]
@@ -123,12 +135,9 @@ class TestSecularEigenvalues:
 
     def test_rejects_invalid_loadings(self):
         with pytest.raises(ValidationError, match="not a valid correlation structure"):
-            LoadingVector(np.array([0.5, 1.2]))
+            LoadingMatrix(np.array([0.5, 1.2])[:, None])
 
     @pytest.mark.parametrize("build, message", [
-        (lambda: LoadingVector(np.empty(0)), "rho must be a nonempty vector"),
-        (lambda: LoadingVector(np.full((2, 1), 0.5)), "rho must be a nonempty vector"),
-        (lambda: LoadingVector([0.5, math.nan]), "loadings must be finite"),
         (lambda: LoadingMatrix([0.5, 0.2]), r"rho must be an \(n_assets, n_factors\) matrix"),
         (lambda: LoadingMatrix(np.empty((0, 2))), r"rho must be an \(n_assets, n_factors\) matrix"),
         (lambda: LoadingMatrix([[0.5, math.inf]]), "loadings must be finite"),
@@ -139,9 +148,12 @@ class TestSecularEigenvalues:
         (lambda: Spectrum([1.0, 2.0]), "eigenvalues must be in descending order"),
         (lambda: loading_vector(ModelSpec.orthogonal_factors(4, [0.2, 0.1], 0.2), 2),
          "loading_vector requires a one-factor spec"),
-    ], ids=["vector-empty", "vector-2d", "vector-nan", "matrix-1d", "matrix-empty",
-            "matrix-inf", "matrix-row-norm", "spectrum-2d", "spectrum-nan",
-            "spectrum-ascending", "loading-vector-two-factors"])
+        (lambda: secular_function(LoadingMatrix(np.full((3, 2), 0.5)), 2.0),
+         "secular_function requires one-factor loadings"),
+    ], ids=["matrix-1d", "matrix-empty", "matrix-inf", "matrix-row-norm", "spectrum-2d",
+            "spectrum-nan",
+            "spectrum-ascending", "loading-vector-two-factors",
+            "secular-function-two-factors"])
     def test_value_types_refuse(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -156,7 +168,7 @@ class TestSecularEigenvalues:
 
     @given(st.lists(st.floats(min_value=-0.98, max_value=0.98), min_size=2, max_size=12))
     def test_property_matches_dense(self, rho):
-        lv = LoadingVector(np.asarray(rho))
+        lv = LoadingMatrix(np.asarray(rho)[:, None])
         sec = secular_eigenvalues(lv).eigenvalues
         dense = np.linalg.eigvalsh(assemble_one_factor(lv.rho))[::-1]
         assert np.max(np.abs(sec - dense)) < 1e-8
@@ -168,7 +180,7 @@ class TestSecularStructure:
         for _ in range(25):
             n = int(rng.integers(3, 30))
             lv = random_loadings(rng, n)  # continuous draws: no ties, no zeros
-            z = np.sort(1.0 - lv.rho**2)
+            z = np.sort(1.0 - lv.rho[:, 0]**2)
             brackets = list(zip(z[:-1], z[1:])) + [(z[-1], z[-1] + np.sum(lv.rho**2))]
             eigs = secular_eigenvalues(lv).eigenvalues
             for lo, hi in brackets:
@@ -182,13 +194,13 @@ class TestSecularStructure:
     def test_one_factor_bulk_stays_below_one(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            lv = LoadingVector(rng.uniform(0.05, 0.95, int(rng.integers(2, 40))))
+            lv = LoadingMatrix(rng.uniform(0.05, 0.95, int(rng.integers(2, 40)))[:, None])
             eigs = secular_eigenvalues(lv).eigenvalues
             assert eigs[1] < 1.0
 
     def test_positivity_when_loadings_admissible(self):
         eps = 1e-9
-        lv = LoadingVector(np.array([1.0, math.sqrt(1 - eps), 0.5, 0.2]))
+        lv = LoadingMatrix(np.array([1.0, math.sqrt(1 - eps), 0.5, 0.2])[:, None])
         eigs = secular_eigenvalues(lv).eigenvalues
         assert eigs[-1] >= -1e-12
 
@@ -204,7 +216,7 @@ class TestTopEigenvalueApprox:
 
     def test_equal_loading_gap_is_exact(self):
         n, r2 = 20, 0.3
-        lv = LoadingVector(np.full(n, math.sqrt(r2)))
+        lv = LoadingMatrix(np.full(n, math.sqrt(r2))[:, None])
         approx = np.sum(lv.rho**2)
         exact = secular_eigenvalues(lv).eigenvalues[0]
         assert exact - approx == pytest.approx(1 - r2, rel=1e-12)
@@ -212,20 +224,20 @@ class TestTopEigenvalueApprox:
     def test_market_sized_accuracy(self):
         rng = np.random.default_rng(8)
         rho = np.sqrt(rng.uniform(0.05, 0.29, 533))  # mean rho^2 ~ 0.17
-        lv = LoadingVector(rho)
+        lv = LoadingMatrix(rho[:, None])
         approx = np.sum(lv.rho**2)
         exact = secular_eigenvalues(lv).eigenvalues[0]
         assert abs(approx - exact) / exact < 0.02
 
     def test_single_asset_breakdown(self):
-        lv = LoadingVector(np.array([0.5]))
+        lv = LoadingMatrix(np.array([0.5])[:, None])
         assert np.sum(lv.rho**2) == pytest.approx(0.25)
         assert secular_eigenvalues(lv).eigenvalues[0] == pytest.approx(1.0)
 
     def test_bracketing_bounds(self):
         rng = np.random.default_rng(9)
         for _ in range(25):
-            lv = LoadingVector(rng.uniform(0.1, 0.95, int(rng.integers(2, 60))))
+            lv = LoadingMatrix(rng.uniform(0.1, 0.95, int(rng.integers(2, 60)))[:, None])
             approx = np.sum(lv.rho**2)
             exact = secular_eigenvalues(lv).eigenvalues[0]
             assert approx <= exact + 1e-12
@@ -238,7 +250,7 @@ class TestReducedDeterminant:
     def test_one_factor_reduction_vanishes_at_secular_roots(self):
         rng = np.random.default_rng(15)
         rho = rng.uniform(0.1, 0.9, 12)
-        top = secular_eigenvalues(LoadingVector(rho)).eigenvalues[0]
+        top = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues[0]
         rho = rho[:, None]
         assert abs(reduced_determinant(rho, top)) < 1e-9
         assert reduced_determinant(rho, top + 0.5) * reduced_determinant(rho, top - 0.05) < 0
@@ -297,7 +309,7 @@ class TestSpectrumSlicer:
             assert roots[0] == roots[1]
 
     def test_all_zero_loadings(self):
-        values = secular_eigenvalues(LoadingVector(np.zeros(6))).eigenvalues
+        values = secular_eigenvalues(LoadingMatrix(np.zeros(6)[:, None])).eigenvalues
         assert values.size == 6
         assert np.max(np.abs(values - 1.0)) < 1e-15
         assert factor_eigenvalues(LoadingMatrix(np.zeros((6, 3)))).size == 0
@@ -308,7 +320,7 @@ class TestSpectrumSlicer:
     def test_property_matches_dense_oracle(self, rho):
         dense = dense_loading_spectrum(rho)
         if rho.shape[1] == 1:
-            spectrum = secular_eigenvalues(LoadingVector(rho[:, 0])).eigenvalues
+            spectrum = secular_eigenvalues(LoadingMatrix(rho)).eigenvalues
             assert np.max(np.abs(spectrum - dense)) < 1e-9
         roots = factor_eigenvalues(LoadingMatrix(rho))
         assert np.all(roots > 1.0)
@@ -334,7 +346,7 @@ class TestSlicerEdgeCases:
     def test_one_factor_matches_dense(self, rho):
         rho = np.array(rho)
         dense = dense_loading_spectrum(rho)
-        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        spectrum = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
         assert np.max(np.abs(spectrum - dense)) < 1e-14
         roots = factor_eigenvalues(LoadingMatrix(rho[:, None]))
         assert roots.size == np.count_nonzero(dense > 1.0 + 1e-14)
@@ -346,7 +358,7 @@ class TestSlicerEdgeCases:
         # sum to about 49 there)
         rho = np.random.default_rng(30).uniform(0.1, 0.9, 50)
         rho[17] = 1e-7
-        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        spectrum = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
         assert np.max(np.abs(spectrum - dense_loading_spectrum(rho))) < 1e-13
         pole, width = 1.0 - rho[17] ** 2, slicer_width(rho)
         assert abs(spectrum[1] - pole) < 1e-14
@@ -357,7 +369,7 @@ class TestSlicerEdgeCases:
         # poles 1e-9 and 1e-12 apart: every root within width of a 50-digit oracle
         rho = np.array([0.6, 0.6 + 1e-9, 0.6 + 2e-9, 0.6 - 1e-12, 0.3, 0.3 + 1e-10,
                         0.95, 0.1, 1e-7])
-        spectrum = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+        spectrum = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
         assert np.all(np.abs(spectrum - mp_loading_spectrum(rho)) <= slicer_width(rho))
 
     def test_roots_isolated_late_end_within_width(self):
@@ -383,7 +395,7 @@ class TestSlicerEdgeCases:
         for _ in range(25):
             n = int(rng.integers(2, 30))
             rho = rng.uniform(0.05, 0.99, n) * rng.choice([-1.0, 1.0], n)
-            roots = secular_eigenvalues(LoadingVector(rho)).eigenvalues
+            roots = secular_eigenvalues(LoadingMatrix(rho[:, None])).eigenvalues
             poles = np.sort(1.0 - rho**2)[::-1]
             upper = np.concatenate(([poles[0] + np.sum(rho**2)], poles[:-1]))
             assert np.all((poles <= roots) & (roots <= upper))
