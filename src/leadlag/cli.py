@@ -3,7 +3,7 @@
 Subcommands cover the full workflow:
 
     simulate   generate a synthetic return panel CSV from model parameters
-    spectrum   panel CSV -> top-k eigenvalue curves across a tau grid
+    spectrum   panel CSV -> top-k correlation eigenvalue curves across a tau grid
     fit        curves file -> fitted (alpha, amplitude) per rank
     plot       curves (+ optional fits) -> one SVG per rank
     reproduce  canonical synthetic scenario end to end into a report directory
@@ -25,7 +25,8 @@ from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError
 from .model import ModelSpec, simulate_panel, stationary_burn_in
 from .panel_io import (load_curves, load_fits, save_curves, save_fits, save_panel,
-                       _atomic_write_text, _panel_batches, _read_json_object, _read_text)
+                       _MISREAD, _atomic_write_text, _misread, _panel_batches,
+                       _read_json_object, _read_text)
 # not called here; benchmark/tracing.py wraps this name in this module
 from .panel_io import load_panel  # noqa: F401
 from .svgplot import render_eigencurve
@@ -56,6 +57,9 @@ def _read_beta_file(path) -> np.ndarray:
     lines = _read_text(path, "beta file ").split("\n")
     if not any(lines):
         raise DataError(f"beta file {path}: no data")
+    if _misread(lines):
+        line = next(n for n, text in enumerate(lines, 1) if _misread([text]))
+        raise DataError(f"beta file {path}: line {line}: {_MISREAD}")
     try:
         beta = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
     except ValueError as exc:
@@ -121,7 +125,6 @@ def _cmd_spectrum(args) -> int:
     # layout of eigencurves_from_panel's chunks: its bytes, with no panel held
     batches = _panel_batches(getattr(args, "in"), args.compounding)
     labels = next(batches)
-    kind = "correlation" if args.kind == "corr" else "covariance"
     taus, scale = _parse_list(args.taus, "taus", int), 1
 
     def chunks(length):
@@ -137,10 +140,10 @@ def _cmd_spectrum(args) -> int:
         if filled:
             yield buffer[:filled].T
 
-    curves = pipeline._eigencurves(chunks, labels, taus, args.top_k, kind)
+    curves = pipeline._eigencurves(chunks, labels, taus, args.top_k)
     save_curves(curves, args.out, n_assets=len(labels), base_scale_minutes=float(scale))
     print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {list(taus)} "
-          f"({kind}) -> {args.out}")
+          f"(correlation) -> {args.out}")
     return 0
 
 
@@ -245,13 +248,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", required=True, help="output panel CSV path")
     sim.set_defaults(func=_cmd_simulate)
 
-    spec = sub.add_parser("spectrum", help="eigenvalue curves of a panel across scales")
+    spec = sub.add_parser("spectrum", help="correlation eigenvalue curves across scales")
     spec.add_argument("--in", required=True, help="input panel CSV")
     spec.add_argument("--taus", default=_DEFAULT_TAUS,
                       help="comma-separated ascending aggregation scales")
     spec.add_argument("--top-k", type=int, default=4, help="number of top eigenvalues")
-    spec.add_argument("--kind", choices=("corr", "cov"), default="corr",
-                      help="correlation or covariance spectra")
     spec.add_argument("--compounding", choices=("arithmetic", "geometric"),
                       default="arithmetic", help="return compounding on load")
     spec.add_argument("--out", required=True, help="output curves JSON")

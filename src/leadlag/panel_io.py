@@ -1,7 +1,7 @@
 """Ingestion and persistence for panels, curves and fits.
 
 Panel CSV format (UTF-8, a leading byte-order mark ignored; LF, CRLF or CR;
-other Unicode line separators are data, so a number containing one is refused):
+other Unicode line separators are data, so a row holding one is refused):
 
     time,AAPL,MSFT,...
     0,0.001,-0.0002,...
@@ -56,6 +56,9 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _READ_CHARS = 1 << 20  # a panel CSV's readlines hint: characters per batch of lines
+# str.splitlines' line separators beyond LF and CR, which a file breaks no line at
+_LINE_SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_MISREAD = "could not convert a line holding a line separator or a quote left open"
 
 
 def _read_text(path, what: str = "") -> str:
@@ -135,8 +138,19 @@ def save_panel(panel: ReturnPanel, path) -> None:
     _atomic_write_text(path, itertools.chain((header.getvalue(),), rows))
 
 
+def _misread(lines) -> bool:
+    # whether numpy would misread one of `lines`: it takes a line separator at a
+    # token's edge for a blank, and closes a quote left open on a later line or
+    # at the end of the text
+    text = "".join(lines)
+    return (any(sep in text for sep in _LINE_SEPARATORS)
+            or '"' in text and any(line.count('"') % 2 for line in lines))
+
+
 def _parse_rows(lines, n_assets: int) -> np.ndarray:
     # the one grammar of a panel row: an int64 time index, then n_assets floats
+    if _misread(lines):
+        raise ValueError(_MISREAD)
     return np.loadtxt(lines, dtype=[("time", np.int64), ("returns", np.float64, (n_assets,))],
                       delimiter=",", comments=None, quotechar='"', ndmin=1)
 

@@ -40,11 +40,11 @@ REFERENCE_ALPHA = 0.16
 REFERENCE_N_ASSETS = 533
 
 
-def _eigencurves(source, labels, taus, top_k: int, kind: str) -> list[EigenCurve]:
-    # the top-k curves of a panel of len(labels) assets, from the leading
-    # eigenvalues at every scale, which one pass over source(length), its
-    # consecutive (N, <= length) column chunks, gives.  Every scale must leave
-    # top_k + 1 blocks: m blocks give a matrix of rank m - 1 at most.
+def _eigencurves(source, labels, taus, top_k: int) -> list[EigenCurve]:
+    # the top-k correlation curves of a panel of len(labels) assets, from the
+    # leading eigenvalues at every scale, which one pass over source(length),
+    # its consecutive (N, <= length) column chunks, gives.  Every scale must
+    # leave top_k + 1 blocks: m blocks give a matrix of rank m - 1 at most.
     taus = tuple(_tau_grid(taus, "tau grid").tolist())
     top_k = _integer(top_k, "top_k")
     if top_k > len(labels):
@@ -54,9 +54,7 @@ def _eigencurves(source, labels, taus, top_k: int, kind: str) -> list[EigenCurve
         scales.add(chunk)
     rows = []
     for tau, cov in zip(taus, scales.covariances(top_k + 1)):
-        if kind == "correlation":
-            cov = _correlation(cov, labels)
-        values = dense_eigenvalues(ScaleMatrix(cov)).eigenvalues[:top_k]
+        values = dense_eigenvalues(ScaleMatrix(_correlation(cov, labels))).eigenvalues[:top_k]
         zero = values <= len(labels) * np.finfo(float).eps * values[0]  # matrix_rank's floor
         if zero.any():
             raise DataError(f"eigenvalue {int(zero.argmax()) + 1} at tau={tau} is zero to "
@@ -78,7 +76,7 @@ def eigencurves_from_panel(panel, taus=DYADIC_TAUS, top_k: int = 4) -> list[Eige
     whose eigenvalue is zero to rounding (collinear assets).
     """
     return _eigencurves(lambda length: _panel_chunks(panel.returns, length),
-                        panel.asset_labels, taus, top_k, "correlation")
+                        panel.asset_labels, taus, top_k)
 
 
 def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
@@ -91,7 +89,7 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     """
     n_steps, burn_in = _integer(n_steps, "n_steps"), stationary_burn_in(spec.alpha)
     return _eigencurves(lambda length: _emitted_blocks(spec, n_steps, burn_in, length),
-                        _default_labels(spec.n_assets), taus, top_k, "correlation")
+                        _default_labels(spec.n_assets), taus, top_k)
 
 
 def fit_curves(curves, n_assets: int,

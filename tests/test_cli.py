@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import warnings
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +10,7 @@ import pytest
 
 from leadlag import (DataError, EigenCurve, ModelSpec, ReturnPanel, dense_eigenvalues,
                      eigencurves_from_panel, factor_eigencurve, load_curves, load_fits,
-                     load_panel, moments, panel_io, pipeline, sample_correlation,
+                     load_panel, moments, panel_io, sample_correlation,
                      save_curves, save_panel, simulate_panel)
 from leadlag.cli import main
 
@@ -123,17 +122,6 @@ class TestSpectrum:
         for curve in curves:
             assert np.all(np.abs(curve.values - 1.0) < 0.25)
 
-    def test_covariance_mode_grows_linearly_on_iid_panel(self):
-        # diffusion of aggregated variance: eigenvalues ~ tau * sigma^2, the
-        # same code path the CLI drives, at the documented panel length
-        spec = ModelSpec(8, 1, 0.0, 1.0, 1.0, 0.0, seed=13)
-        panel = simulate_panel(spec, 1_000_000)
-        taus = (1, 2, 4, 8, 16, 32, 64, 128)
-        curves = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
-                                       panel.asset_labels, taus, 4, "covariance")
-        for curve in curves:
-            assert np.all(np.abs(curve.values / curve.taus - 1.0) < 0.10)
-
     def test_tau_exceeding_length_lists_offenders(self, tmp_path, capsys):
         panel_path = self.make_panel(tmp_path, steps=100)
         code = run("spectrum", "--in", str(panel_path), "--taus", "1,64,128",
@@ -179,17 +167,16 @@ class TestSpectrum:
         assert ("--taus expects a comma-separated list of integers"
                 in capsys.readouterr().err)
 
-    def test_covariance_mode_file_path(self, tmp_path):
-        panel_path = self.make_panel(tmp_path, steps=2000)
-        curves_path = tmp_path / "cov.json"
-        assert run("spectrum", "--in", str(panel_path), "--taus", "1,2",
-                   "--kind", "cov", "--top-k", "2", "--out", str(curves_path)) == 0
-        curves, _ = load_curves(curves_path)
-        panel = load_panel(panel_path)
-        from leadlag import sample_covariance
-        expected = dense_eigenvalues(sample_covariance(panel)).eigenvalues[:2]
-        got = np.array([c.values[0] for c in curves])
-        assert np.array_equal(got, expected)
+    @pytest.mark.parametrize("kind", ["cov", "corr"])
+    def test_kind_is_no_option(self, tmp_path, capsys, kind):
+        # curves hold correlation eigenvalues, with no option to choose
+        panel_path = self.make_panel(tmp_path, steps=200)
+        with pytest.raises(SystemExit) as caught:
+            run("spectrum", "--in", str(panel_path), "--kind", kind,
+                "--out", str(tmp_path / "c.json"))
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --kind" in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
 
     def test_top_k_exceeding_assets_is_exit_2(self, tmp_path, capsys):
         panel_path = self.make_panel(tmp_path, steps=200)
@@ -252,16 +239,17 @@ class TestStreamedSpectrum:
         path, text = self.write_csv(tmp_path, compounding)
         # a readlines hint that ends between a CR and its LF, or right after
         # the LF, ends the first several-line batch after that same whole line
-        chars = text.index("\r\n", 200) + (1 if boundary == "crlf" else 2)
+        chars = text.index("\r\n", 500) + (1 if boundary == "crlf" else 2)
         assert text[chars - 1] == ("\r" if boundary == "crlf" else "\n")
         monkeypatch.setattr(panel_io, "_READ_CHARS", chars)
-        taus = (1, 2, 4, 8)
-        monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * 3 * 44)  # 40-step chunks
-        assert moments._chunk_length(3, taus) == 40 and len(text) > 8 * chars
+        # 5-step chunks: lcm(taus) does not fit, so the sums of 3 steps carry tails
+        taus = (1, 3, 6)
+        monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * 3 * 5)
+        assert moments._chunk_length(3, taus) == 5 and len(text) > 8 * chars
         out = tmp_path / "curves.json"
-        assert run("spectrum", "--in", str(path), "--taus", "1,2,4,8", "--top-k", "3",
+        assert run("spectrum", "--in", str(path), "--taus", "1,3,6", "--top-k", "3",
                    "--compounding", compounding, "--out", str(out)) == 0
-        assert "curve(s) over taus [1, 2, 4, 8] (correlation)" in capsys.readouterr().out
+        assert "curve(s) over taus [1, 3, 6] (correlation)" in capsys.readouterr().out
         curves, meta = load_curves(out)
 
         panel = load_panel(path)
@@ -270,19 +258,6 @@ class TestStreamedSpectrum:
         expected = eigencurves_from_panel(panel, taus, top_k=3)
         assert [c.values.tobytes() for c in curves] == [c.values.tobytes() for c in expected]
         assert meta == {"n_assets": 3, "base_scale_minutes": 2.0}
-
-    def test_covariance_curves_match_the_loaded_panel(self, tmp_path, monkeypatch):
-        path, _ = self.write_csv(tmp_path, "arithmetic")
-        monkeypatch.setattr(panel_io, "_READ_CHARS", 500)
-        monkeypatch.setattr(moments, "_CHUNK_BYTES", 8 * 3 * 44)
-        out = tmp_path / "curves.json"
-        assert run("spectrum", "--in", str(path), "--taus", "1,3,6", "--top-k", "2",
-                   "--kind", "cov", "--out", str(out)) == 0
-        panel = load_panel(path)
-        expected = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
-                                         panel.asset_labels, (1, 3, 6), 2, "covariance")
-        assert [c.values.tobytes() for c in load_curves(out)[0]] == [
-            c.values.tobytes() for c in expected]
 
     # the refusals of test_panel_io's TestPanelCsv: (labels, body, line, compounding)
     REFUSALS = {
@@ -303,6 +278,9 @@ class TestStreamedSpectrum:
         "total_loss": ("A", "0,-1.0\n", 2, "geometric"),
         "first_bad_cell_geometric": ("A,B", "0,0.1,-1.5\n\n1,nan,0.2\n", 2, "geometric"),
         "first_bad_cell": ("A,B", "0,0.1,-1.5\n\n1,nan,0.2\n", 4, "arithmetic"),
+        "open_quote_last_row": ("a", '0,0.1\n1,"0.2', 3, "arithmetic"),
+        "open_quote": ("a", '0,"0.1\n1,0.2\n', 2, "arithmetic"),
+        "separator_at_edge": ("A", "0,0.1\n1,0.2\u2028\n", 3, "arithmetic"),
     }
 
     @staticmethod
@@ -761,6 +739,20 @@ class TestMalformedInput:
                                      "--beta-file", str(beta), "--steps", "8",
                                      "--out", str(tmp_path / "p.csv"))
         assert "could not convert" in err
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("text, line", [('0.1,"0.2', 1), ('0.1,"0.2\n0.3,0.4', 1),
+                                            ("0.1,0.2\n\n0.3\x85,0.4\n", 3)])
+    def test_beta_file_line_numpy_would_misread_is_named(self, tmp_path, capsys, text, line):
+        # numpy would close the open quote on the next line or at the end of
+        # the file, and take a line separator at a token's edge for a blank
+        beta = tmp_path / "beta.csv"
+        beta.write_text(text, encoding="utf-8")
+        err = self.assert_data_error(capsys, "simulate", "--assets", "2", "--factors", "2",
+                                     "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert err == (f"data error: beta file {beta}: line {line}: could not convert a line "
+                       "holding a line separator or a quote left open\n")
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("text, factors, line", [("0.5\n\nnan\n0.2\n", "1", 3),

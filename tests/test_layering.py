@@ -4,9 +4,9 @@ every public attribute of an exported dataclass, every defaulted parameter of
 an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
 picks the length of the chunks its sources yield, the engine's state is one
-accumulator, a simulated panel is the simulator's one block, one loadings
-type serves every factor count, and no file text is split at
-str.splitlines' wider set of line separators."""
+accumulator whose curves are of one kind, a simulated panel is the
+simulator's one block, one loadings type serves every factor count, and no
+file text is split at str.splitlines' wider set of line separators."""
 
 import ast
 import dataclasses
@@ -115,6 +115,21 @@ def test_the_engine_is_one_accumulator():
                 if found & {"_scale_covariances", "_covariance"}]
     assert {stem for stem, found in named.items() if "_ScaleMoments" in found} == {
         "moments", "pipeline"}
+
+
+def test_the_engine_gives_correlation_curves_alone():
+    # the paper's spectra are of correlation matrices: _eigencurves takes no
+    # matrix kind, and no module names a covariance kind for it to take
+    tree = ast.parse((PACKAGE / "pipeline.py").read_text(encoding="utf-8"))
+    engine = next(node for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_eigencurves")
+    args = engine.args
+    assert [arg.arg for arg in args.posonlyargs + args.args] == [
+        "source", "labels", "taus", "top_k"]
+    assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
+    assert not [path.stem for path in PACKAGE.glob("*.py")
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Constant) and node.value in ("covariance", "cov")]
 
 
 def test_a_simulated_panel_is_the_simulators_one_block():

@@ -146,9 +146,11 @@ class TestPanelCsv:
         assert load_panel(path).returns.tolist() == [[0.1, 0.2]]
 
     @pytest.mark.parametrize("row", ["0,0.1 # note", "0,1_000", "1_0,0.1", "0,\u0661",
-                                     "99999999999999999999,0.1"])
+                                     "99999999999999999999,0.1", "1,0.2\u2028", "1\u2028,0.2",
+                                     "1,0.2\x85", "1,0.2\v", "1,0.2\f", "1,0.2\x1c"])
     def test_tokens_outside_the_row_grammar_are_refused(self, tmp_path, row):
-        # no comments; and Python's int()/float() accept the others, numpy does not
+        # no comments; Python's int()/float() accept the next four, numpy does
+        # not; and numpy would take a line separator at a token's edge for a blank
         path = write(tmp_path, "p.csv", f"time,A\n{row}\n")
         with pytest.raises(DataError, match="line 2"):
             load_panel(path)

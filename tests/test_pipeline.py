@@ -2,8 +2,9 @@
 eigencurves_from_model streams the simulator's chunks with no panel built.
 
 Its curves must equal the dense path's, which builds every scale in full:
-aggregate_returns, then sample_correlation or sample_covariance, then
-dense_eigenvalues.  The chunked comparisons shrink the chunk budget so that
+aggregate_returns, then sample_correlation, then dense_eigenvalues; and the
+covariances of its accumulator, moments._ScaleMoments, must equal
+sample_covariance's.  The chunked comparisons shrink the chunk budget so that
 each case spans at least three chunks.  A grid whose lcm fits the budget gets
 chunks that are multiples of it; a grid such as 1..16 (lcm 720,720) gets
 budget-sized chunks, and each tau carries its source's leftover sums across
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 
 from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
-                     dense_eigenvalues, eigencurves_from_panel, moments, pipeline,
+                     dense_eigenvalues, eigencurves_from_panel, moments,
                      sample_correlation, sample_covariance, simulate_panel)
 from leadlag.model import _emitted_blocks, stationary_burn_in
 from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
@@ -34,20 +35,21 @@ DYADIC = (1, 2, 4, 8, 16, 32, 64, 128)
 ONE_TO_16 = tuple(range(1, 17))
 
 
-def dense_curves(panel, taus, top_k, kind):
-    estimator = sample_correlation if kind == "correlation" else sample_covariance
-    return np.array([dense_eigenvalues(estimator(aggregate_returns(panel, tau))).eigenvalues[:top_k]
-                     for tau in taus])
+def dense(panel, taus, top_k, kind):
+    # per scale, the top-k correlation eigenvalues or the covariance matrix
+    if kind == "covariance":
+        return np.array([sample_covariance(aggregate_returns(panel, tau)).values for tau in taus])
+    return np.array([dense_eigenvalues(sample_correlation(aggregate_returns(panel, tau)))
+                     .eigenvalues[:top_k] for tau in taus])
 
 
-def streamed_curves(panel, taus, top_k, kind):
-    # covariance curves come from the engine eigencurves_from_panel drives, as
-    # `leadlag spectrum --kind cov` takes them
-    if kind == "correlation":
-        curves = eigencurves_from_panel(panel, taus, top_k=top_k)
-    else:
-        curves = pipeline._eigencurves(partial(moments._panel_chunks, panel.returns),
-                                       panel.asset_labels, tuple(taus), top_k, kind)
+def streamed(panel, taus, top_k, kind):
+    # the same from the engine: its curves, or the covariances of its
+    # accumulator fed the panel's chunks as eigencurves_from_panel feeds them
+    if kind == "covariance":
+        length = moments._chunk_length(panel.n_assets, taus)
+        return np.array(accumulated(moments._panel_chunks(panel.returns, length), taus)[0])
+    curves = eigencurves_from_panel(panel, taus, top_k=top_k)
     return np.column_stack([curve.values for curve in curves])
 
 
@@ -66,7 +68,7 @@ def small_chunks(monkeypatch, panel, taus, steps=200):
     (6, 3000 + 11, ONE_TO_16, 0.0, "correlation"),        # lcm beyond the chunk
     (6, 4000 + 13, (1, 2, 4, 8), 1e3, "correlation"),     # large common mean
     (300, 1000, DYADIC, 0.0, "correlation"),              # more assets than chunk steps
-    (6, 128 * 40 + 77, DYADIC, 0.0, "covariance"),
+    (6, 128 * 40 + 77, DYADIC, 0.0, "covariance"),         # the accumulator's own output
 ])
 def test_streamed_curves_match_dense(monkeypatch, n_assets, n_steps, taus, offset, kind):
     spec = ModelSpec.single_factor(n_assets, 0.3, 0.4, seed=n_steps)
@@ -76,8 +78,8 @@ def test_streamed_curves_match_dense(monkeypatch, n_assets, n_steps, taus, offse
     if n_assets == 300:
         assert length < n_assets
     top_k = 3
-    np.testing.assert_allclose(streamed_curves(panel, taus, top_k, kind),
-                               dense_curves(panel, taus, top_k, kind), rtol=1e-10, atol=0)
+    np.testing.assert_allclose(streamed(panel, taus, top_k, kind),
+                               dense(panel, taus, top_k, kind), rtol=1e-10, atol=0)
 
 
 def test_zero_variance_asset_is_named(monkeypatch):
@@ -95,15 +97,14 @@ def test_zero_variance_asset_is_named(monkeypatch):
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("kind", ["correlation", "covariance"])
-def test_collinear_assets_are_a_data_error(seed, kind):
+def test_collinear_assets_are_a_data_error(seed):
     # four random assets and their sum: the fifth eigenvalue is zero to
     # rounding at every scale, on either side of zero, and refused at the first
     x = np.random.default_rng(seed).normal(size=(4, 4096))
     panel = ReturnPanel(np.vstack([x, x.sum(axis=0)]))
-    assert len(streamed_curves(panel, (1, 2, 4, 8), 4, kind)) == 4
+    assert len(eigencurves_from_panel(panel, (1, 2, 4, 8), top_k=4)) == 4
     with pytest.raises(DataError, match=r"^eigenvalue 5 at tau=1 is zero to rounding"):
-        streamed_curves(panel, (1, 2, 4, 8), 5, kind)
+        eigencurves_from_panel(panel, (1, 2, 4, 8), top_k=5)
 
 
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
@@ -112,9 +113,9 @@ def test_single_chunk_base_sums_are_bit_exact(kind):
     # dense path: fewer than 8 terms by strided adds, 11 by numpy's pairwise sum
     panel = simulate_panel(ModelSpec.single_factor(5, 0.3, 0.4, seed=3), 3001)
     taus = (1, 2, 3, 5, 11)
-    first = streamed_curves(panel, taus, 5, kind)
-    assert np.array_equal(first, dense_curves(panel, taus, 5, kind))
-    assert np.array_equal(first, streamed_curves(panel, taus, 5, kind))
+    first = streamed(panel, taus, 5, kind)
+    assert np.array_equal(first, dense(panel, taus, 5, kind))
+    assert np.array_equal(first, streamed(panel, taus, 5, kind))
 
 
 def accumulated(chunks, *grids):
