@@ -15,8 +15,7 @@ from .moments import (ScaleMatrix, aggregate_returns, attenuation,
                       factor_variance_sum, sample_correlation,
                       sample_covariance, theoretical_correlation,
                       theoretical_covariance)
-from .panel_io import (load_curves, load_fits, load_panel, save_curves,
-                       save_fits, save_panel)
+from .panel_io import load_curves, load_fits, load_panel, save_curves, save_fits
 from .pipeline import (DYADIC_TAUS, eigencurves_from_model,
                        eigencurves_from_panel, fit_curves, reproduce_report)
 from .spectral import (LoadingMatrix, Spectrum,
@@ -39,8 +38,7 @@ __all__ = [
     "secular_function", "secular_eigenvalues", "factor_eigenvalues",
     "gram_eigenvalues", "factor_eigencurve", "dense_eigenvalues",
     "EigenCurve", "FitResult", "fit_eigencurve", "relaxation_time",
-    "load_panel", "save_panel", "save_curves", "load_curves", "save_fits",
-    "load_fits",
+    "load_panel", "save_curves", "load_curves", "save_fits", "load_fits",
     "DYADIC_TAUS", "eigencurves_from_model", "eigencurves_from_panel", "fit_curves",
     "reproduce_report",
     "render_eigencurve",

@@ -22,13 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import pipeline
-from .errors import ConvergenceError, DataError, ValidationError
-from .model import ModelSpec, simulate_panel, stationary_burn_in
-from .panel_io import (load_curves, load_fits, save_curves, save_fits, save_panel,
-                       _MISREAD, _atomic_write_text, _misread, _panel_batches,
-                       _read_json_object, _read_text)
-# not called here; benchmark/tracing.py wraps this name in this module
-from .panel_io import load_panel  # noqa: F401
+from .errors import ConvergenceError, DataError, ValidationError, _integer
+from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
+from .panel_io import (load_curves, load_fits, save_curves, save_fits,
+                       _atomic_write_text, _panel_batches, _read_json_object, _read_text,
+                       _refuse_misread, _write_panel)
+# not called here; benchmark/tracing.py wraps these names in this module
+from .model import simulate_panel  # noqa: F401
+from .panel_io import load_panel, save_panel  # noqa: F401
 from .svgplot import render_eigencurve
 
 __all__ = ["main", "entrypoint"]
@@ -53,21 +54,35 @@ def _scalar_or_vector(text: str, name: str):
 
 
 def _read_beta_file(path) -> np.ndarray:
-    # _read_text makes CR and CRLF into LF; other line separators are data
+    # _read_text makes CR and CRLF into LF.  A refusal names the last line of the
+    # shortest prefix refused (a ragged line parses alone), less numpy's row count
     lines = _read_text(path, "beta file ").split("\n")
-    if not any(lines):
+    numbers = [n for n, text in enumerate(lines, 1) if text]
+    if not numbers:
         raise DataError(f"beta file {path}: no data")
-    if _misread(lines):
-        line = next(n for n, text in enumerate(lines, 1) if _misread([text]))
-        raise DataError(f"beta file {path}: line {line}: {_MISREAD}")
+
+    def parse(count):
+        rows = [lines[n - 1] for n in numbers[:count]]
+        _refuse_misread(rows)
+        return np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2)
+
     try:
-        beta = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2)
+        beta = parse(len(numbers))
     except ValueError as exc:
-        raise DataError(f"beta file {path}: {exc}") from exc
+        lo, hi = 0, len(numbers)  # the first lo lines parse, the first hi do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            try:
+                parse(mid)
+                lo = mid
+            except ValueError as prefix_exc:
+                hi, exc = mid, prefix_exc
+        reason = str(exc).rsplit(" at row ", 1)[0]
+        raise DataError(f"beta file {path}: line {numbers[hi - 1]}: {reason}") from exc
     bad = ~np.isfinite(beta).all(axis=1)
-    if bad.any():  # row k is the k-th nonempty line, as loadtxt skips empty ones
-        line = [n for n, text in enumerate(lines, 1) if text][int(bad.argmax())]
-        raise DataError(f"beta file {path}: line {line}: beta entries must all be finite")
+    if bad.any():
+        raise DataError(f"beta file {path}: line {numbers[int(bad.argmax())]}: "
+                        "beta entries must all be finite")
     return beta
 
 
@@ -111,10 +126,11 @@ def _spec_from_args(args) -> ModelSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    burn_in = args.burn_in if args.burn_in is not None else stationary_burn_in(spec.alpha)
-    panel = simulate_panel(spec, args.steps, burn_in)
-    save_panel(panel, args.out)
-    print(f"simulated panel: {spec.n_assets} assets x {panel.n_steps} steps "
+    burn_in = stationary_burn_in(spec.alpha) if args.burn_in is None else args.burn_in
+    n_steps, burn_in = _integer(args.steps, "n_steps"), _integer(burn_in, "burn_in", minimum=0)
+    _write_panel(args.out, _default_labels(spec.n_assets), 1, n_steps,
+                 _emitted_blocks(spec, n_steps, burn_in, 1024))
+    print(f"simulated panel: {spec.n_assets} assets x {n_steps} steps "
           f"({spec.n_factors} factor(s), alpha={spec.alpha}, burn-in {burn_in}, "
           f"seed {spec.seed}) -> {args.out}")
     return 0

@@ -46,10 +46,11 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 
-# bytes of base steps per chunk of the streamed engine.  Smaller chunks mean
-# thinner gemms: on a 533 x 65,536 panel (2-core VM) the curves took 3.1 s at
-# 4 MiB, 2.1 s at 8 MiB and 1.3-1.6 s at 16 MiB, against 2.0-2.7 s dense.
-_CHUNK_BYTES = 16 << 20
+# bytes and steps per chunk of the streamed engine.  Fewer bytes mean thinner gemms
+# (533 x 65,536, 2-core VM: 3.1 s at 4 MiB, 1.3-1.6 s at 16 MiB, 2.0-2.7 s dense),
+# but the work goes with steps, so longer chunks buy only memory (100 x 10^6: 0.890 s
+# at 11,904, 0.881 s at 20,864, 0.949 s at 8,192 of 2^16-byte rows; medians of 7).
+_CHUNK_BYTES, _CHUNK_STEPS = 16 << 20, 12_000
 
 
 @dataclass(frozen=True)
@@ -197,11 +198,11 @@ def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
 
 
 def _chunk_length(n_assets: int, taus) -> int:
-    # steps per chunk: what fits _CHUNK_BYTES, rounded down to a multiple of
-    # lcm(taus) where one fits, so that no block straddles two chunks and no
-    # tail is carried (long-panel's curves on 2 cores: 1.7-1.8 s, 1.9-2.1 s
-    # unrounded)
-    steps = max(1, _CHUNK_BYTES // (8 * n_assets))
+    # steps per chunk: what fits _CHUNK_BYTES and _CHUNK_STEPS, rounded down
+    # to a multiple of lcm(taus) where one fits, so that no block straddles two
+    # chunks and no tail is carried (long-panel's curves on 2 cores: 1.7-1.8 s,
+    # 1.9-2.1 s unrounded)
+    steps = max(1, min(_CHUNK_STEPS, _CHUNK_BYTES // (8 * n_assets)))
     lcm = math.lcm(*taus)
     return steps // lcm * lcm or steps
 

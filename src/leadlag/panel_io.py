@@ -1,7 +1,7 @@
 """Ingestion and persistence for panels, curves and fits.
 
 Panel CSV format (UTF-8, a leading byte-order mark ignored; LF, CRLF or CR;
-other Unicode line separators are data, so a row holding one is refused):
+a row's blanks are spaces and tabs, and one holding other whitespace is refused):
 
     time,AAPL,MSFT,...
     0,0.001,-0.0002,...
@@ -13,11 +13,11 @@ must strictly increase; uniformly strided ones give the bar length in base
 units, so aggregated panels round-trip their scale, and gappy ones give 1.
 Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
 '.' as the decimal separator whatever the locale.  Panel CSVs stream:
-save_panel writes each row as it formats it, and the reader reads batches of
+one writer formats each row of a source of column blocks as it writes it
+(`leadlag simulate`'s are the simulator's), and the reader reads batches of
 whole lines of about 1 MiB and parses and checks each at once, so a file with
 several faults is refused at the first in file order.  load_panel holds the
-panel and one batch; `leadlag spectrum` copies the batches into one engine
-chunk.
+panel and one batch; `leadlag spectrum` copies the batches into one chunk.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -56,9 +56,7 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 _READ_CHARS = 1 << 20  # a panel CSV's readlines hint: characters per batch of lines
-# str.splitlines' line separators beyond LF and CR, which a file breaks no line at
-_LINE_SEPARATORS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
-_MISREAD = "could not convert a line holding a line separator or a quote left open"
+_ASCII_SPACES = "\v\f\x1c\x1d\x1e\x1f"  # the ASCII str.isspace characters but " \t\n\r"
 
 
 def _read_text(path, what: str = "") -> str:
@@ -116,41 +114,48 @@ def _check_labels(labels, where: str = "") -> None:
         raise DataError(f"{where}duplicate asset label {dup!r} in header")
 
 
-def save_panel(panel: ReturnPanel, path) -> None:
-    """Write a panel as CSV; the time stride encodes the base scale.
-
-    Labels are quoted only where CSV needs it (a ',' or a '"'); a label with
-    leading or trailing whitespace (which load_panel strips) is rejected, as
-    are labels load_panel refuses (empty, repeated or holding a line break)
-    and a panel whose last time index exceeds the int64 range load_panel reads.
-    """
-    _check_labels(panel.asset_labels)
-    for lbl in panel.asset_labels:
+def _write_panel(path, labels, base_scale: int, n_steps: int, blocks) -> None:
+    # save_panel's file from consecutive (N, <= n_steps) column blocks, each
+    # checked as a ReturnPanel and written before the next is asked for
+    _check_labels(labels)
+    for lbl in labels:
         if lbl.strip() != lbl:
             raise DataError(f"asset label {lbl!r} has leading or trailing whitespace")
-    last = (panel.n_steps - 1) * panel.base_scale
+    last = (n_steps - 1) * base_scale
     if last > np.iinfo(np.int64).max:
         raise DataError(f"last time index {last} exceeds the int64 range")
     header = io.StringIO()
-    csv.writer(header, lineterminator="\n").writerow(("time", *panel.asset_labels))
-    rows = (f"{i * panel.base_scale}," + ",".join(map(repr, row.tolist())) + "\n"
-            for i, row in enumerate(panel.returns.T))
+    csv.writer(header, lineterminator="\n").writerow(("time", *labels))
+    checked = (ReturnPanel(block, asset_labels=labels).returns.T for block in blocks)
+    rows = (f"{i * base_scale}," + ",".join(map(repr, row.tolist())) + "\n"
+            for i, row in enumerate(itertools.chain.from_iterable(checked)))
     _atomic_write_text(path, itertools.chain((header.getvalue(),), rows))
 
 
-def _misread(lines) -> bool:
-    # whether numpy would misread one of `lines`: it takes a line separator at a
-    # token's edge for a blank, and closes a quote left open on a later line or
-    # at the end of the text
+def save_panel(panel: ReturnPanel, path) -> None:
+    """Write a panel as CSV; the time stride encodes the base scale.
+
+    Labels are quoted only where CSV needs it (a ',' or a '"').  Refused: a
+    label load_panel would strip (outer whitespace) or refuse (empty, repeated
+    or holding a line break), and a last time index beyond int64."""
+    _write_panel(path, panel.asset_labels, panel.base_scale, panel.n_steps, (panel.returns,))
+
+
+def _refuse_misread(lines) -> None:
+    # ValueError if numpy would misread one of `lines`: it takes any isspace
+    # character but a row's spaces, tabs and own LF or CR for a blank (ASCII
+    # text, O(1) to tell, holds six), and closes an open quote on a later line
     text = "".join(lines)
-    return (any(sep in text for sep in _LINE_SEPARATORS)
-            or '"' in text and any(line.count('"') % 2 for line in lines))
+    spaces = _ASCII_SPACES if text.isascii() else set(text).difference(" \t\n\r")
+    if (any(c.isspace() and c in text for c in spaces)
+            or '"' in text and any(line.count('"') % 2 for line in lines)):
+        raise ValueError("could not convert a line holding whitespace other than spaces "
+                         "and tabs, or a quote left open")
 
 
 def _parse_rows(lines, n_assets: int) -> np.ndarray:
     # the one grammar of a panel row: an int64 time index, then n_assets floats
-    if _misread(lines):
-        raise ValueError(_MISREAD)
+    _refuse_misread(lines)
     return np.loadtxt(lines, dtype=[("time", np.int64), ("returns", np.float64, (n_assets,))],
                       delimiter=",", comments=None, quotechar='"', ndmin=1)
 

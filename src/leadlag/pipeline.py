@@ -85,7 +85,7 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     n_steps)), bit for bit, with no panel built.
 
     The simulator emits the panel's steps chunk by chunk into the engine, so
-    memory is a few chunks (16 MiB each), whatever n_steps is.
+    memory is a few chunks (16 MiB or 12,000 steps), whatever n_steps is.
     """
     n_steps, burn_in = _integer(n_steps, "n_steps"), stationary_burn_in(spec.alpha)
     return _eigencurves(lambda length: _emitted_blocks(spec, n_steps, burn_in, length),

@@ -10,13 +10,19 @@ import pytest
 
 from leadlag import (DataError, EigenCurve, ModelSpec, ReturnPanel, dense_eigenvalues,
                      eigencurves_from_panel, factor_eigencurve, load_curves, load_fits,
-                     load_panel, moments, panel_io, sample_correlation,
-                     save_curves, save_panel, simulate_panel)
+                     load_panel, model, moments, panel_io, sample_correlation,
+                     save_curves, simulate_panel)
 from leadlag.cli import main
+from leadlag.panel_io import save_panel
 
 DYADIC = "1,2,4,8,16,32,64,128"
 # line separators of str.splitlines that files break no line at: only LF, CRLF and CR do
 DATA_SEPARATORS = list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+# other str.isspace characters, which numpy would take for blanks at a token's edge
+OTHER_SPACES = {"no_break": "\u00a0", "em": "\u2003", "ideographic": "\u3000",
+                "unit_separator": "\x1f"}
+MISREAD = ("could not convert a line holding whitespace other than spaces and tabs, "
+           "or a quote left open")
 
 
 def run(*argv):
@@ -102,6 +108,69 @@ class TestSimulate:
         spec = ModelSpec(3, 1, 0.25, 1.0, 1.0, 0.4, seed=3)
         expected = simulate_panel(spec, 128)
         assert np.array_equal(load_panel(out).returns, expected.returns)
+
+    def test_streamed_file_is_the_saved_panel(self, tmp_path):
+        # three 1,024-step blocks and a remainder of 100, after a burn-in longer
+        # than one factor chunk, give save_panel's bytes for simulate_panel's panel
+        beta = [[0.5, -0.2, 0.1], [0.3, 0.4, -0.6], [0.1, 0.2, 0.3], [-0.4, 0.1, 0.5]]
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"n_assets": 4, "n_factors": 3, "alpha": 0.3,
+                                         "factor_sigma": [1.0, 0.5, 2.0], "beta": beta,
+                                         "seed": 9}))
+        steps, burn_in = 3 * 1024 + 100, model._CHUNK + 4_464
+        out = tmp_path / "simulated.csv"
+        assert run("simulate", "--spec-file", str(spec_path), "--steps", str(steps),
+                   "--burn-in", str(burn_in), "--out", str(out)) == 0
+        spec = ModelSpec(4, 3, 0.3, 1.0, [1.0, 0.5, 2.0], beta, seed=9)
+        save_panel(simulate_panel(spec, steps, burn_in), tmp_path / "saved.csv")
+        assert out.read_bytes() == (tmp_path / "saved.csv").read_bytes()
+
+    def test_non_finite_panel_leaves_no_file(self, tmp_path, capsys):
+        # the writer refuses the first block, as ReturnPanel refused the panel
+        out = tmp_path / "p.csv"
+        assert run("simulate", "--assets", "3", "--alpha", "0.2", "--beta", "1e308",
+                   "--factor-sigma", "10", "--steps", "3000", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "error: panel entries must all be finite\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--steps", "0"), "n_steps must lie in [1, inf], got 0"),
+        (("--steps", "8", "--burn-in", "-1"), "burn_in must lie in [0, inf], got -1")])
+    def test_bad_run_length_is_exit_2(self, tmp_path, capsys, flags, message):
+        assert run("simulate", "--assets", "3", "--alpha", "0.2", "--beta", "0.3", *flags,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
+    def test_memory_stays_below_the_panel(self, tmp_path):
+        # a 64 x 32,768 panel (16 MiB, cli-csv's) goes to the file one
+        # 1,024-step block at a time: the peak resident set rises by less than
+        # a quarter of the panel (it rose by the panel and 1.4 MiB when the
+        # panel was built first).  The simulator's lazy imports come before
+        # the first reading; the peak is VmHWM, as for `spectrum` below.
+        n_assets, n_steps = 64, 32_768
+        script = (
+            "import sys\n"
+            "import concurrent.futures, numpy.random\n"
+            "from leadlag.cli import main\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return int(status.read().split('VmHWM:')[1].split()[0])\n"
+            "before = peak()\n"
+            f"code = main(['simulate', '--assets', '{n_assets}', '--alpha', '0.2',\n"
+            f"             '--gamma', '0.2', '--steps', '{n_steps}', '--out', sys.argv[1]])\n"
+            "print(code, peak() - before)\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "p.csv")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        assert result.returncode == 0, result.stderr
+        code, rise_kib = map(int, result.stdout.splitlines()[-1].split())
+        assert code == 0
+        assert rise_kib * 1024 < n_assets * n_steps * 8 / 4, f"rise {rise_kib / 1024:.1f} MiB"
 
 
 class TestSpectrum:
@@ -281,6 +350,8 @@ class TestStreamedSpectrum:
         "open_quote_last_row": ("a", '0,0.1\n1,"0.2', 3, "arithmetic"),
         "open_quote": ("a", '0,"0.1\n1,0.2\n', 2, "arithmetic"),
         "separator_at_edge": ("A", "0,0.1\n1,0.2\u2028\n", 3, "arithmetic"),
+        **{f"{name}_space_at_edge": ("A", f"0,0.1\n1,0.2{space}\n", 3, "arithmetic")
+           for name, space in OTHER_SPACES.items()},
     }
 
     @staticmethod
@@ -751,8 +822,34 @@ class TestMalformedInput:
         err = self.assert_data_error(capsys, "simulate", "--assets", "2", "--factors", "2",
                                      "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
                                      "--out", str(tmp_path / "p.csv"))
-        assert err == (f"data error: beta file {beta}: line {line}: could not convert a line "
-                       "holding a line separator or a quote left open\n")
+        assert err == f"data error: beta file {beta}: line {line}: {MISREAD}\n"
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("space", OTHER_SPACES.values(), ids=OTHER_SPACES.keys())
+    def test_beta_file_blanks_are_spaces_and_tabs(self, tmp_path, capsys, space):
+        beta = tmp_path / "beta.csv"
+        beta.write_text(f"0.5\n\n0.7{space}\n0.9\n", encoding="utf-8")
+        err = self.assert_data_error(capsys, "simulate", "--assets", "3", "--alpha", "0.2",
+                                     "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert err == f"data error: beta file {beta}: line 3: {MISREAD}\n"
+        beta.write_text(" 0.5\t\n\t0.7 \n0.9\n", encoding="utf-8")
+        assert run("simulate", "--assets", "3", "--alpha", "0.2", "--beta-file", str(beta),
+                   "--steps", "8", "--out", str(tmp_path / "p.csv")) == 0
+
+    @pytest.mark.parametrize("text, factors, reason", [
+        ("0.5,0.1\n\n0.4\n0.3,0.3", "2", "the number of columns changed from 2 to 1"),
+        ("0.5\n\nx", "1", "could not convert string 'x' to float64")],
+        ids=["ragged", "not_a_number"])
+    def test_beta_file_refusal_names_the_physical_line(self, tmp_path, capsys, text, factors,
+                                                       reason):
+        # numpy's row counts nonempty lines only, and its `usecols` hint speaks to its API
+        beta = tmp_path / "beta.csv"
+        beta.write_text(text, encoding="utf-8")
+        err = self.assert_data_error(capsys, "simulate", "--assets", "2", "--factors", factors,
+                                     "--alpha", "0.2", "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert err == f"data error: beta file {beta}: line 3: {reason}\n"
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("text, factors, line", [("0.5\n\nnan\n0.2\n", "1", 3),

@@ -5,8 +5,9 @@ an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
 picks the length of the chunks its sources yield, the engine's state is one
 accumulator whose curves are of one kind, a simulated panel is the
-simulator's one block, one loadings type serves every factor count, and no
-file text is split at str.splitlines' wider set of line separators."""
+simulator's one block, the CLI builds no panel, one loadings type serves
+every factor count, and no file text is split at str.splitlines' wider set
+of line separators."""
 
 import ast
 import dataclasses
@@ -144,6 +145,18 @@ def test_a_simulated_panel_is_the_simulators_one_block():
     assert not (args.vararg or args.kwonlyargs or args.kwarg or args.defaults)
     assert not [node for node in ast.walk(functions["simulate_panel"])
                 if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+
+
+def test_the_cli_builds_no_panel():
+    # `simulate` streams the simulator's blocks into the panel writer and
+    # `spectrum` the file's rows into the engine: the panel functions stay
+    # bound in cli for the benchmark's tracer, and nothing there calls them
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & {"simulate_panel", "save_panel", "load_panel"}
+    from leadlag import cli
+    assert all(hasattr(cli, name) for name in ("simulate_panel", "save_panel", "load_panel"))
 
 
 def test_one_loadings_type():

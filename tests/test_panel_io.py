@@ -11,10 +11,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel,
+from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, ValidationError,
                      aggregate_returns, load_curves, load_fits,
                      load_panel, panel_io, sample_correlation, save_curves,
-                     save_fits, save_panel)
+                     save_fits)
+from leadlag.panel_io import save_panel
 
 
 def write(tmp_path, name, text):
@@ -166,6 +167,21 @@ class TestPanelCsv:
         whole = path.read_text(encoding="utf-8").replace(separator, "\n")
         assert load_panel(write(tmp_path, "q.csv", whole)).returns.shape == (2, 4)
 
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\u3000", "\x1f"],
+                             ids=["no_break", "em", "ideographic", "unit_separator"])
+    def test_a_rows_only_blanks_are_spaces_and_tabs(self, tmp_path, space):
+        # numpy would take any str.isspace character at a token's edge for a blank
+        path = write(tmp_path, "p.csv", f"time,A\n0,0.1\n1,0.2{space}\n")
+        with pytest.raises(DataError, match="p.csv: line 3: bad time index or return value"):
+            load_panel(path)
+        spaced = write(tmp_path, "q.csv", "time,A\n0, 0.1\t\n1,\t0.2 \n")
+        assert load_panel(spaced).returns.tolist() == [[0.1, 0.2]]
+
+    def test_ascii_spaces_are_those_of_str_isspace(self):
+        # the six that ASCII text is scanned for: all but a row's blanks and line breaks
+        assert set(panel_io._ASCII_SPACES) == {
+            c for c in map(chr, range(128)) if c.isspace()} - set(" \t\n\r")
+
     def test_missing_header(self, tmp_path):
         path = write(tmp_path, "p.csv", "0,0.1\n1,0.2\n")
         with pytest.raises(DataError, match="header"):
@@ -310,6 +326,16 @@ class TestPanelStreams:
         assert steps == n_steps
         panel_bytes = n_assets * n_steps * 8
         assert rise_kib * 1024 < 1.5 * panel_bytes, f"rise {rise_kib / 1024:.1f} MiB"
+
+    def test_non_finite_block_keeps_the_destination(self, tmp_path):
+        # rows of the finite first block are written, then the second is
+        # refused with ReturnPanel's message and the temp file goes
+        path = write(tmp_path, "p.csv", "time,A\n0,0.1\n")
+        blocks = iter([np.ones((2, 3)), np.array([[0.5, np.inf], [0.5, 0.5]])])
+        with pytest.raises(ValidationError, match="^panel entries must all be finite$"):
+            panel_io._write_panel(path, ("A", "B"), 1, 5, blocks)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_text(encoding="utf-8") == "time,A\n0,0.1\n"
 
     def test_save_panel_bytes(self, tmp_path):
         # the rows as repr formats them, one line each, after a CSV header

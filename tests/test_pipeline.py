@@ -153,9 +153,17 @@ def test_engine_covariances_are_exactly_symmetric(taus):
             assert np.array_equal(cov, cov.T)
 
 
+def test_chunk_length_on_the_dyadic_ladder():
+    # 12,000 steps bind at 64 and 100 assets (cli-csv and long-panel), and the
+    # 16 MiB budget at 533 (reproduce); each rounds down to a multiple of 128
+    assert [moments._chunk_length(n, DYADIC) for n in (64, 100, 533)] == [
+        11_904, 11_904, 3_840]
+
+
 @pytest.mark.parametrize("taus, share", [(DYADIC, 1 / 4), (ONE_TO_16, 1 / 2)])
 def test_peak_memory_is_a_fraction_of_the_panel(taus, share):
-    # the 80 MiB panel spans five 16 MiB chunks, and is shorter than lcm(1..16)
+    # the 80 MiB panel spans 45 chunks of 11,904 steps (1.8 MiB), or 44 of
+    # 12,000 steps under lcm(1..16), which exceeds the panel's length
     panel = ReturnPanel(np.random.default_rng(0).normal(size=(20, 1 << 19)))
     tracemalloc.start()
     try:
@@ -194,7 +202,7 @@ def test_model_and_panel_refuse_the_same_short_scales():
 
 
 def test_model_curves_peak_memory_is_a_fraction_of_the_panel():
-    # the 279 MB panel is never built: a few 16 MiB chunks are
+    # the 279 MB panel is never built: a few chunks of 3,840 steps (16 MiB) are
     tracemalloc.start()
     try:
         eigencurves_from_model(REPRODUCE_SPEC, REPRODUCE_STEPS)
