@@ -25,8 +25,8 @@ from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError, _integer
 from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
 from .panel_io import (load_curves, load_fits, save_curves, save_fits,
-                       _atomic_write_text, _panel_batches, _read_json_object, _read_text,
-                       _refuse_misread, _write_panel)
+                       _atomic_write_text, _PanelSource, _read_json_object, _read_text,
+                       _refuse_misread, _shortest_refused, _write_panel)
 # not called here; benchmark/tracing.py wraps these names in this module
 from .model import simulate_panel  # noqa: F401
 from .panel_io import load_panel, save_panel  # noqa: F401
@@ -53,7 +53,7 @@ def _scalar_or_vector(text: str, name: str):
     return values[0] if len(values) == 1 else np.asarray(values)
 
 
-def _read_beta_file(path) -> np.ndarray:
+def _read_beta_file(path, shape) -> np.ndarray:
     # _read_text makes CR and CRLF into LF.  A refusal names the last line of the
     # shortest prefix refused (a ragged line parses alone), less numpy's row count
     lines = _read_text(path, "beta file ").split("\n")
@@ -61,24 +61,19 @@ def _read_beta_file(path) -> np.ndarray:
     if not numbers:
         raise DataError(f"beta file {path}: no data")
 
-    def parse(count):
-        rows = [lines[n - 1] for n in numbers[:count]]
+    def parse(rows):
         _refuse_misread(rows)
         return np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2)
 
+    rows = [lines[n - 1] for n in numbers]
     try:
-        beta = parse(len(numbers))
+        beta = parse(rows)
     except ValueError as exc:
-        lo, hi = 0, len(numbers)  # the first lo lines parse, the first hi do not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                parse(mid)
-                lo = mid
-            except ValueError as prefix_exc:
-                hi, exc = mid, prefix_exc
+        hi, exc = _shortest_refused(parse, rows)
         reason = str(exc).rsplit(" at row ", 1)[0]
         raise DataError(f"beta file {path}: line {numbers[hi - 1]}: {reason}") from exc
+    if beta.shape != shape:
+        raise DataError(f"beta file {path}: shape {beta.shape}, not --assets x --factors {shape}")
     bad = ~np.isfinite(beta).all(axis=1)
     if bad.any():
         raise DataError(f"beta file {path}: line {numbers[int(bad.argmax())]}: "
@@ -119,7 +114,8 @@ def _spec_from_args(args) -> ModelSpec:
     if args.beta is not None:
         beta = _scalar_or_vector(args.beta, "beta")
     else:
-        beta = _read_beta_file(args.beta_file)
+        shape = (_integer(args.assets, "n_assets"), _integer(args.factors, "n_factors"))
+        beta = _read_beta_file(args.beta_file, shape)
     return ModelSpec(args.assets, args.factors, args.alpha, sigma, factor_sigma,
                      beta, seed=args.seed)
 
@@ -137,27 +133,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    # rows go from the file to the engine through one reused buffer, in the
-    # layout of eigencurves_from_panel's chunks: its bytes, with no panel held
-    batches = _panel_batches(getattr(args, "in"), args.compounding)
-    labels = next(batches)
-    taus, scale = _parse_list(args.taus, "taus", int), 1
-
-    def chunks(length):
-        nonlocal scale
-        buffer, filled = np.empty((length, len(labels))), 0
-        for returns, scale in batches:
-            while len(returns):
-                take = min(length - filled, len(returns))
-                buffer[filled:filled + take], returns = returns[:take], returns[take:]
-                filled = (filled + take) % length
-                if not filled:
-                    yield buffer.T
-        if filled:
-            yield buffer[:filled].T
-
-    curves = pipeline._eigencurves(chunks, labels, taus, args.top_k)
-    save_curves(curves, args.out, n_assets=len(labels), base_scale_minutes=float(scale))
+    source = _PanelSource(getattr(args, "in"), args.compounding)
+    taus = _parse_list(args.taus, "taus", int)
+    curves = pipeline._eigencurves(source, source.labels, taus, args.top_k)
+    save_curves(curves, args.out, n_assets=len(source.labels), base_scale_minutes=source.scale)
     print(f"spectrum: {len(curves)} eigenvalue curve(s) over taus {list(taus)} "
           f"(correlation) -> {args.out}")
     return 0

@@ -165,13 +165,6 @@ def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
                        asset_labels=panel.asset_labels)
 
 
-def _centered_moments(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the row means of x (as a column) and its centered cross-product
-    mean = x.mean(axis=1, keepdims=True)
-    centered = x - mean
-    return mean, centered @ centered.T
-
-
 def _correlation(cov: np.ndarray, labels) -> np.ndarray:
     # the normalized covariance; DataError names the first asset with zero variance
     dead = np.flatnonzero(np.diag(cov) <= 0.0)
@@ -185,7 +178,8 @@ def sample_covariance(panel: ReturnPanel) -> ScaleMatrix:
     t = panel.n_steps
     if t < 2:
         raise DataError("at least two observations are required")
-    return ScaleMatrix(_centered_moments(panel.returns)[1] / (t - 1))
+    centered = panel.returns - panel.returns.mean(axis=1, keepdims=True)
+    return ScaleMatrix(centered @ centered.T / (t - 1))
 
 
 def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
@@ -243,12 +237,12 @@ class _ScaleMoments:
     multiples of tau, so floor(T / tau) of them survive: chunks of
     _chunk_length steps are multiples of lcm(taus) where that fits the
     budget, and otherwise each tau carries the few source sums that end a
-    chunk into the next one.  Each tau's (count, mean, centered
-    cross-product) starts empty, (0, 0.0, 0.0), and takes every chunk that
-    yields blocks by the pairwise update of Chan, Golub and LeVeque (1979),
-    so a panel that fits in one chunk gets the dense path's bytes at tau = 1
-    and at every tau summed straight from the base steps.  Nothing here keeps
-    a view of a chunk, so its memory may be reused for the next one.
+    chunk into the next one.  Each tau keeps the count, sum and cross-product
+    of its blocks less a fixed shift, the means of its first blocks (Chan,
+    Golub and LeVeque, 1983), and each chunk adds to them in place.  A panel
+    that fits in one chunk gets the dense path's bytes at tau = 1 and at every
+    tau summed straight from the base steps.  Nothing here keeps a view of a
+    chunk, so its memory may be reused for the next one.
     """
 
     def __init__(self, taus):
@@ -256,7 +250,7 @@ class _ScaleMoments:
                         for i, tau in enumerate(taus)}
         self.last_use = {source: tau for tau, source in self.sources.items()}
         self.tails = {}  # tau -> its source's sums left over at the end of the last chunk
-        self.states = {tau: (0, 0.0, 0.0) for tau in taus}  # (count, mean, cross-product)
+        self.states = {tau: (0, 0.0, 0.0, 0.0) for tau in taus}  # (count, shift, sum, cross)
 
     def add(self, chunk: np.ndarray) -> None:
         sums = {1: chunk}
@@ -270,20 +264,19 @@ class _ScaleMoments:
             x = _block_sums(x, ratio)
             if tau in self.last_use:
                 sums[tau] = x
-            blocks = x.shape[1]
-            if not blocks:
+            if not x.shape[1]:
                 continue
-            mean, cross = _centered_moments(x)
-            count, total_mean, total_cross = self.states[tau]
-            merged = count + blocks
-            delta = mean - total_mean
-            total_cross += cross
-            total_cross += (delta @ delta.T) * (count * blocks / merged)
-            self.states[tau] = (merged, total_mean + delta * (blocks / merged), total_cross)
+            count, shift, total, cross = self.states[tau]
+            shift = shift if count else x.mean(axis=1, keepdims=True)  # first blocks' means
+            x = x - shift
+            total += x.sum(axis=1, keepdims=True)
+            cross += x @ x.T
+            self.states[tau] = (count + x.shape[1], shift, total, cross)
 
     def covariances(self, min_blocks: int) -> list[np.ndarray]:
-        short = [str(tau) for tau, (count, _, _) in self.states.items() if count < min_blocks]
+        short = [str(tau) for tau, (count, *_) in self.states.items() if count < min_blocks]
         if short:
             raise DataError("aggregation scale(s) exceed usable series length: "
                             + ", ".join(short))
-        return [cross / (count - 1) for count, _, cross in self.states.values()]
+        return [(cross - total @ total.T / count) / (count - 1)
+                for count, _, total, cross in self.states.values()]

@@ -17,7 +17,7 @@ one writer formats each row of a source of column blocks as it writes it
 (`leadlag simulate`'s are the simulator's), and the reader reads batches of
 whole lines of about 1 MiB and parses and checks each at once, so a file with
 several faults is refused at the first in file order.  load_panel holds the
-panel and one batch; `leadlag spectrum` copies the batches into one chunk.
+panel and one batch; the engine's CSV source copies the batches into one chunk.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -28,6 +28,7 @@ destination directory followed by an atomic rename; a written file has mode
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
 import itertools
@@ -153,6 +154,19 @@ def _refuse_misread(lines) -> None:
                          "and tabs, or a quote left open")
 
 
+def _shortest_refused(parse, lines) -> tuple[int, ValueError]:
+    # (k, its ValueError) for the shortest prefix lines[:k] that parse() refuses, given
+    # that it refuses lines; loadtxt reads line by line, so longer prefixes are refused too
+    def refusal(count):
+        try:
+            parse(lines[:count])
+        except ValueError as exc:
+            return exc
+
+    k = bisect.bisect_left(range(1, len(lines)), True, key=lambda n: refusal(n) is not None)
+    return k + 1, refusal(k + 1)
+
+
 def _parse_rows(lines, n_assets: int) -> np.ndarray:
     # the one grammar of a panel row: an int64 time index, then n_assets floats
     _refuse_misread(lines)
@@ -167,22 +181,14 @@ def _checked_rows(path, body, numbers, labels, compounding: str, last):
     try:
         table = _parse_rows(body, len(labels))
     except ValueError as exc:
-        # bisect for the first line the grammar rejects, then re-parse that line
-        # alone for numpy's reason
-        lo, hi = 0, len(body)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _parse_rows(body[lo:mid], len(labels))
-                lo = mid
-            except ValueError:
-                hi = mid
+        # the first line the grammar rejects, re-parsed alone for numpy's reason
+        k, _ = _shortest_refused(lambda lines: _parse_rows(lines, len(labels)), body)
         try:
-            _parse_rows(body[lo:hi], len(labels))
+            _parse_rows(body[k - 1:k], len(labels))
         except ValueError as line_exc:
-            if lo:  # a fault in the lines before it comes first
-                _checked_rows(path, body[:lo], numbers, labels, compounding, last)
-            raise DataError(f"{path}: line {numbers[lo]}: bad time index or return "
+            if k > 1:  # a fault in the lines before it comes first
+                _checked_rows(path, body[:k - 1], numbers, labels, compounding, last)
+            raise DataError(f"{path}: line {numbers[k - 1]}: bad time index or return "
                             f"value ({line_exc})") from line_exc
         raise DataError(f"{path}: {exc}") from exc
 
@@ -243,6 +249,27 @@ def _panel_batches(path, compounding: str):
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not last.size:
         raise DataError(f"{path}: no data rows")
+
+
+class _PanelSource:
+    # a panel CSV as the engine's chunk source; a call yields its rows through one reused
+    # (length, N) buffer, F-ordered as load_panel's panel (so its curves); `scale` is its bar length
+
+    def __init__(self, path, compounding: str):
+        self.batches = _panel_batches(path, compounding)
+        self.labels, self.scale = next(self.batches), 1
+
+    def __call__(self, length):
+        buffer, filled = np.empty((length, len(self.labels))), 0
+        for returns, self.scale in self.batches:
+            while len(returns):
+                take = min(length - filled, len(returns))
+                buffer[filled:filled + take], returns = returns[:take], returns[take:]
+                filled = (filled + take) % length
+                if not filled:
+                    yield buffer.T
+        if filled:
+            yield buffer[:filled].T
 
 
 def load_panel(path) -> ReturnPanel:

@@ -869,6 +869,34 @@ class TestMalformedInput:
                    "--steps", "8", "--out", str(tmp_path / "p.csv")) == 2
         assert capsys.readouterr().err == "error: beta entries must all be finite\n"
 
+    @pytest.mark.parametrize("text, assets, factors, shape", [
+        ("0.5\n0.4\n0.3\n", "3", "2", "(3, 1)"), ("0.5,0.1\n0.4,0.2\n", "3", "2", "(2, 2)"),
+        ("0.5,0.4,0.3\n", "3", "1", "(1, 3)")], ids=["columns", "rows", "transposed"])
+    def test_beta_file_shape_names_the_file(self, tmp_path, capsys, text, assets, factors,
+                                            shape):
+        # the same fault as in a spec file, a data error naming the file
+        beta = tmp_path / "beta.csv"
+        beta.write_text(text)
+        err = self.assert_data_error(capsys, "simulate", "--assets", assets, "--factors",
+                                     factors, "--alpha", "0.2", "--beta-file", str(beta),
+                                     "--steps", "8", "--out", str(tmp_path / "p.csv"))
+        assert err == (f"data error: beta file {beta}: shape {shape}, not --assets x "
+                       f"--factors ({assets}, {factors})\n")
+        assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("assets, factors, name", [("0", "1", "n_assets"),
+                                                       ("3", "0", "n_factors")])
+    def test_beta_file_with_bad_counts_is_a_usage_error(self, tmp_path, capsys, assets,
+                                                        factors, name):
+        # --assets and --factors are checked before the file is read
+        beta = tmp_path / "beta.csv"
+        beta.write_text("0.5\n0.4\n0.3\n")
+        assert run("simulate", "--assets", assets, "--factors", factors, "--alpha", "0.2",
+                   "--beta-file", str(beta), "--steps", "8",
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert capsys.readouterr().err == f"error: {name} must lie in [1, inf], got 0\n"
+        assert not (tmp_path / "p.csv").exists()
+
     @pytest.mark.parametrize("text", ["", "\n\n"])
     def test_beta_file_empty(self, tmp_path, capsys, text):
         # a data error, and no numpy warning before it

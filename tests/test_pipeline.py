@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
                      dense_eigenvalues, eigencurves_from_panel, moments,
@@ -141,8 +143,8 @@ def test_two_accumulators_on_one_stream_are_two_passes():
 
 @pytest.mark.parametrize("taus", [DYADIC, ONE_TO_16])
 def test_engine_covariances_are_exactly_symmetric(taus):
-    # nothing symmetrizes them: each entry of x @ x.T and of the merge's
-    # delta @ delta.T comes back equal to its mirror, over several chunks of
+    # nothing symmetrizes them: each entry of the added x @ x.T and of the
+    # final sum @ sum.T comes back equal to its mirror, over several chunks of
     # either kind of source, a panel's views and the simulator's blocks
     spec = ModelSpec.single_factor(100, 0.3, 0.4, seed=2)
     n_steps = 5000 + 77
@@ -151,6 +153,40 @@ def test_engine_covariances_are_exactly_symmetric(taus):
                    _emitted_blocks(spec, n_steps, stationary_burn_in(spec.alpha), 1024)):
         for cov in accumulated(chunks, taus)[0]:
             assert np.array_equal(cov, cov.T)
+
+
+GRIDS = st.one_of(  # dyadic, arbitrary, and with an lcm beyond every chunk
+    st.integers(1, 7).map(lambda k: DYADIC[:k + 1]),
+    st.lists(st.integers(1, 24), min_size=1, max_size=5, unique=True).map(sorted),
+    st.sampled_from([ONE_TO_16, (1, 5, 7, 9, 11)]))
+
+
+@settings(derandomize=True)
+@given(taus=GRIDS, n_assets=st.integers(2, 12), extra=st.integers(0, 1500),
+       parts=st.integers(1, 64), offset=st.floats(-1e3, 1e3), jump=st.floats(0.0, 1e4),
+       seed=st.integers(0, 2**32 - 1))
+def test_shifted_totals_match_the_dense_covariance(taus, n_assets, extra, parts, offset,
+                                                   jump, seed):
+    # each scale's shift is the mean of its first blocks.  After the first
+    # chunk, at least 1/64 of the steps, every asset's mean moves by up to
+    # `jump` sd, so the totals grow far beyond the covariance they must give:
+    # they lose about eps / (that share) of it.  Returns lie on a grid of 2^-20
+    # (times a power of two per asset), so every block sum is exact in any order
+    # and the bound measures the totals alone, not the cascade's rounding.
+    taus = tuple(taus)
+    rng = np.random.default_rng(seed)
+    n_steps = 2 * taus[-1] + extra
+    chunk = -(-n_steps // parts)
+    returns = (rng.normal(size=(n_assets, n_steps)) + rng.normal(size=n_steps)) / math.sqrt(2)
+    returns += offset
+    returns[:, chunk:] += jump * rng.uniform(-1.0, 1.0, size=(n_assets, 1))
+    returns = np.round(returns * 2**20) * 2.0 ** rng.integers(-28, -11, size=(n_assets, 1))
+    panel = ReturnPanel(returns)
+    covs = accumulated(moments._panel_chunks(returns, chunk), taus)[0]
+    for tau, cov in zip(taus, covs):
+        oracle = sample_covariance(aggregate_returns(panel, tau)).values
+        sd = np.sqrt(np.diag(oracle))
+        assert np.max(np.abs(cov - oracle) / np.outer(sd, sd)) <= 1e-12, tau
 
 
 def test_chunk_length_on_the_dyadic_ladder():
