@@ -202,20 +202,26 @@ def _chunk_length(n_assets: int, taus) -> int:
 
 
 def _block_sums(x: np.ndarray, ratio: int) -> np.ndarray:
-    # sums of `ratio` consecutive columns of x, a trailing remainder dropped,
-    # with aggregate_returns' bytes (up to the sign of a zero).  numpy adds
-    # fewer than 8 terms left to right, which strided adds do in the same
-    # order and faster (long-panel's curves on 2 cores: 1.8-2.1 s, 3.8-4.0 s
-    # with the reduction alone); from 8 terms on numpy sums pairwise.
+    # sums of `ratio` consecutive columns of x, a trailing remainder dropped, by strided adds,
+    # faster than numpy's reduction (long-panel's curves, 2 cores: 1.8-2.1 s against 3.8-4.0 s)
     if ratio == 1:
         return x
     end = x.shape[1] // ratio * ratio
-    if ratio >= 8:
-        return x[:, :end].reshape(x.shape[0], -1, ratio).sum(axis=2)
     sums = x[:, 0:end:ratio] + x[:, 1:end:ratio]
     for k in range(2, ratio):
         sums += x[:, k:end:ratio]
     return sums
+
+
+def _contrasts(x: np.ndarray, ratio: int) -> list[np.ndarray]:
+    # sqrt(2) times the ratio - 1 orthonormal Helmert contrasts of each whole group of `ratio`
+    # columns of x: its cross-product is 1/ratio of its sum's plus half of theirs (a - b at 2)
+    end = x.shape[1] // ratio * ratio
+    head, parts = x[:, 0:end:ratio], [x[:, 0:end:ratio] - x[:, 1:end:ratio]]
+    for j in range(2, ratio):
+        head = head + x[:, j - 1:end:ratio]
+        parts.append((head - j * x[:, j:end:ratio]) * math.sqrt(2 / (j * j + j)))
+    return parts
 
 
 def _panel_chunks(returns: np.ndarray, length: int) -> Iterator[np.ndarray]:
@@ -230,30 +236,32 @@ class _ScaleMoments:
 
     covariances(min_blocks) equals sample_covariance(aggregate_returns(panel,
     tau)) to rounding, and refuses short scales: DataError lists every tau
-    that left fewer than `min_blocks` (>= 2) blocks.  Within a chunk a
-    scale's block sums are summed from those of the largest earlier grid
-    scale dividing it (the dyadic cascade on the dyadic ladder), and are
-    dropped once the last scale summed from them is done.  Blocks start at
-    multiples of tau, so floor(T / tau) of them survive: chunks of
-    _chunk_length steps are multiples of lcm(taus) where that fits the
-    budget, and otherwise each tau carries the few source sums that end a
-    chunk into the next one.  Each tau keeps the count, sum and cross-product
-    of its blocks less a fixed shift, the means of its first blocks (Chan,
-    Golub and LeVeque, 1983), and each chunk adds to them in place.  A panel
-    that fits in one chunk gets the dense path's bytes at tau = 1 and at every
-    tau summed straight from the base steps.  Nothing here keeps a view of a
-    chunk, so its memory may be reused for the next one.
+    that left fewer than `min_blocks` (>= 2) blocks.  A scale's block sums
+    start at multiples of tau and are summed from its source's, the largest
+    earlier grid scale dividing it; those ending a chunk in no block carry
+    over.  A tau-block is shifted by tau times the first chunk's row means
+    (Chan, Golub and LeVeque, 1983), so totals add.  A source takes its
+    cross-product from its first child c, its heir: r = c/tau blocks have 1/r
+    of their sum's plus half that of sqrt(2) times their r - 1 Helmert
+    contrasts (Lancaster 1965; a - b at r = 2, the Haar split).  Only the
+    sources' contrasts and the leaves' shifted sums are multiplied (T columns
+    on the dyadic ladder), then each heir's final tail.  No chunk view is kept.
     """
 
     def __init__(self, taus):
         self.sources = {tau: max(s for s in (1, *taus[:i]) if tau % s == 0)
                         for i, tau in enumerate(taus)}
         self.last_use = {source: tau for tau, source in self.sources.items()}
-        self.tails = {}  # tau -> its source's sums left over at the end of the last chunk
-        self.states = {tau: (0, 0.0, 0.0, 0.0) for tau in taus}  # (count, shift, sum, cross)
+        self.heirs = {source: tau for tau, source in reversed(self.sources.items())
+                      if source in self.sources and source < tau}
+        self.steps, self.shift, self.tails = 0, None, {}  # tails[tau]: its source's leftover sums
+        self.cross = dict.fromkeys(taus, 0.0)  # a source's contrast product, a leaf's own
+        self.pending = {tau: [] for tau in taus}  # the columns not yet in self.cross
+        self.totals = dict.fromkeys(taus, 0.0)  # a leaf's shifted block sums, summed
 
     def add(self, chunk: np.ndarray) -> None:
-        sums = {1: chunk}
+        self.shift = chunk.mean(axis=1, keepdims=True) if self.shift is None else self.shift
+        self.steps, sums = self.steps + chunk.shape[1], {1: chunk}
         for tau, source in self.sources.items():
             x = sums.pop(source) if self.last_use[source] == tau else sums[source]
             if tau in self.tails:
@@ -261,22 +269,39 @@ class _ScaleMoments:
             ratio = tau // source
             if x.shape[1] % ratio:
                 self.tails[tau] = x[:, x.shape[1] // ratio * ratio:].copy()
+            if self.heirs.get(source) == tau:
+                self._multiply(source, _contrasts(x, ratio))
             x = _block_sums(x, ratio)
             if tau in self.last_use:
                 sums[tau] = x
-            if not x.shape[1]:
-                continue
-            count, shift, total, cross = self.states[tau]
-            shift = shift if count else x.mean(axis=1, keepdims=True)  # first blocks' means
-            x = x - shift
-            total += x.sum(axis=1, keepdims=True)
-            cross += x @ x.T
-            self.states[tau] = (count + x.shape[1], shift, total, cross)
+            if tau not in self.heirs and x.shape[1]:
+                x = x - tau * self.shift
+                self.totals[tau] += x.sum(axis=1, keepdims=True)
+                self._multiply(tau, [x])
+
+    def _multiply(self, tau, blocks) -> None:
+        # tau's columns go into its cross-product once N / 8 are pending: a chunk's
+        # at once at most scales, fewer and wider products at the top few
+        pending = self.pending[tau] = self.pending[tau] + blocks
+        if 8 * sum(block.shape[1] for block in pending) >= len(blocks[0]):
+            x = pending[0] if len(pending) == 1 else np.concatenate(pending, axis=1)
+            self.cross[tau] += x @ x.T
+            pending.clear()
 
     def covariances(self, min_blocks: int) -> list[np.ndarray]:
-        short = [str(tau) for tau, (count, *_) in self.states.items() if count < min_blocks]
-        if short:
+        if short := [str(tau) for tau in self.sources if self.steps // tau < min_blocks]:
             raise DataError("aggregation scale(s) exceed usable series length: "
                             + ", ".join(short))
-        return [(cross - total @ total.T / count) / (count - 1)
-                for count, _, total, cross in self.states.values()]
+        derived, covs = {}, {}  # tau -> its (cross, sum) until its source takes them
+        for tau in reversed(self.sources):  # in place on new arrays, for fewer N x N at once
+            x = np.concatenate([self.shift[:, :0], *self.pending[tau]], axis=1)
+            cross, total, heir = x @ x.T + self.cross[tau], self.totals[tau], self.heirs.get(tau)
+            if heir:
+                orphans = self.tails.get(heir, self.shift[:, :0]) - tau * self.shift
+                cross /= 2
+                cross += orphans @ orphans.T
+                cross += derived[heir][0] / (heir // tau)
+                total = derived.pop(heir)[1] + orphans.sum(axis=1, keepdims=True)
+            derived[tau], count = (cross, total), self.steps // tau
+            covs[tau] = (cross - total @ total.T / count) / (count - 1)
+        return [covs[tau] for tau in self.sources]

@@ -8,8 +8,14 @@ equal-loading closed form, an LU determinant or mpmath at 40-50 digits.
 These stay the reference side of every dual-route check.  The one-piece panel assembly reuses the package's
 factor recursion, which its own test pins to scipy's lfilter bit for bit, and
 sums its factor terms by an explicit multiply-add over the factors, with no
-BLAS call, no einsum and none of the simulator's blocks.
+BLAS call, no einsum and none of the simulator's blocks.  The reference panel
+reader is built from the README's *File formats* section alone, with regular
+expressions where the package uses numpy's loadtxt.
 """
+
+import csv
+import math
+import re
 
 import mpmath
 import numpy as np
@@ -164,3 +170,56 @@ def mp_eigenvalue_count(rho, lam: float, digits: int = 40) -> int:
         lam = mpmath.mpf(float(lam))
         secular = mpmath.fsum(x**2 / (lam - di) for x, di in zip(r, d) if x != 0)
         return sum(di > lam for di in d) + int(secular > 1)
+
+
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_LINE_SEPARATORS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+_INDEX = r"[+-]?[0-9]+"
+_DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+
+
+def _number(token: str, grammar: str):
+    # the number a row token holds: blanks are spaces and tabs, quotes optional
+    match = re.fullmatch(rf'[ \t]*(?:({grammar})|"({grammar})")[ \t]*', token)
+    return match and (match[1] or match[2])
+
+
+def reference_panel(text: str):
+    """The panel CSV `text` as the README's *File formats* reads it:
+    (labels, base_scale, (N, T) returns), or the first physical line it
+    refuses, or None for a file with no data rows.
+
+    Lines break at LF, CRLF and CR after an optional leading BOM.  Line 1 is
+    strict CSV, `time` (in any case) then labels, stripped, each non-empty,
+    distinct and free of line separators.  Every non-empty later line is an
+    int64 time index and one ASCII decimal per label, finite, with the time
+    indices strictly increasing; a uniform stride is the bar length, else 1.
+    """
+    lines = _LINE_BREAK.split(text.removeprefix("\ufeff"))
+    try:
+        header = next(csv.reader([lines[0]], strict=True), [])
+    except csv.Error:
+        return 1
+    labels = tuple(label.strip() for label in header[1:])
+    if (not labels or header[0].strip().lower() != "time" or not all(labels)
+            or len(set(labels)) < len(labels)
+            or any(c in _LINE_SEPARATORS for c in "".join(labels))):
+        return 1
+    times, rows = [], []
+    for number, line in enumerate(lines[1:], 2):
+        if not line:
+            continue
+        tokens = line.split(",")
+        fields = [_number(token, _DECIMAL if k else _INDEX) for k, token in enumerate(tokens)]
+        if len(fields) != len(labels) + 1 or not all(fields):
+            return number
+        row = [float(field) for field in fields[1:]]
+        if (not -2**63 <= int(fields[0]) < 2**63 or not all(map(math.isfinite, row))
+                or times and int(fields[0]) <= times[-1]):
+            return number
+        times.append(int(fields[0]))
+        rows.append(row)
+    if not rows:
+        return None
+    strides = {later - earlier for earlier, later in zip(times, times[1:])}
+    return labels, strides.pop() if len(strides) == 1 else 1, np.array(rows).T

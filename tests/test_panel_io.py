@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, ValidationError,
@@ -16,6 +16,7 @@ from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, ValidationEr
                      load_panel, panel_io, sample_correlation, save_curves,
                      save_fits)
 from leadlag.panel_io import save_panel
+from oracles import reference_panel
 
 
 def write(tmp_path, name, text):
@@ -410,6 +411,52 @@ class TestPanelLabels:
         # strict CSV still reads a quoted ',' and a doubled '"' as label text
         path = write(tmp_path, "p.csv", 'time,"a,b","c""d"\n0,0.1,0.2\n1,0.3,0.4\n')
         assert load_panel(path).asset_labels == ("a,b", 'c"d')
+
+
+# the grammar's alphabet: quotes, commas, blanks, the BOM, line breaks and
+# separators, other Unicode spaces, comments, digit separators, signs,
+# exponents, non-finite words and digits, ASCII and not
+PIECES = ('"', ",", " ", "\t", "\ufeff", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1f",
+          "\x85", "\u2028", "\u2029", "\u00a0", "\u2003", "\u3000", "#", "_", "+", "-",
+          "e", "E", ".", "nan", "inf", "0", "7", "\u0661")
+
+
+@st.composite
+def mutated_panel_texts(draw):
+    # a valid panel CSV, then up to four pieces inserted or put in place of a character
+    n_assets = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(["A", "b c", '"d,e"', '"f""g"', " h"]),
+                           min_size=n_assets, max_size=n_assets, unique=True))
+    times = sorted(draw(st.sets(st.integers(-9, 60), min_size=1, max_size=4)))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+        ["0.1", "-2.5e-07", "+1", '"0.5"', " 3 ", "\t-0", ".5", "5."])
+    lines = [",".join(["time", *labels])] + [
+        ",".join([str(t), *(draw(number) for _ in labels)]) for t in times]
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(PIECES)) + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(derandomize=True, max_examples=600)
+@given(text=mutated_panel_texts())
+def test_reader_accepts_exactly_what_the_file_format_allows(tmp_path_factory, text):
+    # load_panel against tests/oracles.reference_panel, the README's grammar:
+    # the same labels, bar length and return bits, or a DataError naming the
+    # first physical line the grammar refuses
+    path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = reference_panel(text)
+    if isinstance(expected, tuple):
+        panel = load_panel(path)
+        assert (panel.asset_labels, panel.base_scale) == expected[:2]
+        assert panel.returns.tobytes() == expected[2].tobytes()
+    else:
+        with pytest.raises(DataError) as refused:
+            load_panel(path)
+        assert (f": line {expected}: " if expected else ": no data rows") in str(refused.value)
 
 
 class TestResultsJson:

@@ -4,7 +4,7 @@ eigencurves_from_model streams the simulator's chunks with no panel built.
 Its curves must equal the dense path's, which builds every scale in full:
 aggregate_returns, then sample_correlation, then dense_eigenvalues; and the
 covariances of its accumulator, moments._ScaleMoments, must equal
-sample_covariance's.  The chunked comparisons shrink the chunk budget so that
+sample_covariance's to rounding.  The chunked comparisons shrink the chunk budget so that
 each case spans at least three chunks.  A grid whose lcm fits the budget gets
 chunks that are multiples of it; a grid such as 1..16 (lcm 720,720) gets
 budget-sized chunks, and each tau carries its source's leftover sums across
@@ -109,14 +109,25 @@ def test_collinear_assets_are_a_data_error(seed):
         eigencurves_from_panel(panel, (1, 2, 4, 8), top_k=5)
 
 
+def scaled_error(cov, oracle):
+    # the largest entry of |cov - oracle| / (sd_i sd_j), the oracle's sds
+    sd = np.sqrt(np.diag(oracle))
+    return np.max(np.abs(cov - oracle) / np.outer(sd, sd))
+
+
 @pytest.mark.parametrize("kind", ["correlation", "covariance"])
-def test_single_chunk_base_sums_are_bit_exact(kind):
-    # 2, 3, 5 and 11 are each summed straight from the base steps, as in the
-    # dense path: fewer than 8 terms by strided adds, 11 by numpy's pairwise sum
+def test_single_chunk_matches_the_dense_path_to_rounding(kind):
+    # 2, 3, 5 and 11 are summed straight from the base steps, but the engine
+    # shifts every block by one base shift and takes tau = 1's cross-product
+    # from its heir 2: so not the dense bytes, only the property test's 1e-12;
+    # a second run gives the same bytes
     panel = simulate_panel(ModelSpec.single_factor(5, 0.3, 0.4, seed=3), 3001)
     taus = (1, 2, 3, 5, 11)
-    first = streamed(panel, taus, 5, kind)
-    assert np.array_equal(first, dense(panel, taus, 5, kind))
+    first, oracle = streamed(panel, taus, 5, kind), dense(panel, taus, 5, kind)
+    if kind == "covariance":
+        assert max(scaled_error(cov, dense_cov) for cov, dense_cov in zip(first, oracle)) <= 1e-12
+    else:
+        np.testing.assert_allclose(first, oracle, rtol=1e-12, atol=0)
     assert np.array_equal(first, streamed(panel, taus, 5, kind))
 
 
@@ -187,6 +198,28 @@ def test_shifted_totals_match_the_dense_covariance(taus, n_assets, extra, parts,
         oracle = sample_covariance(aggregate_returns(panel, tau)).values
         sd = np.sqrt(np.diag(oracle))
         assert np.max(np.abs(cov - oracle) / np.outer(sd, sd)) <= 1e-12, tau
+
+
+def test_every_derived_scale_folds_in_its_orphan_blocks():
+    # 1 takes its cross-product from 3 (Helmert contrasts, ratio 3) and 3 from
+    # 15 (ratio 5); 2 * 15 * 40 + 14 steps leave 2 base steps after the last
+    # 3-block and 4 3-blocks after the last 15-block, which enter only as the
+    # heirs' last tails, over 4 chunks of up to 401 steps that split groups of
+    # either ratio.  Offset returns on a 2^-20 grid: every block sum is exact.
+    taus = (1, 3, 15)
+    rng = np.random.default_rng(7)
+    returns = rng.normal(size=(5, 2 * 15 * 40 + 14)) + rng.normal(size=2 * 15 * 40 + 14)
+    returns = np.round((returns + 10.0) * 2**20) / 2**20
+    scales = moments._ScaleMoments(taus)
+    for chunk in moments._panel_chunks(returns, 401):
+        scales.add(chunk)
+    assert scales.heirs == {1: 3, 3: 15}
+    assert {heir: scales.tails[heir].shape[1] for heir in (3, 15)} == {3: 2, 15: 4}
+    first = scales.covariances(2)
+    for tau, cov in zip(taus, first):
+        oracle = sample_covariance(aggregate_returns(ReturnPanel(returns), tau)).values
+        assert scaled_error(cov, oracle) <= 1e-12, tau
+    assert [cov.tobytes() for cov in scales.covariances(2)] == [cov.tobytes() for cov in first]
 
 
 def test_chunk_length_on_the_dyadic_ladder():
