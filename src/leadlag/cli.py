@@ -23,10 +23,9 @@ import numpy as np
 
 from . import pipeline
 from .errors import ConvergenceError, DataError, ValidationError, _integer
-from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
-from .panel_io import (load_curves, load_fits, save_curves, save_fits,
-                       _atomic_write_text, _PanelSource, _read_json_object, _read_text,
-                       _refuse_misread, _shortest_refused, _write_panel)
+from .model import ModelSpec, _checked_steps, _default_labels, _emitted_blocks
+from .panel_io import (load_curves, load_fits, save_curves, save_fits, _atomic_write_text,
+                       _PanelSource, _read_beta_file, _read_json_object, _write_panel)
 # not called here; benchmark/tracing.py wraps these names in this module
 from .model import simulate_panel  # noqa: F401
 from .panel_io import load_panel, save_panel  # noqa: F401
@@ -51,34 +50,6 @@ def _parse_list(text: str, name: str, kind=float) -> list:
 def _scalar_or_vector(text: str, name: str):
     values = _parse_list(text, name)
     return values[0] if len(values) == 1 else np.asarray(values)
-
-
-def _read_beta_file(path, shape) -> np.ndarray:
-    # _read_text makes CR and CRLF into LF.  A refusal names the last line of the
-    # shortest prefix refused (a ragged line parses alone), less numpy's row count
-    lines = _read_text(path, "beta file ").split("\n")
-    numbers = [n for n, text in enumerate(lines, 1) if text]
-    if not numbers:
-        raise DataError(f"beta file {path}: no data")
-
-    def parse(rows):
-        _refuse_misread(rows)
-        return np.loadtxt(rows, delimiter=",", comments=None, quotechar='"', ndmin=2)
-
-    rows = [lines[n - 1] for n in numbers]
-    try:
-        beta = parse(rows)
-    except ValueError as exc:
-        hi, exc = _shortest_refused(parse, rows)
-        reason = str(exc).rsplit(" at row ", 1)[0]
-        raise DataError(f"beta file {path}: line {numbers[hi - 1]}: {reason}") from exc
-    if beta.shape != shape:
-        raise DataError(f"beta file {path}: shape {beta.shape}, not --assets x --factors {shape}")
-    bad = ~np.isfinite(beta).all(axis=1)
-    if bad.any():
-        raise DataError(f"beta file {path}: line {numbers[int(bad.argmax())]}: "
-                        "beta entries must all be finite")
-    return beta
 
 
 def _spec_from_args(args) -> ModelSpec:
@@ -122,8 +93,7 @@ def _spec_from_args(args) -> ModelSpec:
 
 def _cmd_simulate(args) -> int:
     spec = _spec_from_args(args)
-    burn_in = stationary_burn_in(spec.alpha) if args.burn_in is None else args.burn_in
-    n_steps, burn_in = _integer(args.steps, "n_steps"), _integer(burn_in, "burn_in", minimum=0)
+    n_steps, burn_in = _checked_steps(spec, args.steps, args.burn_in)
     _write_panel(args.out, _default_labels(spec.n_assets), 1, n_steps,
                  _emitted_blocks(spec, n_steps, burn_in, 1024))
     print(f"simulated panel: {spec.n_assets} assets x {n_steps} steps "

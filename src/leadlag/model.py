@@ -221,6 +221,13 @@ def stationary_burn_in(alpha: float, tolerance: float = 1e-15) -> int:
     return k
 
 
+def _checked_steps(spec: ModelSpec, n_steps, burn_in=None) -> tuple[int, int]:
+    # a simulation's checked (n_steps, burn_in); burn_in defaults to stationary_burn_in(alpha)
+    n_steps = _integer(n_steps, "n_steps")
+    burn_in = stationary_burn_in(spec.alpha) if burn_in is None else burn_in
+    return n_steps, _integer(burn_in, "burn_in", minimum=0)
+
+
 def _smooth_factors(alpha: float, shocks: np.ndarray, state: np.ndarray):
     # S(t) = R(t) + alpha * S(t-1) along each row of the C-contiguous (F, T)
     # `shocks`, overwritten in place.  `state` (F, 1) follows lfilter's `zi`
@@ -316,9 +323,6 @@ def simulate_panel(spec: ModelSpec, n_steps: int, burn_in: int | None = None) ->
     length) parts, each drawn into its own slice of that row and each asset
     from its own stream, so the CPU count changes no byte.
     """
-    n_steps = _integer(n_steps, "n_steps")
-    if burn_in is None:
-        burn_in = stationary_burn_in(spec.alpha)
-    burn_in = _integer(burn_in, "burn_in", minimum=0)
+    n_steps, burn_in = _checked_steps(spec, n_steps, burn_in)
     (panel,) = _emitted_blocks(spec, n_steps, burn_in, n_steps)
     return ReturnPanel(panel)

@@ -1,4 +1,4 @@
-"""Ingestion and persistence for panels, curves and fits.
+"""Ingestion and persistence for panels, curves and fits; the beta file's reader.
 
 Panel CSV format (UTF-8, a leading byte-order mark ignored; LF, CRLF or CR;
 a row's blanks are spaces and tabs, and one holding other whitespace is refused):
@@ -18,6 +18,7 @@ one writer formats each row of a source of column blocks as it writes it
 whole lines of about 1 MiB and parses and checks each at once, so a file with
 several faults is refused at the first in file order.  load_panel holds the
 panel and one batch; the engine's CSV source copies the batches into one chunk.
+A beta file's rows share the number grammar, and its refusals come the same way.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -35,6 +36,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Sequence
@@ -58,6 +60,7 @@ SCHEMA_VERSION = 1
 
 _READ_CHARS = 1 << 20  # a panel CSV's readlines hint: characters per batch of lines
 _ASCII_SPACES = "\v\f\x1c\x1d\x1e\x1f"  # the ASCII str.isspace characters but " \t\n\r"
+_QUOTED_NUMBER = re.compile(r'(?<![^,\r\n])"[^"\s]*"(?![^,\r\n])')  # a whole field in quotes
 
 
 def _read_text(path, what: str = "") -> str:
@@ -142,36 +145,38 @@ def save_panel(panel: ReturnPanel, path) -> None:
     _write_panel(path, panel.asset_labels, panel.base_scale, panel.n_steps, (panel.returns,))
 
 
-def _refuse_misread(lines) -> None:
-    # ValueError if numpy would misread one of `lines`: it takes any isspace
-    # character but a row's spaces, tabs and own LF or CR for a blank (ASCII
-    # text, O(1) to tell, holds six), and closes an open quote on a later line
+def _loadtxt(lines, dtype, ndmin: int) -> np.ndarray:
+    # np.loadtxt in the rows' one grammar, refusing a line numpy would misread: any isspace
+    # character but spaces, tabs and its LF or CR (ASCII text, O(1) to tell, holds six), a
+    # quote left open or a quoted field not a number between quotes alone (numpy joins them)
     text = "".join(lines)
     spaces = _ASCII_SPACES if text.isascii() else set(text).difference(" \t\n\r")
     if (any(c.isspace() and c in text for c in spaces)
             or '"' in text and any(line.count('"') % 2 for line in lines)):
         raise ValueError("could not convert a line holding whitespace other than spaces "
                          "and tabs, or a quote left open")
+    table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"', ndmin=ndmin)
+    if '"' in text and any('"' in _QUOTED_NUMBER.sub("", line) for line in lines):
+        raise ValueError("could not convert a field holding more than a number between quotes")
+    return table
 
 
-def _shortest_refused(parse, lines) -> tuple[int, ValueError]:
-    # (k, its ValueError) for the shortest prefix lines[:k] that parse() refuses, given
-    # that it refuses lines; loadtxt reads line by line, so longer prefixes are refused too
+def _first_refused(parse, lines) -> tuple[int, str]:
+    # (k, the reason) for lines[k - 1], the first line parse() refuses, given that it refuses
+    # `lines` (loadtxt reads line by line), less numpy's row count of the nonempty lines
     def refusal(count):
         try:
             parse(lines[:count])
         except ValueError as exc:
             return exc
 
-    k = bisect.bisect_left(range(1, len(lines)), True, key=lambda n: refusal(n) is not None)
-    return k + 1, refusal(k + 1)
+    k = bisect.bisect_left(range(1, len(lines)), True, key=lambda n: refusal(n) is not None) + 1
+    return k, str(refusal(k)).rsplit(" at row ", 1)[0]
 
 
 def _parse_rows(lines, n_assets: int) -> np.ndarray:
-    # the one grammar of a panel row: an int64 time index, then n_assets floats
-    _refuse_misread(lines)
-    return np.loadtxt(lines, dtype=[("time", np.int64), ("returns", np.float64, (n_assets,))],
-                      delimiter=",", comments=None, quotechar='"', ndmin=1)
+    # a panel row: an int64 time index, then n_assets floats
+    return _loadtxt(lines, [("time", np.int64), ("returns", np.float64, (n_assets,))], 1)
 
 
 def _checked_rows(path, body, numbers, labels, compounding: str, last):
@@ -181,16 +186,11 @@ def _checked_rows(path, body, numbers, labels, compounding: str, last):
     try:
         table = _parse_rows(body, len(labels))
     except ValueError as exc:
-        # the first line the grammar rejects, re-parsed alone for numpy's reason
-        k, _ = _shortest_refused(lambda lines: _parse_rows(lines, len(labels)), body)
-        try:
-            _parse_rows(body[k - 1:k], len(labels))
-        except ValueError as line_exc:
-            if k > 1:  # a fault in the lines before it comes first
-                _checked_rows(path, body[:k - 1], numbers, labels, compounding, last)
-            raise DataError(f"{path}: line {numbers[k - 1]}: bad time index or return "
-                            f"value ({line_exc})") from line_exc
-        raise DataError(f"{path}: {exc}") from exc
+        k, reason = _first_refused(lambda lines: _parse_rows(lines, len(labels)), body)
+        if k > 1:  # a fault in the lines before it comes first
+            _checked_rows(path, body[:k - 1], numbers, labels, compounding, last)
+        raise DataError(f"{path}: line {numbers[k - 1]}: bad time index or return "
+                        f"value ({reason})") from exc
 
     returns = np.array(table["returns"])
     bad = ~np.isfinite(returns)
@@ -249,6 +249,32 @@ def _panel_batches(path, compounding: str):
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     if not last.size:
         raise DataError(f"{path}: no data rows")
+
+
+def _parse_beta(lines) -> np.ndarray:
+    # a beta file's row: finite floats, as many as on the first row
+    beta = _loadtxt(lines, np.float64, 2)
+    if not np.isfinite(beta).all():
+        raise ValueError("beta entries must all be finite")
+    return beta
+
+
+def _read_beta_file(path, shape) -> np.ndarray:
+    # `leadlag simulate --beta-file`'s loadings, refused at the first fault in file order
+    # like a panel's rows; _read_text makes CR and CRLF into LF, where a panel's rows break
+    lines = _read_text(path, "beta file ").split("\n")
+    numbers = [n for n, text in enumerate(lines, 1) if text]
+    if not numbers:
+        raise DataError(f"beta file {path}: no data")
+    rows = [lines[n - 1] for n in numbers]
+    try:
+        beta = _parse_beta(rows)
+    except ValueError as exc:
+        k, reason = _first_refused(_parse_beta, rows)
+        raise DataError(f"beta file {path}: line {numbers[k - 1]}: {reason}") from exc
+    if beta.shape != shape:
+        raise DataError(f"beta file {path}: shape {beta.shape}, not --assets x --factors {shape}")
+    return beta
 
 
 class _PanelSource:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DataError, ValidationError, _integer, _real, _tau_grid
 from .fitting import EigenCurve, FitResult, _check_run, fit_eigencurve
-from .model import ModelSpec, _default_labels, _emitted_blocks, stationary_burn_in
+from .model import ModelSpec, _checked_steps, _default_labels, _emitted_blocks
 from .moments import ScaleMatrix, _ScaleMoments, _chunk_length, _correlation, _panel_chunks
 # not called here; benchmark/tracing.py wraps these names in this module
 from .model import simulate_panel  # noqa: F401
@@ -87,7 +87,7 @@ def eigencurves_from_model(spec: ModelSpec, n_steps: int, taus=DYADIC_TAUS,
     The simulator emits the panel's steps chunk by chunk into the engine, so
     memory is a few chunks (16 MiB or 12,000 steps), whatever n_steps is.
     """
-    n_steps, burn_in = _integer(n_steps, "n_steps"), stationary_burn_in(spec.alpha)
+    n_steps, burn_in = _checked_steps(spec, n_steps)
     return _eigencurves(lambda length: _emitted_blocks(spec, n_steps, burn_in, length),
                         _default_labels(spec.n_assets), taus, top_k)
 

@@ -9,8 +9,8 @@ These stay the reference side of every dual-route check.  The one-piece panel as
 factor recursion, which its own test pins to scipy's lfilter bit for bit, and
 sums its factor terms by an explicit multiply-add over the factors, with no
 BLAS call, no einsum and none of the simulator's blocks.  The reference panel
-reader is built from the README's *File formats* section alone, with regular
-expressions where the package uses numpy's loadtxt.
+and beta-file readers are built from the README's *File formats* section
+alone, with regular expressions where the package uses numpy's loadtxt.
 """
 
 import csv
@@ -179,8 +179,8 @@ _DECIMAL = r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 def _number(token: str, grammar: str):
-    # the number a row token holds: blanks are spaces and tabs, quotes optional
-    match = re.fullmatch(rf'[ \t]*(?:({grammar})|"({grammar})")[ \t]*', token)
+    # the number a row token holds: blanks are spaces and tabs, or quotes around it alone
+    match = re.fullmatch(rf'[ \t]*({grammar})[ \t]*|"({grammar})"', token)
     return match and (match[1] or match[2])
 
 
@@ -223,3 +223,26 @@ def reference_panel(text: str):
         return None
     strides = {later - earlier for earlier, later in zip(times, times[1:])}
     return labels, strides.pop() if len(strides) == 1 else 1, np.array(rows).T
+
+
+def reference_beta(text: str):
+    """The beta file `text` as the README's *File formats* reads it: its
+    (N, F) loadings, or the first physical line it refuses, or None for a file
+    with no data rows.
+
+    Lines break at LF, CRLF and CR after an optional leading BOM, and empty
+    lines are skipped.  Every other line holds as many comma-separated ASCII
+    decimals as the first, each finite, in the panel's number grammar.
+    """
+    rows = []
+    for number, line in enumerate(_LINE_BREAK.split(text.removeprefix("\ufeff")), 1):
+        if not line:
+            continue
+        fields = [_number(token, _DECIMAL) for token in line.split(",")]
+        if not all(fields) or rows and len(fields) != len(rows[0]):
+            return number
+        row = [float(field) for field in fields]
+        if not all(map(math.isfinite, row)):
+            return number
+        rows.append(row)
+    return np.array(rows) if rows else None

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 from pathlib import Path
 
@@ -21,6 +18,9 @@ DATA_SEPARATORS = list("\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 # other str.isspace characters, which numpy would take for blanks at a token's edge
 OTHER_SPACES = {"no_break": "\u00a0", "em": "\u2003", "ideographic": "\u3000",
                 "unit_separator": "\x1f"}
+# a child process's environment that holds BLAS to one thread
+ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                   "MKL_NUM_THREADS": "1"}
 MISREAD = ("could not convert a line holding whitespace other than spaces and tabs, "
            "or a quote left open")
 
@@ -143,7 +143,7 @@ class TestSimulate:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
-    def test_memory_stays_below_the_panel(self, tmp_path):
+    def test_memory_stays_below_the_panel(self, tmp_path, run_python):
         # a 64 x 32,768 panel (16 MiB, cli-csv's) goes to the file one
         # 1,024-step block at a time: the peak resident set rises by less than
         # a quarter of the panel (it rose by the panel and 1.4 MiB when the
@@ -161,12 +161,7 @@ class TestSimulate:
             f"code = main(['simulate', '--assets', '{n_assets}', '--alpha', '0.2',\n"
             f"             '--gamma', '0.2', '--steps', '{n_steps}', '--out', sys.argv[1]])\n"
             "print(code, peak() - before)\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(tmp_path / "p.csv")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        result = run_python("-c", script, str(tmp_path / "p.csv"), **ONE_BLAS_THREAD)
         assert result.returncode == 0, result.stderr
         code, rise_kib = map(int, result.stdout.splitlines()[-1].split())
         assert code == 0
@@ -455,7 +450,7 @@ class TestStreamedSpectrum:
         assert "line 11: bad time index" in capsys.readouterr().err
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
-    def test_memory_stays_below_the_panel(self, tmp_path):
+    def test_memory_stays_below_the_panel(self, tmp_path, run_python):
         # 64 x 131,072 returns (a 64 MiB panel) as 38 MB of short tokens: the
         # process's peak resident set rises by less than the panel over its
         # imports.  One BLAS thread, so that the core count does not matter.
@@ -478,12 +473,8 @@ class TestStreamedSpectrum:
             "code = main(['spectrum', '--in', sys.argv[1], '--taus', '1,2', '--top-k', '1',\n"
             "             '--out', sys.argv[2]])\n"
             "print(code, peak() - before)\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(path), str(tmp_path / "c.json")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-                 "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+        result = run_python("-c", script, str(path), str(tmp_path / "c.json"),
+                            **ONE_BLAS_THREAD)
         assert result.returncode == 0, result.stderr
         code, rise_kib = map(int, result.stdout.splitlines()[-1].split())
         assert code == 0
@@ -825,6 +816,16 @@ class TestMalformedInput:
         assert err == f"data error: beta file {beta}: line {line}: {MISREAD}\n"
         assert not (tmp_path / "p.csv").exists()
 
+    def test_beta_file_quoted_number_is_its_whole_field(self, tmp_path, capsys):
+        # numpy would read "0."5 as 0.5, joining what follows the closing quote
+        beta = tmp_path / "beta.csv"
+        beta.write_text('"0.5"\n\n"0."5\n0.9\n', encoding="utf-8")
+        err = self.assert_data_error(capsys, "simulate", "--assets", "3", "--alpha", "0.2",
+                                     "--beta-file", str(beta), "--steps", "8",
+                                     "--out", str(tmp_path / "p.csv"))
+        assert err == (f"data error: beta file {beta}: line 3: could not convert a field "
+                       "holding more than a number between quotes\n")
+
     @pytest.mark.parametrize("space", OTHER_SPACES.values(), ids=OTHER_SPACES.keys())
     def test_beta_file_blanks_are_spaces_and_tabs(self, tmp_path, capsys, space):
         beta = tmp_path / "beta.csv"
@@ -853,10 +854,12 @@ class TestMalformedInput:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("text, factors, line", [("0.5\n\nnan\n0.2\n", "1", 3),
-                                                     ("0.5,0.1\n0.4,inf\n0.3,0.3\n", "2", 2)],
-                             ids=["nan", "inf"])
+                                                     ("0.5,0.1\n0.4,inf\n0.3,0.3\n", "2", 2),
+                                                     ("0.5\nnan\nx", "1", 2)],
+                             ids=["nan", "inf", "nan_before_bad_number"])
     def test_beta_file_non_finite_names_its_line(self, tmp_path, capsys, text, factors, line):
-        # a data error in a file, as in a spec file; on the command line a usage error
+        # a data error in a file, as in a spec file; on the command line a usage
+        # error.  The first fault in file order is named, whatever its kind
         beta = tmp_path / "beta.csv"
         beta.write_text(text)
         err = self.assert_data_error(capsys, "simulate", "--assets", "3", "--factors", factors,
@@ -933,20 +936,14 @@ class TestMalformedInput:
                                "--steps", "8", "--out", str(tmp_path / "p.csv"))
 
 
-def test_module_invocation_smoke(tmp_path):
+def test_module_invocation_smoke(tmp_path, run_python):
     out = tmp_path / "p.csv"
-    proc = subprocess.run(
-        [sys.executable, "-m", "leadlag", "simulate", "--assets", "2",
-         "--alpha", "0", "--beta", "0", "--steps", "8", "--out", str(out)],
-        capture_output=True, text=True,
-    )
+    proc = run_python("-m", "leadlag", "simulate", "--assets", "2", "--alpha", "0",
+                      "--beta", "0", "--steps", "8", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
 
 
-def test_usage_error_is_exit_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "leadlag", "simulate", "--steps", "nope"],
-        capture_output=True, text=True,
-    )
+def test_usage_error_is_exit_2(run_python):
+    proc = run_python("-m", "leadlag", "simulate", "--steps", "nope")
     assert proc.returncode == 2

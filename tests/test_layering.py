@@ -5,9 +5,9 @@ an exported callable is passed beyond them, the runtime needs numpy alone,
 every name the benchmark's tracer wraps is still bound, only the engine
 picks the length of the chunks its sources yield, the engine's state is one
 accumulator whose curves are of one kind, a simulated panel is the
-simulator's one block, the CLI builds no panel, one loadings type serves
-every factor count, and no file text is split at str.splitlines' wider set
-of line separators."""
+simulator's one block, the CLI builds no panel, only panel_io parses rows
+with numpy's loadtxt, one loadings type serves every factor count, and no
+file text is split at str.splitlines' wider set of line separators."""
 
 import ast
 import dataclasses
@@ -15,9 +15,6 @@ import graphlib
 import importlib
 import importlib.util
 import inspect
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +73,18 @@ def test_only_panel_io_imports_csv():
     # numeric rows are read by numpy alone; csv is left for the panel header
     users = {path.stem for path in PACKAGE.glob("*.py") if "csv" in absolute_imports(path)}
     assert users == {"panel_io"}
+
+
+def test_only_panel_io_calls_loadtxt():
+    # the rows' number grammar and the way a refusal names its line live in
+    # one module, for panels and beta files alike; the CLI takes none of it
+    def calls(path):
+        return {getattr(node.func, "attr", None) for node in ast.walk(ast.parse(
+            path.read_text(encoding="utf-8"))) if isinstance(node, ast.Call)}
+
+    assert {path.stem for path in PACKAGE.glob("*.py") if "loadtxt" in calls(path)} == {
+        "panel_io"}
+    assert not {"_read_text", "_loadtxt", "_first_refused"} & identifiers(PACKAGE / "cli.py")
 
 
 def test_no_module_imports_scipy():
@@ -210,10 +219,8 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_runtime_loads_no_scipy(tmp_path):
-    result = subprocess.run(
-        [sys.executable, "-c", _CLI_RUN, str(tmp_path)], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, timeout=60)
+def test_runtime_loads_no_scipy(tmp_path, run_python):
+    result = run_python("-c", _CLI_RUN, str(tmp_path), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0] []"
 

@@ -1,9 +1,10 @@
+import contextlib
+import io
 import json
 import math
 import os
 import stat
-import subprocess
-import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag import (DataError, EigenCurve, FitResult, ReturnPanel, ValidationError,
-                     aggregate_returns, load_curves, load_fits,
+                     aggregate_returns, eigencurves_from_panel, load_curves, load_fits,
                      load_panel, panel_io, sample_correlation, save_curves,
                      save_fits)
+from leadlag.cli import main
 from leadlag.panel_io import save_panel
-from oracles import reference_panel
+from oracles import reference_beta, reference_panel
 
 
 def write(tmp_path, name, text):
@@ -146,6 +148,29 @@ class TestPanelCsv:
     def test_quoted_number_loads(self, tmp_path):
         path = write(tmp_path, "p.csv", 'time,A\n0,"0.1"\n1,0.2\n')
         assert load_panel(path).returns.tolist() == [[0.1, 0.2]]
+
+    @pytest.mark.parametrize("row", ['0,"0."5', '0,""0.5', '0,"1"e5', '"1"0,0.5', '0," 0.5"',
+                                     '0,"0.5\t"', '0,"0.5" '])
+    def test_a_quoted_number_is_its_whole_field(self, tmp_path, row):
+        # numpy joins what follows a field's closing quote to what the quotes
+        # hold, and strips blanks inside them: "0."5 would read as 0.5
+        path = write(tmp_path, "p.csv", f'time,A\n"0","0.1"\n{row}\n')
+        with pytest.raises(DataError) as refused:
+            load_panel(path)
+        assert str(refused.value) == (f"{path}: line 3: bad time index or return value (could "
+                                      "not convert a field holding more than a number between "
+                                      "quotes)")
+
+    @pytest.mark.parametrize("row, reason", [
+        ("1,0.3", "the dtype passed requires 3 columns but 2 were found"),
+        ("1,0.3,x", "could not convert string 'x' to float64")], ids=["short_row", "bad_token"])
+    def test_refusal_gives_numpys_reason_without_its_row_count(self, tmp_path, row, reason):
+        # numpy counts the rows of the shortest refused prefix, from 0 or 1, and
+        # its `usecols` hint speaks to its API, not to the file's author
+        path = write(tmp_path, "p.csv", f"time,A,B\n0,0.1,0.2\n\n{row}\n")
+        with pytest.raises(DataError) as refused:
+            load_panel(path)
+        assert str(refused.value) == f"{path}: line 4: bad time index or return value ({reason})"
 
     @pytest.mark.parametrize("row", ["0,0.1 # note", "0,1_000", "1_0,0.1", "0,\u0661",
                                      "99999999999999999999,0.1", "1,0.2\u2028", "1\u2028,0.2",
@@ -297,7 +322,7 @@ class TestPanelStreams:
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's VmHWM")
-    def test_load_panel_holds_the_panel_once(self, tmp_path):
+    def test_load_panel_holds_the_panel_once(self, tmp_path, run_python):
         # 64 x 131,072 returns (a 64 MiB panel) as 38 MB of short tokens: the
         # process's peak resident set rises by less than 1.5 panels over its
         # imports (concatenated batches took 2.1).  The peak is VmHWM, as in
@@ -318,10 +343,7 @@ class TestPanelStreams:
             "before = peak()\n"
             "panel = load_panel(sys.argv[1])\n"
             "print(panel.returns.shape[1], peak() - before)\n")
-        src = Path(__file__).resolve().parents[1] / "src"
-        result = subprocess.run([sys.executable, "-c", script, str(path)],
-                                capture_output=True, text=True, timeout=120,
-                                env={**os.environ, "PYTHONPATH": str(src)})
+        result = run_python("-c", script, str(path))
         assert result.returncode == 0, result.stderr
         steps, rise_kib = map(int, result.stdout.splitlines()[-1].split())
         assert steps == n_steps
@@ -419,19 +441,13 @@ class TestPanelLabels:
 PIECES = ('"', ",", " ", "\t", "\ufeff", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1f",
           "\x85", "\u2028", "\u2029", "\u00a0", "\u2003", "\u3000", "#", "_", "+", "-",
           "e", "E", ".", "nan", "inf", "0", "7", "\u0661")
+NUMBERS = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
+    ["0.1", "-2.5e-07", "+1", '"0.5"', " 3 ", "\t-0", ".5", "5."])
 
 
-@st.composite
-def mutated_panel_texts(draw):
-    # a valid panel CSV, then up to four pieces inserted or put in place of a character
-    n_assets = draw(st.integers(1, 3))
-    labels = draw(st.lists(st.sampled_from(["A", "b c", '"d,e"', '"f""g"', " h"]),
-                           min_size=n_assets, max_size=n_assets, unique=True))
-    times = sorted(draw(st.sets(st.integers(-9, 60), min_size=1, max_size=4)))
-    number = st.floats(allow_nan=False, allow_infinity=False).map(repr) | st.sampled_from(
-        ["0.1", "-2.5e-07", "+1", '"0.5"', " 3 ", "\t-0", ".5", "5."])
-    lines = [",".join(["time", *labels])] + [
-        ",".join([str(t), *(draw(number) for _ in labels)]) for t in times]
+def mutated(draw, lines):
+    # `lines` joined at one line end, after an optional BOM, then up to four
+    # pieces inserted or put in place of a character
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     text = draw(st.sampled_from(["", "\ufeff"])) + end.join(lines) + draw(st.sampled_from(["", end]))
     for _ in range(draw(st.integers(0, 4))):
@@ -440,12 +456,79 @@ def mutated_panel_texts(draw):
     return text
 
 
+@st.composite
+def mutated_panel_texts(draw):
+    # a valid panel CSV, mutated
+    n_assets = draw(st.integers(1, 3))
+    labels = draw(st.lists(st.sampled_from(["A", "b c", '"d,e"', '"f""g"', " h"]),
+                           min_size=n_assets, max_size=n_assets, unique=True))
+    times = sorted(draw(st.sets(st.integers(-9, 60), min_size=1, max_size=4)))
+    return mutated(draw, [",".join(["time", *labels])] + [
+        ",".join([str(t), *(draw(NUMBERS) for _ in labels)]) for t in times])
+
+
+@st.composite
+def mutated_beta_texts(draw):
+    # a valid beta file of one to four rows, mutated
+    n_factors = draw(st.integers(1, 3))
+    return mutated(draw, [",".join(draw(NUMBERS) for _ in range(n_factors))
+                          for _ in range(draw(st.integers(1, 4)))])
+
+
+def refusal(call, *args) -> str:
+    # the message of the DataError that call(*args) raises: numpy's reason
+    # without numpy's row count or its `usecols` hint
+    with pytest.raises(DataError) as refused:
+        call(*args)
+    message = str(refused.value)
+    assert " at row " not in message and "usecols" not in message
+    return message
+
+
+def recorded(call):
+    # call()'s result, or the exception that escapes it, and the warnings it gave
+    with warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+        except Exception as exc:
+            result = repr(exc)
+    return result, [str(warning.message) for warning in warned]
+
+
+def spectrum_outcomes(path, out):
+    # `leadlag spectrum` on a small grid, and eigencurves_from_panel(load_panel(path))
+    # on the same grid with the CLI's exit codes, each recorded as (exit code,
+    # stderr, bar length, curve values)
+    def cli():
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["spectrum", "--in", str(path), "--taus", "1,2", "--top-k", "1",
+                         "--out", str(out)])
+        curves, meta = load_curves(out) if code == 0 else ([], {})
+        return (code, stderr.getvalue(), meta.get("base_scale_minutes"),
+                [curve.values.tolist() for curve in curves])
+
+    def library():
+        try:
+            panel = load_panel(path)
+            curves = eigencurves_from_panel(panel, (1, 2), 1)
+        except ValidationError as exc:
+            return 2, f"error: {exc}\n", None, []
+        except DataError as exc:
+            return 3, f"data error: {exc}\n", None, []
+        return 0, "", panel.base_scale, [curve.values.tolist() for curve in curves]
+
+    return recorded(cli), recorded(library)
+
+
 @settings(derandomize=True, max_examples=600)
 @given(text=mutated_panel_texts())
 def test_reader_accepts_exactly_what_the_file_format_allows(tmp_path_factory, text):
     # load_panel against tests/oracles.reference_panel, the README's grammar:
     # the same labels, bar length and return bits, or a DataError naming the
-    # first physical line the grammar refuses
+    # first physical line the grammar refuses.  `leadlag spectrum` refuses as
+    # load_panel does, or gives the library's curves
     path = tmp_path_factory.getbasetemp() / "fuzzed.csv"
     path.write_text(text, encoding="utf-8", newline="")
     expected = reference_panel(text)
@@ -454,9 +537,27 @@ def test_reader_accepts_exactly_what_the_file_format_allows(tmp_path_factory, te
         assert (panel.asset_labels, panel.base_scale) == expected[:2]
         assert panel.returns.tobytes() == expected[2].tobytes()
     else:
-        with pytest.raises(DataError) as refused:
-            load_panel(path)
-        assert (f": line {expected}: " if expected else ": no data rows") in str(refused.value)
+        message = refusal(load_panel, path)
+        assert (f": line {expected}: " if expected else ": no data rows") in message
+    cli, library = spectrum_outcomes(path, tmp_path_factory.getbasetemp() / "fuzzed.json")
+    assert cli == library
+
+
+@settings(derandomize=True, max_examples=600)
+@given(text=mutated_beta_texts())
+def test_beta_reader_accepts_exactly_what_the_file_format_allows(tmp_path_factory, text):
+    # the beta file's reader against tests/oracles.reference_beta: the same
+    # loadings, bit for bit, or a DataError naming the first physical line the
+    # grammar refuses, whatever shape is asked for, since that comes last
+    path = tmp_path_factory.getbasetemp() / "fuzzed_beta.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected = reference_beta(text)
+    if isinstance(expected, np.ndarray):
+        beta = panel_io._read_beta_file(path, expected.shape)
+        assert beta.tobytes() == expected.tobytes()
+    else:
+        message = refusal(panel_io._read_beta_file, path, None)
+        assert (f": line {expected}: " if expected else ": no data") in message
 
 
 class TestResultsJson:

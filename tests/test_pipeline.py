@@ -14,12 +14,8 @@ bit.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,13 +286,10 @@ print(json.dumps([curve.values.tolist() for curve in curves]))
 """
 
 
-def test_curves_agree_across_blas_thread_counts():
+def test_curves_agree_across_blas_thread_counts(run_python):
     # bytes hold for one machine and BLAS thread count; across thread counts
     # LAPACK's eigensolve may move the last bits, so values agree to 1e-13
-    runs = [subprocess.run([sys.executable, "-c", _CURVES_RUN], capture_output=True, text=True,
-                           env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                "PYTHONPATH": str(Path(moments.__file__).parents[1])},
-                           timeout=120)
+    runs = [run_python("-c", _CURVES_RUN, OPENBLAS_NUM_THREADS=threads)
             for threads in ("1", "2")]
     assert [run.returncode for run in runs] == [0, 0], [run.stderr for run in runs]
     one, two = (np.array(json.loads(run.stdout)) for run in runs)
