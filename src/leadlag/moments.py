@@ -166,10 +166,12 @@ def aggregate_returns(panel: ReturnPanel, tau: int) -> ReturnPanel:
 
 
 def _correlation(cov: np.ndarray, labels) -> np.ndarray:
-    # the normalized covariance; DataError names the first asset with zero variance
-    dead = np.flatnonzero(np.diag(cov) <= 0.0)
-    if dead.size:
-        raise DataError(f"asset {labels[dead[0]]!r} has zero sample variance")
+    # the normalized covariance; DataError names the first asset whose sample variance
+    # overflowed float64 (as squares past about 1.3e154 do), else the first with zero variance
+    for dead, reason in ((~np.isfinite(np.diag(cov)), "a sample variance that overflows float64"),
+                         (np.diag(cov) <= 0.0, "zero sample variance")):
+        if dead.any():
+            raise DataError(f"asset {labels[int(dead.argmax())]!r} has {reason}")
     return _normalize(cov)
 
 
@@ -185,9 +187,11 @@ def sample_covariance(panel: ReturnPanel) -> ScaleMatrix:
 def sample_correlation(panel: ReturnPanel) -> ScaleMatrix:
     """Sample correlation; diagonal exactly 1.
 
-    Raises DataError naming the first asset whose sample variance is zero.
+    Raises DataError naming the first asset whose sample variance overflows
+    float64, else the first whose sample variance is zero.
     """
-    cov = sample_covariance(panel).values
+    with np.errstate(over="ignore", invalid="ignore"):  # _correlation refuses an overflow
+        cov = sample_covariance(panel).values
     return ScaleMatrix(_correlation(cov, panel.asset_labels))
 
 
@@ -259,6 +263,7 @@ class _ScaleMoments:
         self.pending = {tau: [] for tau in taus}  # the columns not yet in self.cross
         self.totals = dict.fromkeys(taus, 0.0)  # a leaf's shifted block sums, summed
 
+    @np.errstate(over="ignore", invalid="ignore")  # _correlation refuses an overflow
     def add(self, chunk: np.ndarray) -> None:
         self.shift = chunk.mean(axis=1, keepdims=True) if self.shift is None else self.shift
         self.steps, sums = self.steps + chunk.shape[1], {1: chunk}
@@ -288,6 +293,7 @@ class _ScaleMoments:
             self.cross[tau] += x @ x.T
             pending.clear()
 
+    @np.errstate(over="ignore", invalid="ignore")
     def covariances(self, min_blocks: int) -> list[np.ndarray]:
         if short := [str(tau) for tau in self.sources if self.steps // tau < min_blocks]:
             raise DataError("aggregation scale(s) exceed usable series length: "

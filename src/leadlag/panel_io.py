@@ -15,10 +15,11 @@ Returns are dimensionless decimals (0.001 = 10 bps), never percentages, with
 '.' as the decimal separator whatever the locale.  Panel CSVs stream:
 one writer formats each row of a source of column blocks as it writes it
 (`leadlag simulate`'s are the simulator's), and the reader reads batches of
-whole lines of about 1 MiB and parses and checks each at once, so a file with
-several faults is refused at the first in file order.  load_panel holds the
-panel and one batch; the engine's CSV source copies the batches into one chunk.
-A beta file's rows share the number grammar, and its refusals come the same way.
+whole lines of about 1 MiB and parses and checks each at once; the parse refuses
+every fault a row can hold, so one bisection finds a file's first fault in file
+order, whatever its kind.  load_panel holds the panel and one batch; the engine's
+CSV source copies the batches into one chunk.  A beta file's rows share the number
+grammar and the bisection.  moments refuses a variance beyond float64, naming the asset.
 
 Results are JSON documents carrying ``"schema": 1``; curves are arrays,
 fits are objects.  All floats are written with full shortest-round-trip
@@ -100,7 +101,7 @@ def _atomic_write_text(path, text) -> None:
             os.unlink(tmp)
             raise
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc  # not the temp file
 
 
 def _check_labels(labels, where: str = "") -> None:
@@ -148,73 +149,72 @@ def save_panel(panel: ReturnPanel, path) -> None:
 def _loadtxt(lines, dtype, ndmin: int) -> np.ndarray:
     # np.loadtxt in the rows' one grammar, refusing a line numpy would misread: any isspace
     # character but spaces, tabs and its LF or CR (ASCII text, O(1) to tell, holds six), a
-    # quote left open or a quoted field not a number between quotes alone (numpy joins them)
+    # quote left open or a quoted field not a number between quotes alone (numpy joins them).
+    # A refusal's reason is numpy's less its row count, which counts only the lines given
     text = "".join(lines)
     spaces = _ASCII_SPACES if text.isascii() else set(text).difference(" \t\n\r")
     if (any(c.isspace() and c in text for c in spaces)
             or '"' in text and any(line.count('"') % 2 for line in lines)):
         raise ValueError("could not convert a line holding whitespace other than spaces "
                          "and tabs, or a quote left open")
-    table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"', ndmin=ndmin)
+    try:
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar='"', ndmin=ndmin)
+    except ValueError as exc:
+        raise ValueError(str(exc).rsplit(" at row ", 1)[0]) from None
     if '"' in text and any('"' in _QUOTED_NUMBER.sub("", line) for line in lines):
         raise ValueError("could not convert a field holding more than a number between quotes")
     return table
 
 
-def _first_refused(parse, lines) -> tuple[int, str]:
-    # (k, the reason) for lines[k - 1], the first line parse() refuses, given that it refuses
-    # `lines` (loadtxt reads line by line), less numpy's row count of the nonempty lines
-    def refusal(count):
-        try:
-            parse(lines[:count])
-        except ValueError as exc:
-            return exc
-
-    k = bisect.bisect_left(range(1, len(lines)), True, key=lambda n: refusal(n) is not None) + 1
-    return k, str(refusal(k)).rsplit(" at row ", 1)[0]
-
-
-def _parse_rows(lines, n_assets: int) -> np.ndarray:
-    # a panel row: an int64 time index, then n_assets floats
-    return _loadtxt(lines, [("time", np.int64), ("returns", np.float64, (n_assets,))], 1)
-
-
-def _checked_rows(path, body, numbers, labels, compounding: str, last):
-    # the (returns, times) of the non-blank lines `body` on physical lines
-    # `numbers`, after the time index `last` (none before the first row):
-    # returns C-ordered, log-gross when geometric.  DataError at the first fault.
+def _parsed(parse, lines, first: int, where: str):
+    # parse(the non-blank `lines`, the first on physical line `first`), None if all are
+    # blank.  parse raises ValueError for a fault in any line, so it refuses every longer
+    # prefix once it refuses one: a bisection finds the first refused line, which
+    # DataError("<where>: line N: <reason>") names
+    numbers = [n for n, line in enumerate(lines, first) if line not in ("", "\n", "\r\n", "\r")]
+    body = [lines[n - first] for n in numbers]
     try:
-        table = _parse_rows(body, len(labels))
+        return parse(body) if body else None
     except ValueError as exc:
-        k, reason = _first_refused(lambda lines: _parse_rows(lines, len(labels)), body)
-        if k > 1:  # a fault in the lines before it comes first
-            _checked_rows(path, body[:k - 1], numbers, labels, compounding, last)
-        raise DataError(f"{path}: line {numbers[k - 1]}: bad time index or return "
-                        f"value ({reason})") from exc
+        def refusal(k):  # parse's refusal of body[:k + 1], if any
+            try:
+                parse(body[:k + 1])
+            except ValueError as refused:
+                return refused
 
+        k = bisect.bisect_left(range(len(body) - 1), True, key=lambda k: refusal(k) is not None)
+        raise DataError(f"{where}: line {numbers[k]}: {refusal(k)}") from exc
+
+
+def _parse_rows(lines, labels, compounding: str, last):
+    # a panel's rows, each an int64 time index beyond the one before (`last`'s, none before
+    # the first row), then len(labels) finite returns, > -100% when geometric: (returns,
+    # times), returns C-ordered, log-gross when geometric, times led by `last`
+    try:
+        table = _loadtxt(lines, [("time", np.int64), ("returns", np.float64, (len(labels),))], 1)
+    except ValueError as exc:
+        raise ValueError(f"bad time index or return value ({exc})") from None
     returns = np.array(table["returns"])
     bad = ~np.isfinite(returns)
     if compounding == "geometric":
         bad |= returns <= -1.0
+    if bad.any():
+        row, j = divmod(int(bad.argmax()), len(labels))
+        raise ValueError(f"asset {labels[j]!r}: " + (
+            "non-finite return" if not math.isfinite(returns[row, j])
+            else "return <= -100% cannot be compounded geometrically"))
     times = np.concatenate((last, table["time"]))
     backwards = times[1:] <= times[:-1]  # neighbours compared, never subtracted
-    row = int(bad.argmax()) // len(labels) if bad.any() else len(body)
-    k = int(backwards.argmax()) if backwards.any() else len(times)
-    if k + 1 - len(last) < row:
-        raise DataError(f"{path}: line {numbers[k + 1 - len(last)]}: time index "
-                        f"{times[k + 1]} does not exceed the previous one ({times[k]})")
-    if row < len(body):
-        j = int(bad[row].argmax())
-        reason = ("non-finite return" if not math.isfinite(returns[row, j])
-                  else "return <= -100% cannot be compounded geometrically")
-        raise DataError(f"{path}: line {numbers[row]}: asset {labels[j]!r}: {reason}")
+    if backwards.any():
+        k = int(backwards.argmax())
+        raise ValueError(f"time index {times[k + 1]} does not exceed the previous one ({times[k]})")
     if compounding == "geometric":
         np.log1p(returns, out=returns)
     return returns, times
 
 
 def _panel_batches(path, compounding: str):
-    # a panel CSV's labels, then per batch (its _checked_rows returns, the bar
+    # a panel CSV's labels, then per batch (its _parse_rows returns, the bar
     # length so far).  A batch is the whole lines readlines(_READ_CHARS) gives,
     # about 1 MiB, broken only at LF, CRLF or CR, as open(newline="") breaks them.
     path = Path(path)
@@ -231,13 +231,11 @@ def _panel_batches(path, compounding: str):
             _check_labels(labels, f"{path}: line 1: ")
             yield labels
             while lines := handle.readlines(_READ_CHARS):
-                numbers = [n for n, line in enumerate(lines, number)
-                           if line not in ("\n", "\r\n", "\r")]  # blank lines are skipped
-                body = [lines[n - number] for n in numbers]
+                rows = _parsed(lambda body: _parse_rows(body, labels, compounding, last),
+                               lines, number, path)
                 number += len(lines)
-                if body:
-                    returns, times = _checked_rows(path, body, numbers, labels,
-                                                   compounding, last)
+                if rows:
+                    returns, times = rows
                     strides = np.diff(times.view(np.uint64))  # exact, as times increase
                     stride = stride or (int(strides[0]) if strides.size else 0)
                     uniform = uniform and bool(np.all(strides == stride))
@@ -262,16 +260,10 @@ def _parse_beta(lines) -> np.ndarray:
 def _read_beta_file(path, shape) -> np.ndarray:
     # `leadlag simulate --beta-file`'s loadings, refused at the first fault in file order
     # like a panel's rows; _read_text makes CR and CRLF into LF, where a panel's rows break
-    lines = _read_text(path, "beta file ").split("\n")
-    numbers = [n for n, text in enumerate(lines, 1) if text]
-    if not numbers:
+    beta = _parsed(_parse_beta, _read_text(path, "beta file ").split("\n"), 1,
+                   f"beta file {path}")
+    if beta is None:
         raise DataError(f"beta file {path}: no data")
-    rows = [lines[n - 1] for n in numbers]
-    try:
-        beta = _parse_beta(rows)
-    except ValueError as exc:
-        k, reason = _first_refused(_parse_beta, rows)
-        raise DataError(f"beta file {path}: line {numbers[k - 1]}: {reason}") from exc
     if beta.shape != shape:
         raise DataError(f"beta file {path}: shape {beta.shape}, not --assets x --factors {shape}")
     return beta

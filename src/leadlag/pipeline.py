@@ -52,6 +52,7 @@ def _eigencurves(source, labels, taus, top_k: int) -> list[EigenCurve]:
     scales = _ScaleMoments(taus)
     for chunk in source(_chunk_length(len(labels), taus)):
         scales.add(chunk)
+    chunk = None  # not held through the eigensolves (the model's is the simulator's buffer)
     rows = []
     for tau, cov in zip(taus, scales.covariances(top_k + 1)):
         values = dense_eigenvalues(ScaleMatrix(_correlation(cov, labels))).eigenvalues[:top_k]

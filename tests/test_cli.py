@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -66,6 +68,28 @@ class TestSimulate:
                    "--steps", "10", "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "exactly one" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--assets", "4", "--gamma", "0.1"),
+         "--assets and --alpha are required (or use --spec-file)"),
+        (("--assets", "4", "--alpha", "0.2", "--factors", "2", "--gamma", "0.1"),
+         "--gamma defines a one-factor model; use --beta-file for more"),
+    ], ids=["no_alpha", "gamma_with_two_factors"])
+    def test_model_flags_refused_with_exit_2(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "x.csv"
+        assert run("simulate", *flags, "--steps", "8", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_refused_write_names_the_destination(self, tmp_path, capsys):
+        # not the temporary file the write goes through first, whose name is random
+        out = tmp_path / "missing" / "q.csv"
+        errs = []
+        for _ in range(2):
+            assert run("simulate", "--assets", "3", "--alpha", "0.2", "--gamma", "0.1",
+                       "--steps", "8", "--out", str(out)) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"data error: cannot write {out}: {os.strerror(errno.ENOENT)}\n"] * 2
 
     def test_beta_file(self, tmp_path):
         beta = tmp_path / "beta.csv"
@@ -215,6 +239,28 @@ class TestSpectrum:
                    "--out", str(tmp_path / "c.json"))
         assert code == 3
         assert "eigenvalue 5 at tau=1 is zero to rounding" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, taus, label", [
+        ("time,A,B\n0,1e200,0.0\n1,-1e200,1\n2,0,0\n", (1,), "A"),
+        ('time,A,b c,"d,e"\n0,0,0,0\n1,0,0,0\n2,0,0,0\n3,1.0,2.0,8.98846567431158e+307\n',
+         (1, 2), "d,e"),
+    ], ids=["curve_of_ones", "linalg_error"])
+    def test_variance_overflowing_float64_is_a_data_error(self, tmp_path, capsys, text, taus,
+                                                          label):
+        # squares of returns past about 1.3e154 overflow float64; warnings are errors
+        # here, so the refusal comes with no numpy warning
+        path, out = tmp_path / "p.csv", tmp_path / "curves.json"
+        path.write_text(text)
+        message = f"asset {label!r} has a sample variance that overflows float64"
+        assert run("spectrum", "--in", str(path), "--taus", ",".join(map(str, taus)),
+                   "--top-k", "1", "--out", str(out)) == 3
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not out.exists()
+        panel = load_panel(path)
+        for compute in (sample_correlation, lambda p: eigencurves_from_panel(p, taus, 1)):
+            with pytest.raises(DataError) as refused:
+                compute(panel)
+            assert str(refused.value) == message
 
     def test_empty_taus_is_exit_2(self, tmp_path, capsys):
         panel_path = self.make_panel(tmp_path, steps=100)
@@ -533,6 +579,26 @@ class TestFitAndPlot:
         fits, _ = load_fits(fits_path)
         assert [rank for rank, _ in fits] == [1]
 
+    def test_fit_curves_without_asset_count_need_assets(self, tmp_path, capsys):
+        curves_path = self.write_reference_curves(tmp_path)
+        document = json.loads(curves_path.read_text())
+        del document["n_assets"]
+        curves_path.write_text(json.dumps(document))
+        fits_path = tmp_path / "fits.json"
+        assert run("fit", "--in", str(curves_path), "--out", str(fits_path)) == 2
+        assert capsys.readouterr().err == "error: curves file carries no n_assets; pass --assets\n"
+        assert not fits_path.exists()
+        assert run("fit", "--in", str(curves_path), "--assets", "533",
+                   "--out", str(fits_path)) == 0
+
+    def test_fit_of_a_directory_is_exit_3(self, tmp_path, capsys):
+        fits_path = tmp_path / "fits.json"
+        assert run("fit", "--in", str(tmp_path), "--out", str(fits_path)) == 3
+        assert capsys.readouterr().err == (f"data error: cannot read {tmp_path}: [Errno "
+                                           f"{errno.EISDIR}] {os.strerror(errno.EISDIR)}: "
+                                           f"'{tmp_path}'\n")
+        assert not fits_path.exists()
+
     def test_fit_all_short_is_exit_4(self, tmp_path):
         curves = [factor_eigencurve(100, 0.1, 0.2, (1, 2))]
         curves_path = tmp_path / "curves.json"
@@ -606,6 +672,20 @@ class TestReproduce:
         for name in ("curves.json", "fits.json", "report.txt",
                      "eigencurve_rank1.svg", "eigencurve_rank2.svg"):
             assert (out / name).exists()
+
+    def test_failed_fits_are_reported(self, tmp_path):
+        # two scales give two points, too few to fit (alpha, amplitude): every rank's
+        # fit fails, and the report records it while the run succeeds
+        out = tmp_path / "report"
+        assert run("reproduce", "--out-dir", str(out), "--taus", "1,2", "--steps", "4096",
+                   "--assets", "20") == 0
+        reason = "curve must contain at least 3 points to fit 2 parameters"
+        recovery = json.loads((out / "report.json").read_text())["recovery"]
+        assert [(e["rank"], e.get("error"), "fitted" in e) for e in recovery] == [
+            (rank, reason, False) for rank in (1, 2, 3, 4)]
+        lines = (out / "report.txt").read_text().splitlines()
+        assert [line for line in lines if "fit failed" in line] == [
+            f"     {rank} fit failed: {reason}" for rank in (1, 2, 3, 4)]
 
     def test_market_scale_counterfactual_anchors(self, tmp_path, capsys):
         out = tmp_path / "report"

@@ -6,7 +6,8 @@ every name the benchmark's tracer wraps is still bound, only the engine
 picks the length of the chunks its sources yield, the engine's state is one
 accumulator whose curves are of one kind, a simulated panel is the
 simulator's one block, the CLI builds no panel, only panel_io parses rows
-with numpy's loadtxt, one loadings type serves every factor count, and no
+with numpy's loadtxt and one bisection there finds a refused line, one
+loadings type serves every factor count, and no
 file text is split at str.splitlines' wider set of line separators."""
 
 import ast
@@ -85,6 +86,26 @@ def test_only_panel_io_calls_loadtxt():
     assert {path.stem for path in PACKAGE.glob("*.py") if "loadtxt" in calls(path)} == {
         "panel_io"}
     assert not {"_read_text", "_loadtxt", "_first_refused"} & identifiers(PACKAGE / "cli.py")
+
+
+def test_a_refused_line_is_found_one_way():
+    # both readers name a refused line through panel_io._parsed, the one bisection,
+    # over a parse that raises for every fault a line can hold; np.loadtxt and the cut
+    # of numpy's row count live in _loadtxt alone, and no second scan decides which
+    # fault came first
+    tree = ast.parse((PACKAGE / "panel_io.py").read_text(encoding="utf-8"))
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def holding(test):
+        return {f.name for f in functions if any(test(node) for node in ast.walk(f))}
+
+    assert holding(lambda n: getattr(n, "attr", None) == "loadtxt") == {"_loadtxt"}
+    assert holding(lambda n: getattr(n, "value", None) == " at row ") == {"_loadtxt"}
+    assert holding(lambda n: getattr(n, "id", None) == "bisect") == {"_parsed"}
+    assert holding(lambda n: getattr(n, "id", None) == "_parsed") == {
+        "_panel_batches", "_read_beta_file"}
+    assert not [path.stem for path in PACKAGE.glob("*.py")
+                if identifiers(path) & {"_checked_rows", "_first_refused"}]
 
 
 def test_no_module_imports_scipy():

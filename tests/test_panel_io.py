@@ -140,7 +140,7 @@ class TestPanelCsv:
         calls = []
         parse = panel_io._parse_rows
         monkeypatch.setattr(panel_io, "_parse_rows",
-                            lambda lines, width: calls.append(1) or parse(lines, width))
+                            lambda *args: calls.append(1) or parse(*args))
         with pytest.raises(DataError, match=rf"line {bad + 2}: bad .*could not convert .*'x'"):
             load_panel(path)
         assert len(calls) <= 2 * math.log2(n)
@@ -246,6 +246,20 @@ class TestPanelCsv:
             load_geometric(path)
         with pytest.raises(DataError, match="line 4.*'A'"):
             load_panel(path)
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("time,A\n0,nan\n1,0.1\n2,x\n", 2, "asset 'A': non-finite return"),
+        ("time,A\n0,0.1\n0,0.2\n1,x\n", 3, "time index 0 does not exceed the previous one (0)"),
+    ], ids=["nan_before_bad_number", "repeated_time_before_bad_number"])
+    def test_value_or_time_fault_before_a_bad_number_is_named(self, tmp_path, text, line,
+                                                               reason):
+        # the first fault in file order, whatever its kind: the bisection that finds a
+        # number numpy refuses finds a bad value or time index as well
+        path = write(tmp_path, "p.csv", text)
+        for read in (load_panel, load_geometric):
+            with pytest.raises(DataError) as refused:
+                read(path)
+            assert str(refused.value) == f"{path}: line {line}: {reason}"
 
     @given(values=st.lists(st.floats(min_value=-0.5, max_value=0.5,
                                      allow_nan=False, allow_infinity=False),

@@ -15,6 +15,7 @@ bit.
 import json
 import math
 import tracemalloc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leadlag import (DataError, ModelSpec, ReturnPanel, aggregate_returns,
-                     dense_eigenvalues, eigencurves_from_panel, moments,
+                     dense_eigenvalues, eigencurves_from_panel, moments, pipeline,
                      sample_correlation, sample_covariance, simulate_panel)
 from leadlag.model import _emitted_blocks, stationary_burn_in
 from leadlag.pipeline import (REFERENCE_ALPHA, REFERENCE_N_ASSETS, REFERENCE_STRENGTHS,
@@ -78,6 +79,25 @@ def test_streamed_curves_match_dense(monkeypatch, n_assets, n_steps, taus, offse
     top_k = 3
     np.testing.assert_allclose(streamed(panel, taus, top_k, kind),
                                dense(panel, taus, top_k, kind), rtol=1e-10, atol=0)
+
+
+def test_no_chunk_is_held_through_the_eigensolves(monkeypatch):
+    # the last chunk of the model's pass is the simulator's buffer: the engine
+    # lets it go before the first eigensolve
+    alive = []
+
+    def source(length):
+        for seed in range(3):
+            chunk = np.random.default_rng(seed).standard_normal((4, 50))
+            alive.append(weakref.ref(chunk))
+            yield chunk
+
+    def eigensolve(matrix):
+        assert len(alive) == 3 and not [ref for ref in alive if ref() is not None]
+        return dense_eigenvalues(matrix)
+
+    monkeypatch.setattr(pipeline, "dense_eigenvalues", eigensolve)
+    assert len(pipeline._eigencurves(source, ("a", "b", "c", "d"), (1, 2), 2)) == 2
 
 
 def test_zero_variance_asset_is_named(monkeypatch):
